@@ -10,7 +10,7 @@ use crate::config::FriendSeekerConfig;
 use crate::error::Result;
 use crate::pairs::{all_pairs, ground_truth_labels};
 use crate::phase1::{train_phase1, Phase1Model};
-use crate::phase2::{train_phase2, IterationTrace, Phase2Model};
+use crate::phase2::{train_phase2, IterationTrace, Phase2Model, Rows};
 
 /// The FriendSeeker attack, parameterized by a configuration.
 ///
@@ -116,58 +116,23 @@ impl TrainedAttack {
     /// JOC prediction (see [`crate::candidates`]). If that prediction
     /// clears the decision threshold, pruning would flip real decisions,
     /// so the run logs the event and falls back to the full universe.
-    /// `SEEKER_FULL_REFINE=1` forces the full universe *and* full
-    /// per-iteration recomputation. `SEEKER_SHARDS=<n>` routes the run
-    /// through [`TrainedAttack::infer_sharded`] with `n` shards (both set:
-    /// the full-refine hatch wins).
+    /// [`TrainedAttack::infer_full`] is the quadratic reference and
+    /// [`TrainedAttack::infer_sharded`] the shard-by-shard form; both give
+    /// the same output.
     ///
     /// # Errors
     ///
     /// Returns [`crate::AttackError::PairUniverse`] if the universe size
     /// does not fit the platform.
     pub fn infer(&self, target: &Dataset) -> Result<InferenceResult> {
-        if crate::phase2::full_refine_from_env() {
-            return self.infer_full(target);
-        }
-        if let Some(n_shards) = crate::phase2::shards_from_env() {
-            return self.infer_sharded(target, n_shards);
-        }
         let universe = candidate_universe(&self.phase1, target)?;
-        if universe.residue_predicted_friend {
-            seeker_obs::counter!("attack.candidates.fallback_full", 1);
-            seeker_obs::info!(
-                "attack.candidates: zero-JOC probability {:.4} >= threshold {:.4}; residue pruning unsound, using full universe",
-                universe.residue_probability,
-                self.phase1.threshold()
-            );
-            let mut result = self.infer_pairs(target, all_pairs(target)?);
-            result.candidates = Some(universe);
-            return Ok(result);
-        }
-        if universe.pairs.is_empty() {
-            // No pair ever co-occupies a cell and the zero-JOC prediction
-            // is "not friends": the answer is the empty graph, no classifier
-            // run needed.
-            return Ok(InferenceResult {
-                pairs: Vec::new(),
-                trace: IterationTrace {
-                    graphs: vec![SocialGraph::new(target.n_users())],
-                    change_ratios: Vec::new(),
-                    converged: true,
-                },
-                candidates: Some(universe),
-            });
-        }
-        let pairs = universe.pairs.clone();
-        let mut result = self.infer_pairs(target, pairs);
-        result.candidates = Some(universe);
-        Ok(result)
+        self.infer_universe(target, universe, None)
     }
 
     /// Runs the attack shard-by-shard: candidate enumeration, phase-1
     /// scoring, and phase-2 refinement all process `n_shards` chunks at a
     /// time, so no full-universe intermediate (per-cell pair lists, feature
-    /// store, composite-feature cache, or SVM batch) is ever materialized —
+    /// store, composite-feature matrix, or SVM batch) is ever materialized —
     /// peak memory is `O(users + candidate pairs + universe/n_shards)`.
     ///
     /// The output is bit-identical to [`TrainedAttack::infer`] on the same
@@ -180,33 +145,42 @@ impl TrainedAttack {
     /// does not fit the platform.
     pub fn infer_sharded(&self, target: &Dataset, n_shards: usize) -> Result<InferenceResult> {
         let universe = candidate_universe_sharded(&self.phase1, target, n_shards)?;
-        if universe.residue_predicted_friend {
+        self.infer_universe(target, universe, Some(n_shards))
+    }
+
+    /// The tail [`TrainedAttack::infer`] and [`TrainedAttack::infer_sharded`]
+    /// share: the unsound-pruning fallback, the empty universe, and the
+    /// run over the candidates (sharded when `n_shards` is given).
+    fn infer_universe(
+        &self,
+        target: &Dataset,
+        universe: CandidateUniverse,
+        n_shards: Option<usize>,
+    ) -> Result<InferenceResult> {
+        let mut result = if universe.residue_predicted_friend {
             seeker_obs::counter!("attack.candidates.fallback_full", 1);
             seeker_obs::info!(
                 "attack.candidates: zero-JOC probability {:.4} >= threshold {:.4}; residue pruning unsound, using full universe",
                 universe.residue_probability,
                 self.phase1.threshold()
             );
-            let mut result = self.infer_pairs(target, all_pairs(target)?);
-            result.candidates = Some(universe);
-            return Ok(result);
-        }
-        if universe.pairs.is_empty() {
-            return Ok(InferenceResult {
-                pairs: Vec::new(),
-                trace: IterationTrace {
-                    graphs: vec![SocialGraph::new(target.n_users())],
-                    change_ratios: Vec::new(),
-                    converged: true,
-                },
-                candidates: Some(universe),
-            });
-        }
-        let _span = seeker_obs::span!("attack.infer");
-        seeker_obs::counter!("core.pairs_evaluated", universe.pairs.len() as u64);
-        let trace =
-            self.phase2.infer_sharded(&self.cfg, &self.phase1, target, &universe.pairs, n_shards);
-        Ok(InferenceResult { pairs: universe.pairs.clone(), trace, candidates: Some(universe) })
+            self.infer_pairs(target, all_pairs(target)?)
+        } else if universe.pairs.is_empty() {
+            // No pair ever co-occupies a cell and the zero-JOC prediction
+            // is "not friends": the answer is the empty graph, no classifier
+            // run needed.
+            InferenceResult::empty(target.n_users())
+        } else {
+            let pairs = universe.pairs.clone();
+            match n_shards {
+                None => self.infer_pairs(target, pairs),
+                Some(n) => self.classify(pairs, |p| {
+                    self.phase2.infer_sharded(&self.cfg, &self.phase1, target, p, n)
+                }),
+            }
+        };
+        result.candidates = Some(universe);
+        Ok(result)
     }
 
     /// Runs the attack over the **full** quadratic universe with full
@@ -222,20 +196,28 @@ impl TrainedAttack {
     }
 
     /// Runs the attack over an explicit candidate pair list, reusing clean
-    /// pair features (and predictions) across refinement iterations.
+    /// pair predictions across refinement iterations.
     pub fn infer_pairs(&self, target: &Dataset, pairs: Vec<UserPair>) -> InferenceResult {
-        let _span = seeker_obs::span!("attack.infer");
-        seeker_obs::counter!("core.pairs_evaluated", pairs.len() as u64);
-        let trace = self.phase2.infer(&self.cfg, &self.phase1, target, &pairs);
-        InferenceResult { pairs, trace, candidates: None }
+        self.classify(pairs, |p| self.phase2.infer(&self.cfg, &self.phase1, target, p))
     }
 
     /// Runs the attack over an explicit pair list with full per-iteration
-    /// recomputation (no feature reuse) — the incremental path's reference.
+    /// recomputation (no reuse) — the incremental path's reference.
     pub fn infer_pairs_full(&self, target: &Dataset, pairs: Vec<UserPair>) -> InferenceResult {
+        self.classify(pairs, |p| {
+            self.phase2.infer_impl(&self.cfg, &self.phase1, target, p, Rows::All)
+        })
+    }
+
+    /// Refines `pairs` with `refine` under the `attack.infer` span.
+    fn classify(
+        &self,
+        pairs: Vec<UserPair>,
+        refine: impl FnOnce(&[UserPair]) -> IterationTrace,
+    ) -> InferenceResult {
         let _span = seeker_obs::span!("attack.infer");
         seeker_obs::counter!("core.pairs_evaluated", pairs.len() as u64);
-        let trace = self.phase2.infer_impl(&self.cfg, &self.phase1, target, &pairs, true);
+        let trace = refine(&pairs);
         InferenceResult { pairs, trace, candidates: None }
     }
 }
@@ -253,6 +235,17 @@ pub struct InferenceResult {
 }
 
 impl InferenceResult {
+    /// The result over an empty pair universe: the empty graph on
+    /// `n_users` vertices, with nothing to refine.
+    pub(crate) fn empty(n_users: usize) -> InferenceResult {
+        let trace = IterationTrace {
+            graphs: vec![SocialGraph::new(n_users)],
+            change_ratios: Vec::new(),
+            converged: true,
+        };
+        InferenceResult { pairs: Vec::new(), trace, candidates: None }
+    }
+
     /// The final predicted social graph.
     pub fn final_graph(&self) -> &SocialGraph {
         self.trace.final_graph()

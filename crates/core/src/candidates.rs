@@ -64,22 +64,7 @@ impl CandidateUniverse {
 /// Returns [`crate::AttackError::PairUniverse`] if the universe size does
 /// not fit the platform.
 pub fn candidate_universe(phase1: &Phase1Model, target: &Dataset) -> Result<CandidateUniverse> {
-    let _span = seeker_obs::span!("attack.candidates");
-    let n_total = pair_universe_size(target.n_users())? as u64;
-    let pairs = seeker_spatial::candidate_pairs(target, phase1.division());
-    let n_residue = n_total - pairs.len() as u64;
-    let residue_probability = phase1.zero_joc_proba();
-    let residue_predicted_friend = residue_probability >= phase1.threshold();
-    seeker_obs::counter!("attack.candidates.pairs", pairs.len() as u64);
-    seeker_obs::counter!("attack.candidates.residue", n_residue);
-    seeker_obs::gauge!("attack.candidates.zero_joc_proba", residue_probability);
-    Ok(CandidateUniverse {
-        pairs,
-        n_total,
-        n_residue,
-        residue_probability,
-        residue_predicted_friend,
-    })
+    split_universe(phase1, target, || seeker_spatial::candidate_pairs(target, phase1.division()))
 }
 
 /// [`candidate_universe`] computed shard-by-shard: the [`seeker_spatial`]
@@ -100,10 +85,22 @@ pub fn candidate_universe_sharded(
     target: &Dataset,
     n_shards: usize,
 ) -> Result<CandidateUniverse> {
+    split_universe(phase1, target, || {
+        seeker_spatial::CellIndex::build(target, phase1.division())
+            .candidate_pairs_sharded(n_shards)
+    })
+}
+
+/// The universe split around a candidate enumeration: residue counting,
+/// the zero-JOC score, and the `attack.candidates.*` metrics.
+fn split_universe(
+    phase1: &Phase1Model,
+    target: &Dataset,
+    enumerate: impl FnOnce() -> Vec<UserPair>,
+) -> Result<CandidateUniverse> {
     let _span = seeker_obs::span!("attack.candidates");
     let n_total = pair_universe_size(target.n_users())? as u64;
-    let index = seeker_spatial::CellIndex::build(target, phase1.division());
-    let pairs = index.candidate_pairs_sharded(n_shards);
+    let pairs = enumerate();
     let n_residue = n_total - pairs.len() as u64;
     let residue_probability = phase1.zero_joc_proba();
     let residue_predicted_friend = residue_probability >= phase1.threshold();

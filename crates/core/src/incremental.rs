@@ -16,9 +16,9 @@
 //!    exactly the pairs with a dirtied endpoint — per-pair purity of the
 //!    encoder makes the partial batch bitwise equal to a full re-encode —
 //!    and `G⁰` is re-thresholded from the cached probabilities;
-//! 4. phase-2 refinement resumes from the previous run's feature cache
+//! 4. phase-2 refinement resumes from the previous run's predictions
 //!    (the [`crate::phase2`] warm-resume path), seeding the influence BFS
-//!    with the dirty users.
+//!    with the dirty users and rescoring the rows step 3 re-encoded.
 //!
 //! The contract — pinned by the `serve_contract` append==rebuild proptest —
 //! is that after any sequence of ingests the session's result is
@@ -27,7 +27,6 @@
 //! [`IncrementalOptions::full_ingest`]) is the escape hatch that performs
 //! exactly that rebuild on every batch.
 
-use seeker_graph::SocialGraph;
 use seeker_spatial::{CellIndex, DataDelta};
 use seeker_trace::{CheckIn, Dataset, UserId, UserPair};
 
@@ -36,7 +35,7 @@ use crate::candidates::CandidateUniverse;
 use crate::error::{AttackError, Result};
 use crate::features::FeatureStore;
 use crate::pairs::{all_pairs, pair_universe_size};
-use crate::phase2::{IterationTrace, ResumeState};
+use crate::phase2::{graph_from_predictions, ResumeState};
 
 /// Construction options for an [`IncrementalAttack`] session.
 #[derive(Debug, Clone, Default)]
@@ -53,12 +52,12 @@ pub struct IncrementalOptions {
 }
 
 impl IncrementalOptions {
-    /// Reads `SEEKER_SHARDS` and the `SEEKER_FULL_INGEST` escape hatch from
-    /// the cached [`seeker_obs::env`] registry.
+    /// Reads the `SEEKER_FULL_INGEST` escape hatch from the cached
+    /// [`seeker_obs::env`] registry; `n_shards` stays unset.
     pub fn from_env() -> Self {
         IncrementalOptions {
-            n_shards: crate::phase2::shards_from_env(),
             full_ingest: seeker_obs::env::flag("SEEKER_FULL_INGEST"),
+            ..IncrementalOptions::default()
         }
     }
 }
@@ -88,14 +87,8 @@ pub struct IncrementalAttack {
     index: CellIndex,
     /// Co-location candidate pairs, canonical order — the universe record.
     candidates: Vec<UserPair>,
-    /// Whether refinement runs over the full quadratic universe (zero-JOC
-    /// fallback or the `SEEKER_FULL_REFINE` hatch) instead of `candidates`.
-    full_universe: bool,
-    /// Mirror of the `SEEKER_FULL_REFINE` hatch: full per-iteration feature
-    /// recomputation inside the refinement loop.
-    force_full_refine: bool,
     /// The pair list actually classified (`candidates`, or the quadratic
-    /// universe when `full_universe`).
+    /// universe under the zero-JOC fallback, `residue_predicted_friend`).
     pairs: Vec<UserPair>,
     /// Classifier `C`'s cached friend probability per pair, aligned with
     /// `pairs` — thresholding reproduces `Phase1Model::predict_graph`
@@ -130,22 +123,19 @@ impl IncrementalAttack {
         let n_total = pair_universe_size(initial.n_users())? as u64;
         let residue_probability = attack.phase1().zero_joc_proba();
         let residue_predicted_friend = residue_probability >= attack.phase1().threshold();
-        let force_full_refine = crate::phase2::full_refine_from_env();
-        let full_universe = force_full_refine || residue_predicted_friend;
         let index = CellIndex::build(&initial, attack.phase1().division());
         let candidates = match opts.n_shards {
             Some(n) => index.candidate_pairs_sharded(n),
             None => index.candidate_pairs(),
         };
-        let pairs = if full_universe { all_pairs(&initial)? } else { candidates.clone() };
+        let pairs =
+            if residue_predicted_friend { all_pairs(&initial)? } else { candidates.clone() };
         let mut session = IncrementalAttack {
             attack,
             opts,
             dataset: initial,
             index,
             candidates,
-            full_universe,
-            force_full_refine,
             pairs,
             p1_proba: Vec::new(),
             store: None,
@@ -153,15 +143,7 @@ impl IncrementalAttack {
             n_total,
             residue_probability,
             residue_predicted_friend,
-            last: InferenceResult {
-                pairs: Vec::new(),
-                trace: IterationTrace {
-                    graphs: vec![SocialGraph::new(0)],
-                    change_ratios: Vec::new(),
-                    converged: true,
-                },
-                candidates: None,
-            },
+            last: InferenceResult::empty(0),
             n_ingested_batches: 0,
             n_ingested_checkins: 0,
         };
@@ -170,7 +152,7 @@ impl IncrementalAttack {
         } else {
             let every: Vec<usize> = (0..session.pairs.len()).collect();
             session.refresh_phase1(&every);
-            session.run_refinement(&[], &[]);
+            session.run_refinement(&[], &[], &[]);
         }
         Ok(session)
     }
@@ -207,7 +189,7 @@ impl IncrementalAttack {
         // filters against the existing sorted universe.
         let fresh = self.index.apply(self.attack.phase1().division(), batch);
         let cand_inserted = splice_sorted(&mut self.candidates, &fresh);
-        let inserted = if self.full_universe {
+        let inserted = if self.residue_predicted_friend {
             Vec::new() // the quadratic universe is fixed
         } else {
             debug_assert_eq!(self.candidates.len(), self.pairs.len() + cand_inserted.len());
@@ -217,23 +199,22 @@ impl IncrementalAttack {
         for &pos in &inserted {
             self.p1_proba.insert(pos, 0.0);
         }
-        // Pairs whose presence feature the batch dirtied: a freshly
-        // inserted pair, or an endpoint among the delta's users.
-        let dirty_rows: Vec<usize> = if self.store.is_none() {
-            // The universe was empty before this batch; everything is new.
-            (0..self.pairs.len()).collect()
-        } else {
-            let endpoint_dirty = self.pairs.iter().enumerate().filter_map(|(i, p)| {
-                (delta.touches_user(p.lo()) || delta.touches_user(p.hi())).then_some(i)
-            });
-            let mut v: Vec<usize> = inserted.iter().copied().chain(endpoint_dirty).collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
+        // Pairs whose presence feature the batch dirtied: every pair when
+        // the universe was empty before this batch, else a freshly inserted
+        // pair or one with an endpoint among the delta's users.
+        let was_empty = self.store.is_none();
+        let dirty_rows: Vec<usize> = (0..self.pairs.len())
+            .filter(|&i| {
+                let p = self.pairs[i];
+                was_empty
+                    || inserted.binary_search(&i).is_ok()
+                    || delta.touches_user(p.lo())
+                    || delta.touches_user(p.hi())
+            })
+            .collect();
         seeker_obs::counter!("incremental.ingest.dirty_pairs", dirty_rows.len() as u64);
         self.refresh_phase1(&dirty_rows);
-        self.run_refinement(&inserted, delta.users());
+        self.run_refinement(&inserted, delta.users(), &dirty_rows);
         Ok(&self.last)
     }
 
@@ -396,19 +377,15 @@ impl IncrementalAttack {
     }
 
     /// Runs phase-2 refinement from the warm resume state and stores the
-    /// new reference-equivalent [`InferenceResult`].
-    fn run_refinement(&mut self, inserted: &[usize], dirty_users: &[UserId]) {
+    /// new reference-equivalent [`InferenceResult`]. `force_rows` are the
+    /// rows whose presence feature the batch changed.
+    fn run_refinement(&mut self, inserted: &[usize], dirty_users: &[UserId], force_rows: &[usize]) {
         if self.pairs.is_empty() {
             // Reference behavior for an empty candidate universe: the
             // answer is the empty graph, no classifier run needed.
             self.last = InferenceResult {
-                pairs: Vec::new(),
-                trace: IterationTrace {
-                    graphs: vec![SocialGraph::new(self.dataset.n_users())],
-                    change_ratios: Vec::new(),
-                    converged: true,
-                },
                 candidates: Some(self.universe_record()),
+                ..InferenceResult::empty(self.dataset.n_users())
             };
             return;
         }
@@ -418,25 +395,20 @@ impl IncrementalAttack {
         // `predict_proba(..) >= threshold`, so re-thresholding reproduces
         // `predict_graph` bit-for-bit.
         let threshold = self.attack.phase1().threshold();
-        let mut g0 = SocialGraph::new(self.dataset.n_users());
-        for (&pair, &p) in self.pairs.iter().zip(self.p1_proba.iter()) {
-            if p >= threshold {
-                g0.add_edge(pair);
-            }
-        }
+        let friends: Vec<bool> = self.p1_proba.iter().map(|&p| p >= threshold).collect();
+        let g0 = graph_from_predictions(self.dataset.n_users(), &self.pairs, &friends);
         // Structural invariant: `refresh_phase1` built the store for any
         // non-empty pair list before this runs.
         let store = self.store.as_ref().expect("store exists for a non-empty universe"); // lint:allow(no-panic)
         let trace = self.attack.phase2().infer_warm(
             self.attack.config(),
             store,
-            self.dataset.n_users(),
             &self.pairs,
             g0,
             &mut self.resume,
             inserted,
             dirty_users,
-            self.force_full_refine,
+            force_rows,
         );
         self.last = InferenceResult {
             pairs: self.pairs.clone(),
@@ -461,8 +433,8 @@ impl IncrementalAttack {
     /// the current dataset (no incremental state is consulted or kept).
     fn recompute_reference(&mut self) -> Result<()> {
         self.last = match self.opts.n_shards {
-            Some(n) if !self.force_full_refine => self.attack.infer_sharded(&self.dataset, n)?,
-            _ => self.attack.infer(&self.dataset)?,
+            Some(n) => self.attack.infer_sharded(&self.dataset, n)?,
+            None => self.attack.infer(&self.dataset)?,
         };
         Ok(())
     }

@@ -7,19 +7,23 @@
 //! decisions form the next graph; iteration stops when fewer than the
 //! convergence threshold of edges change (1 % in the paper).
 //!
-//! Refinement is *delta-driven*: a pair's composite feature reads only its
-//! k-hop reachable subgraph, and every vertex of a length-≤k simple path
-//! between the endpoints lies within distance `k − 1` of each endpoint. So
-//! after the edge diff `Gⁱ Δ Gⁱ⁻¹` is known, only pairs with **both**
-//! endpoints inside the BFS-`(k − 1)` influence set of a changed edge can
-//! change features; everything else is reused from the previous iteration
-//! bit-for-bit (the crate-private `FeatureCache`). `SEEKER_FULL_REFINE=1` forces the
-//! original full recompute per iteration as an escape hatch; the
-//! `incremental_refine` contract test pins both paths to identical output.
+//! One private driver (`refine`) runs that loop for training and for every
+//! inference entry point. It is parameterized by the rows an iteration
+//! rescores and by a scorer. Refinement is *delta-driven*: a pair's
+//! composite feature reads only its k-hop reachable subgraph, and every
+//! vertex of a length-≤k simple path between the endpoints lies within
+//! distance `k − 1` of each endpoint. So after the edge diff `Gⁱ Δ Gⁱ⁻¹` is
+//! known, only pairs with **both** endpoints inside the BFS-`(k − 1)`
+//! influence set of a changed edge can change (`dirty_rows`). Training
+//! refits `C'` every iteration over a feature cache that recomputes just
+//! those rows; inference keeps `C'` frozen, so a clean row keeps its
+//! previous *prediction* and only dirty rows are re-extracted and
+//! re-scored. `TrainedAttack::infer_pairs_full` rescores every row every
+//! iteration; the candidate contract test pins both to identical output.
 
 use seeker_graph::SocialGraph;
 use seeker_ml::{Kernel, StandardScaler, Svm};
-use seeker_trace::{Dataset, UserPair};
+use seeker_trace::{Dataset, UserId, UserPair};
 
 use crate::config::FriendSeekerConfig;
 use crate::error::{AttackError, Result};
@@ -68,60 +72,66 @@ impl IterationTrace {
     }
 }
 
-/// Whether the given `SEEKER_FULL_REFINE` value requests the full-recompute
-/// escape hatch. Split from the env read so tests need no `set_var` races.
-pub(crate) fn full_refine_requested(value: Option<&str>) -> bool {
-    matches!(value, Some("1") | Some("true"))
-}
-
-/// Reads the `SEEKER_FULL_REFINE` escape hatch through the cached
-/// `seeker_obs::env` registry (configuration is immutable process state).
-pub(crate) fn full_refine_from_env() -> bool {
-    full_refine_requested(seeker_obs::env::raw("SEEKER_FULL_REFINE"))
-}
-
-/// Parses a `SEEKER_SHARDS` value: a positive shard count routes
-/// [`crate::TrainedAttack::infer`] through the shard-by-shard pipeline.
-/// Split from the env read so tests need no `set_var` races.
-pub(crate) fn shards_requested(value: Option<&str>) -> Option<usize> {
-    value.and_then(|v| v.trim().parse::<usize>().ok()).filter(|&n| n > 0)
-}
-
-/// Reads the `SEEKER_SHARDS` opt-in through the cached `seeker_obs::env`
-/// registry.
-pub(crate) fn shards_from_env() -> Option<usize> {
-    shards_requested(seeker_obs::env::raw("SEEKER_SHARDS"))
-}
-
-/// Composite features of a fixed pair list, kept in sync with a refinement
-/// graph sequence by recomputing only *dirty* pairs.
+/// The sorted indices of the pairs whose composite feature can differ
+/// between graphs `prev` and `next`: pairs with both endpoints within BFS
+/// depth `k − 1` (over the union adjacency) of a changed-edge endpoint or
+/// of a `seed_users` vertex, a user whose presence rows changed, plus every
+/// `force_rows` index, a pair whose own presence row changed.
 ///
-/// Soundness of the reuse: `composite_feature` reads the pair's k-hop
-/// reachable subgraph, whose every vertex sits within distance `k − 1` of
-/// either endpoint. If neither endpoint is within BFS depth `k − 1` (in the
-/// union of the old and new graph) of a changed-edge endpoint, no vertex the
-/// extraction can visit — in either graph — has changed adjacency, so the
-/// entire DFS trace, and with it the feature, is identical.
+/// Soundness: a composite feature reads its own pair's presence row and
+/// those of the edges on length-≤k paths between the endpoints, and every
+/// vertex of such a path lies within distance `k − 1` of both endpoints.
+/// Any other pair sees the same k-hop trace and the same rows in both.
+pub(crate) fn dirty_rows(
+    prev: &SocialGraph,
+    next: &SocialGraph,
+    pairs: &[UserPair],
+    k: usize,
+    seed_users: &[UserId],
+    force_rows: &[usize],
+) -> Vec<usize> {
+    let diff = seeker_graph::changed_edges(prev, next);
+    let reach =
+        seeker_graph::influence_set_seeded(prev, next, &diff, seed_users, k.saturating_sub(1));
+    let mut dirty: Vec<usize> = (0..pairs.len())
+        .filter(|&i| reach[pairs[i].lo().index()] && reach[pairs[i].hi().index()])
+        .chain(force_rows.iter().copied())
+        .collect();
+    dirty.sort_unstable();
+    dirty.dedup();
+    dirty
+}
+
+/// Composite features of a fixed pair list, the training scorer's state.
+/// Rows are recomputed only when dirty; clean rows are reused bit for bit
+/// (the [`dirty_rows`] soundness argument).
 pub(crate) struct FeatureCache {
     features: Vec<Vec<f32>>,
-    /// The graph the cached features were computed against.
+    /// The graph the cached features were computed against, which
+    /// `refresh` diffs against; the driver reads it from its trace instead.
+    #[cfg(test)]
     graph: SocialGraph,
 }
 
 impl FeatureCache {
-    /// Computes every pair's feature against `graph` (the quadratic path).
+    /// Computes every pair's feature against `graph`.
     pub(crate) fn full<F>(graph: &SocialGraph, pairs: &[UserPair], compute: &F) -> Self
     where
         F: Fn(&SocialGraph, UserPair) -> Vec<f32> + Sync,
     {
         let features =
             seeker_par::par_map_cost(pairs, seeker_par::Cost::Heavy, |&p| compute(graph, p));
-        FeatureCache { features, graph: graph.clone() }
+        FeatureCache {
+            features,
+            #[cfg(test)]
+            graph: graph.clone(),
+        }
     }
 
     /// Brings the cache up to date with `graph`, recomputing only pairs
     /// whose k-hop subgraph can see an edge of `graph Δ cached`. Returns the
     /// sorted indices of the recomputed (dirty) pairs.
+    #[cfg(test)]
     pub(crate) fn refresh<F>(
         &mut self,
         graph: &SocialGraph,
@@ -132,74 +142,21 @@ impl FeatureCache {
     where
         F: Fn(&SocialGraph, UserPair) -> Vec<f32> + Sync,
     {
-        self.refresh_seeded(graph, pairs, k, compute, &[], &[])
-    }
-
-    /// [`FeatureCache::refresh`] extended with *data* dirt: `seed_vertices`
-    /// join the BFS frontier at depth 0 (users whose presence rows changed
-    /// — any composite feature reading one of their incident edges must
-    /// recompute), and `force_dirty` row indices recompute unconditionally
-    /// (pairs whose own presence row changed, and placeholder rows for
-    /// newly inserted pairs).
-    ///
-    /// Soundness of the extension: a composite feature reads, besides its
-    /// own pair's presence row (covered by `force_dirty`), only presence
-    /// rows of edges `(i, j)` on length-≤k paths between its endpoints. If
-    /// such a path vertex `i` is data-dirty and is not itself an endpoint
-    /// of the pair (endpoint dirt is again `force_dirty`), both endpoints
-    /// lie within distance `k − 1` of `i`, so seeding the BFS with the
-    /// dirty users marks every such pair.
-    pub(crate) fn refresh_seeded<F>(
-        &mut self,
-        graph: &SocialGraph,
-        pairs: &[UserPair],
-        k: usize,
-        compute: &F,
-        seed_vertices: &[seeker_trace::UserId],
-        force_dirty: &[usize],
-    ) -> Vec<usize>
-    where
-        F: Fn(&SocialGraph, UserPair) -> Vec<f32> + Sync,
-    {
-        let diff = seeker_graph::changed_edges(&self.graph, graph);
-        if diff.is_empty() && seed_vertices.is_empty() && force_dirty.is_empty() {
-            self.graph = graph.clone();
-            return Vec::new();
-        }
-        let radius = k.saturating_sub(1);
-        let reach =
-            seeker_graph::influence_set_seeded(&self.graph, graph, &diff, seed_vertices, radius);
-        let mut dirty: Vec<usize> = pairs
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| reach[p.lo().index()] && reach[p.hi().index()])
-            .map(|(i, _)| i)
-            .collect();
-        dirty.extend_from_slice(force_dirty);
-        dirty.sort_unstable();
-        dirty.dedup();
-        let fresh = seeker_par::par_map_cost(&dirty, seeker_par::Cost::Heavy, |&i| {
-            compute(graph, pairs[i])
-        });
-        for (&i, f) in dirty.iter().zip(fresh) {
-            self.features[i] = f;
-        }
-        self.graph = graph.clone();
+        let dirty = dirty_rows(&self.graph, graph, pairs, k, &[], &[]);
+        self.recompute(graph, pairs, &dirty, compute);
+        self.graph.clone_from(graph);
         dirty
     }
 
-    /// Inserts empty placeholder rows at `positions` — indices into the
-    /// *post-insert* pair list, strictly ascending. The caller must pass
-    /// the same positions as `force_dirty` to the next
-    /// [`FeatureCache::refresh_seeded`] call so the placeholders are
-    /// computed before anything reads them.
-    pub(crate) fn insert_rows(&mut self, positions: &[usize]) {
-        debug_assert!(
-            positions.windows(2).all(|w| w[0] < w[1]),
-            "insert positions must be strictly ascending"
-        );
-        for &i in positions {
-            self.features.insert(i, Vec::new());
+    /// Recomputes the `rows` of the cache against `graph`.
+    fn recompute<F>(&mut self, graph: &SocialGraph, pairs: &[UserPair], rows: &[usize], compute: &F)
+    where
+        F: Fn(&SocialGraph, UserPair) -> Vec<f32> + Sync,
+    {
+        let fresh =
+            seeker_par::par_map_cost(rows, seeker_par::Cost::Heavy, |&i| compute(graph, pairs[i]));
+        for (&i, f) in rows.iter().zip(fresh) {
+            self.features[i] = f;
         }
     }
 
@@ -210,17 +167,194 @@ impl FeatureCache {
 }
 
 /// Cross-run refinement state carried by the incremental attack engine
-/// (`crate::incremental`): the composite-feature cache and frozen-`C'`
-/// predictions left behind by the last completed
-/// [`Phase2Model::infer_warm`] run. `preds.len()` equals the pair-universe
-/// length whenever `cache` is `Some`.
+/// (`crate::incremental`): the frozen-`C'` predictions of the last
+/// completed [`Phase2Model::infer_warm`] run and the graph they were scored
+/// against. `preds` is aligned with that run's pair list.
 #[derive(Default)]
 pub(crate) struct ResumeState {
-    /// Feature cache of the last run's final iteration (None before the
-    /// first refinement iteration ever runs, or when `n_iterations == 0`).
-    pub(crate) cache: Option<FeatureCache>,
-    /// The frozen-SVM decisions aligned with the cached feature rows.
+    /// The graph the last run's final iteration scored (None before any
+    /// refinement iteration ever ran).
+    pub(crate) scored: Option<SocialGraph>,
+    /// The frozen-SVM decisions of that iteration.
     pub(crate) preds: Vec<bool>,
+}
+
+/// The rows a refinement iteration rescores.
+#[derive(Clone, Copy)]
+pub(crate) enum Rows<'a> {
+    /// Every row, every iteration: the reference recompute.
+    All,
+    /// Every row on the cold first iteration; afterwards the
+    /// [`dirty_rows`] of the edge diff since the previous iteration.
+    Delta,
+    /// [`Rows::Delta`] resumed from an earlier run: the first iteration
+    /// diffs against the graph the resumed predictions were scored against
+    /// and adds that run's data dirt.
+    Warm { scored: &'a SocialGraph, seed_users: &'a [UserId], force_rows: &'a [usize] },
+}
+
+/// Where the frozen scorer reads presence rows from.
+#[derive(Clone, Copy)]
+enum Presence<'a> {
+    /// One store over the whole pair universe, encoded once per run.
+    Universe(&'a FeatureStore),
+    /// Encoded per chunk: the scoring graph's edge rows joined with the
+    /// chunk's own rows, the only rows the chunk's features read.
+    PerChunk { phase1: &'a Phase1Model, target: &'a Dataset },
+}
+
+/// Turns a graph and its dirty rows into per-pair predictions.
+#[allow(clippy::large_enum_variant)] // one value per refinement run
+enum Scorer<'a> {
+    /// Training: recompute the dirty cache rows, refit the scaler and SVM
+    /// on the calibration rows, predict every row.
+    Refit {
+        svm_cfg: &'a seeker_ml::SvmConfig,
+        store: &'a FeatureStore,
+        cal_idx: &'a [usize],
+        cal_labels: &'a [bool],
+        cache: Option<FeatureCache>,
+        /// The last iteration's fit.
+        fitted: Option<(StandardScaler, Svm)>,
+    },
+    /// Inference: `C'` is frozen, so only the dirty rows are re-extracted
+    /// and re-scored, `n_chunks` batches at a time; every clean row keeps
+    /// its prediction.
+    Frozen { model: &'a Phase2Model, presence: Presence<'a>, n_chunks: usize },
+}
+
+impl Scorer<'_> {
+    /// Scores `graph`: afterwards `preds[i]` is `C'`'s decision for
+    /// `pairs[i]` on `graph`, provided every row outside `dirty` already
+    /// was before.
+    fn rescore(
+        &mut self,
+        k: usize,
+        graph: &SocialGraph,
+        pairs: &[UserPair],
+        dirty: &[usize],
+        preds: &mut Vec<bool>,
+    ) {
+        match self {
+            Scorer::Refit { svm_cfg, store, cal_idx, cal_labels, cache, fitted } => {
+                let compute = |g: &SocialGraph, p: UserPair| composite_feature(g, p, k, store);
+                // A cold first iteration (every row dirty) builds the cache in full.
+                if let Some(c) = cache {
+                    c.recompute(graph, pairs, dirty, &compute);
+                }
+                let cache = cache.get_or_insert_with(|| FeatureCache::full(graph, pairs, &compute));
+                let features = cache.features();
+                let cal_features: Vec<Vec<f32>> =
+                    cal_idx.iter().map(|&i| features[i].clone()).collect();
+                let (scaler, cal_scaled) = StandardScaler::fit_transform(&cal_features);
+                let svm = Svm::fit(svm_cfg, &cal_scaled, cal_labels);
+                // The SVM is refit above, so predictions must cover every
+                // pair even when only a few features changed.
+                *preds = svm.predict(&scaler.transform(features));
+                *fitted = Some((scaler, svm));
+            }
+            Scorer::Frozen { model, presence, n_chunks } => {
+                if dirty.is_empty() {
+                    return;
+                }
+                let edge_store = match *presence {
+                    Presence::Universe(_) => None,
+                    Presence::PerChunk { phase1, target } => {
+                        let edges: Vec<UserPair> = graph.edges().collect();
+                        (!edges.is_empty()).then(|| FeatureStore::build(phase1, target, &edges))
+                    }
+                };
+                for range in seeker_spatial::shard_ranges(dirty.len(), *n_chunks) {
+                    let rows = &dirty[range];
+                    if rows.is_empty() {
+                        continue;
+                    }
+                    let chunk_store;
+                    let store = match *presence {
+                        Presence::Universe(store) => store,
+                        Presence::PerChunk { phase1, target } => {
+                            // One presence batch per chunk is the point of
+                            // chunking. lint:allow(hot-alloc)
+                            let chunk: Vec<UserPair> = rows.iter().map(|&i| pairs[i]).collect();
+                            let own = FeatureStore::build(phase1, target, &chunk);
+                            chunk_store = match &edge_store {
+                                Some(edges) => edges.merged(&own),
+                                None => own,
+                            };
+                            &chunk_store
+                        }
+                    };
+                    let features = seeker_par::par_map_cost(rows, seeker_par::Cost::Heavy, |&i| {
+                        composite_feature(graph, pairs[i], k, store)
+                    });
+                    let fresh = model.svm.predict(&model.scaler.transform(&features));
+                    for (&i, p) in rows.iter().zip(fresh) {
+                        preds[i] = p;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The phase-2 refinement loop: from `g0`, rescore the iteration's rows,
+/// rebuild the graph from the predictions, and stop once fewer than the
+/// convergence threshold of edges change or the iteration budget is spent.
+///
+/// `preds` carries predictions in and out: a warm resume passes the
+/// resumed predictions, aligned with `pairs`; a cold run passes an empty
+/// vector. On return it holds the final iteration's predictions.
+fn refine(
+    cfg: &FriendSeekerConfig,
+    pairs: &[UserPair],
+    g0: SocialGraph,
+    rows: Rows<'_>,
+    scorer: &mut Scorer<'_>,
+    preds: &mut Vec<bool>,
+) -> IterationTrace {
+    let (budget, idle, [iter_span, edges_gauge, ratio_gauge]) = match scorer {
+        Scorer::Refit { .. } => (
+            cfg.max_iterations,
+            false,
+            ["phase2.train.iter", "phase2.train.iter.edges", "phase2.train.iter.change_ratio"],
+        ),
+        Scorer::Frozen { model, .. } => {
+            seeker_obs::gauge!("phase2.infer.g0.edges", g0.n_edges());
+            (
+                model.n_iterations.min(cfg.max_iterations),
+                model.n_iterations == 0,
+                ["phase2.infer.iter", "phase2.infer.iter.edges", "phase2.infer.iter.change_ratio"],
+            )
+        }
+    };
+    preds.resize(pairs.len(), false);
+    let mut trace = IterationTrace { graphs: vec![g0], change_ratios: Vec::new(), converged: idle };
+    for t in 0..budget {
+        let _iter_span = seeker_obs::span!(iter_span);
+        let graph = &trace.graphs[t];
+        let dirty = match rows {
+            Rows::All => (0..pairs.len()).collect(),
+            _ if t > 0 => dirty_rows(&trace.graphs[t - 1], graph, pairs, cfg.k_hop, &[], &[]),
+            Rows::Delta => (0..pairs.len()).collect(),
+            Rows::Warm { scored, seed_users, force_rows } => {
+                dirty_rows(scored, graph, pairs, cfg.k_hop, seed_users, force_rows)
+            }
+        };
+        seeker_obs::counter!("phase2.refine.dirty_pairs", dirty.len() as u64);
+        scorer.rescore(cfg.k_hop, graph, pairs, &dirty, preds);
+        let next = graph_from_predictions(graph.n_vertices(), pairs, preds);
+        let change = graph.change_ratio(&next);
+        seeker_obs::counter!("phase2.edge_churn", graph.edge_difference(&next) as u64);
+        seeker_obs::gauge!(edges_gauge, next.n_edges());
+        seeker_obs::gauge!(ratio_gauge, change);
+        trace.graphs.push(next);
+        trace.change_ratios.push(change);
+        if change < cfg.convergence_threshold {
+            trace.converged = true;
+            break;
+        }
+    }
+    trace
 }
 
 /// Trains `C'` by iterative refinement on the labeled training pairs.
@@ -265,20 +399,20 @@ pub fn train_phase2(
     // labeled data, so this is free — and it guarantees the refinement
     // never degrades the graph it can measure.
     let mut best: Option<(f64, Phase2Model, IterationTrace)> = None;
-    let force_full = full_refine_from_env();
     for svm_cfg in candidate_svm_configs(cfg) {
-        let (mut model, mut trace) = refine(
-            cfg,
-            &svm_cfg,
-            &store,
-            train,
-            train_pairs,
-            &cal_idx,
-            &cal_labels,
-            g0.clone(),
-            true,
-            force_full,
-        )?;
+        let mut scorer = Scorer::Refit {
+            svm_cfg: &svm_cfg,
+            store: &store,
+            cal_idx: &cal_idx,
+            cal_labels: &cal_labels,
+            cache: None,
+            fitted: None,
+        };
+        let mut trace =
+            refine(cfg, &train_pairs.pairs, g0.clone(), Rows::Delta, &mut scorer, &mut Vec::new());
+        let Scorer::Refit { fitted: Some((scaler, svm)), .. } = scorer else {
+            return Err(AttackError::Config("max_iterations must be at least 1".into()));
+        };
         let f1_at: Vec<f64> =
             trace.graphs.iter().map(|g| graph_f1(g, train_pairs, &cal_idx, &cal_labels)).collect();
         // Winner's-curse guard: a refined graph must beat the unbiased G0
@@ -291,10 +425,10 @@ pub fn train_phase2(
                 best_f1 = f1;
             }
         }
-        model.n_iterations = best_iter;
         trace.graphs.truncate(best_iter + 1);
         trace.change_ratios.truncate(best_iter);
         if best.as_ref().is_none_or(|(b, _, _)| best_f1 > *b) {
+            let model = Phase2Model { scaler, svm, svm_config: svm_cfg, n_iterations: best_iter };
             best = Some((best_f1, model, trace));
         }
     }
@@ -327,75 +461,6 @@ fn graph_f1(
     seeker_ml::BinaryMetrics::from_predictions(&preds, labels).f1()
 }
 
-/// One full refinement loop. With `fit = true` the scaler + SVM are refit
-/// each iteration on the calibration subset (training); the returned model
-/// is the last iteration's. With `force_full` the composite features are
-/// recomputed from scratch each iteration instead of delta-refreshed.
-#[allow(clippy::too_many_arguments)]
-fn refine(
-    cfg: &FriendSeekerConfig,
-    svm_cfg: &seeker_ml::SvmConfig,
-    store: &FeatureStore,
-    train: &Dataset,
-    train_pairs: &LabeledPairs,
-    cal_idx: &[usize],
-    cal_labels: &[bool],
-    mut graph: SocialGraph,
-    fit: bool,
-    force_full: bool,
-) -> Result<(Phase2Model, IterationTrace)> {
-    debug_assert!(fit, "training-side refinement always refits");
-    let mut trace =
-        IterationTrace { graphs: vec![graph.clone()], change_ratios: Vec::new(), converged: false };
-    let mut model: Option<Phase2Model> = None;
-    let compute = |g: &SocialGraph, p: UserPair| composite_feature(g, p, cfg.k_hop, store);
-    let mut cache = FeatureCache::full(&graph, &train_pairs.pairs, &compute);
-    let mut first = true;
-    for _ in 0..cfg.max_iterations {
-        let _iter_span = seeker_obs::span!("phase2.train.iter");
-        if first {
-            // The cache was just built against G⁰.
-            first = false;
-            seeker_obs::counter!("phase2.refine.dirty_pairs", train_pairs.len() as u64);
-        } else if force_full {
-            cache = FeatureCache::full(&graph, &train_pairs.pairs, &compute);
-            seeker_obs::counter!("phase2.refine.dirty_pairs", train_pairs.len() as u64);
-        } else {
-            let dirty = cache.refresh(&graph, &train_pairs.pairs, cfg.k_hop, &compute);
-            seeker_obs::counter!("phase2.refine.dirty_pairs", dirty.len() as u64);
-        }
-        let features = cache.features();
-        let cal_features: Vec<Vec<f32>> = cal_idx.iter().map(|&i| features[i].clone()).collect();
-        let (scaler, cal_scaled) = StandardScaler::fit_transform(&cal_features);
-        let svm = Svm::fit(svm_cfg, &cal_scaled, cal_labels);
-        // The SVM is refit above, so predictions must cover every pair even
-        // when only a few features changed.
-        let preds = svm.predict(&scaler.transform(features));
-        let next = graph_from_predictions(train.n_users(), &train_pairs.pairs, &preds);
-        let change = graph.change_ratio(&next);
-        seeker_obs::counter!("phase2.edge_churn", graph.edge_difference(&next) as u64);
-        seeker_obs::gauge!("phase2.train.iter.edges", next.n_edges());
-        seeker_obs::gauge!("phase2.train.iter.change_ratio", change);
-        model = Some(Phase2Model {
-            scaler,
-            svm,
-            svm_config: svm_cfg.clone(),
-            n_iterations: cfg.max_iterations,
-        });
-        trace.graphs.push(next.clone());
-        trace.change_ratios.push(change);
-        graph = next;
-        if change < cfg.convergence_threshold {
-            trace.converged = true;
-            break;
-        }
-    }
-    match model {
-        Some(model) => Ok((model, trace)),
-        None => Err(AttackError::Config("max_iterations must be at least 1".into())),
-    }
-}
-
 impl Phase2Model {
     /// Runs the iterative inference procedure on a target dataset: phase-1
     /// features and graph, then repeated `C'` refinement with the *trained*
@@ -403,8 +468,8 @@ impl Phase2Model {
     ///
     /// Iterations after the first recompute features — and, since `C'` is
     /// frozen here, predictions — only for dirty pairs. The result is
-    /// bit-identical to a full per-iteration recompute (forced via the
-    /// `SEEKER_FULL_REFINE=1` environment variable).
+    /// bit-identical to a full per-iteration recompute
+    /// ([`crate::TrainedAttack::infer_pairs_full`]).
     pub fn infer(
         &self,
         cfg: &FriendSeekerConfig,
@@ -412,75 +477,29 @@ impl Phase2Model {
         target: &Dataset,
         pairs: &[UserPair],
     ) -> IterationTrace {
-        self.infer_impl(cfg, phase1, target, pairs, full_refine_from_env())
+        self.infer_impl(cfg, phase1, target, pairs, Rows::Delta)
     }
 
+    /// [`Phase2Model::infer`] rescoring the given `rows` each iteration.
     pub(crate) fn infer_impl(
         &self,
         cfg: &FriendSeekerConfig,
         phase1: &Phase1Model,
         target: &Dataset,
         pairs: &[UserPair],
-        force_full: bool,
+        rows: Rows<'_>,
     ) -> IterationTrace {
         let _span = seeker_obs::span!("phase2.infer");
         let store = FeatureStore::build(phase1, target, pairs);
-        let mut graph = phase1.predict_graph(target, pairs);
-        seeker_obs::gauge!("phase2.infer.g0.edges", graph.n_edges());
-        let mut trace = IterationTrace {
-            graphs: vec![graph.clone()],
-            change_ratios: Vec::new(),
-            converged: self.n_iterations == 0,
-        };
-        let compute = |g: &SocialGraph, p: UserPair| composite_feature(g, p, cfg.k_hop, &store);
-        let mut cache: Option<FeatureCache> = None;
-        let mut preds: Vec<bool> = Vec::new();
-        for _ in 0..self.n_iterations.min(cfg.max_iterations) {
-            let _iter_span = seeker_obs::span!("phase2.infer.iter");
-            match cache.as_mut() {
-                None => {
-                    let c = FeatureCache::full(&graph, pairs, &compute);
-                    preds = self.svm.predict(&self.scaler.transform(c.features()));
-                    seeker_obs::counter!("phase2.refine.dirty_pairs", pairs.len() as u64);
-                    cache = Some(c);
-                }
-                Some(c) if force_full => {
-                    *c = FeatureCache::full(&graph, pairs, &compute);
-                    preds = self.svm.predict(&self.scaler.transform(c.features()));
-                    seeker_obs::counter!("phase2.refine.dirty_pairs", pairs.len() as u64);
-                }
-                Some(c) => {
-                    let dirty = c.refresh(&graph, pairs, cfg.k_hop, &compute);
-                    seeker_obs::counter!("phase2.refine.dirty_pairs", dirty.len() as u64);
-                    // C' is frozen at inference time, so a clean feature row
-                    // implies a clean prediction; re-score only dirty rows.
-                    let rows: Vec<Vec<f32>> =
-                        dirty.iter().map(|&i| c.features()[i].clone()).collect();
-                    let fresh = self.svm.predict(&self.scaler.transform(&rows));
-                    for (&i, p) in dirty.iter().zip(fresh) {
-                        preds[i] = p;
-                    }
-                }
-            }
-            let next = graph_from_predictions(target.n_users(), pairs, &preds);
-            let change = graph.change_ratio(&next);
-            seeker_obs::counter!("phase2.edge_churn", graph.edge_difference(&next) as u64);
-            seeker_obs::gauge!("phase2.infer.iter.edges", next.n_edges());
-            seeker_obs::gauge!("phase2.infer.iter.change_ratio", change);
-            trace.graphs.push(next.clone());
-            trace.change_ratios.push(change);
-            graph = next;
-            if change < cfg.convergence_threshold {
-                trace.converged = true;
-                break;
-            }
-        }
-        trace
+        let g0 = phase1.predict_graph(target, pairs);
+        let presence = Presence::Universe(&store);
+        let mut scorer = Scorer::Frozen { model: self, presence, n_chunks: 1 };
+        refine(cfg, pairs, g0, rows, &mut scorer, &mut Vec::new())
     }
 
     /// Shard-by-shard variant of [`Phase2Model::infer`]: no full-universe
     /// intermediate — neither the whole-universe presence-feature store,
-    /// nor the composite-feature cache, nor one giant SVM batch — is ever
+    /// nor a composite-feature matrix, nor one giant SVM batch — is ever
     /// materialized. Per-iteration state is `O(pairs)` booleans plus one
     /// chunk of features at a time.
     ///
@@ -488,12 +507,11 @@ impl Phase2Model {
     /// shard contract tests for shard counts {1, 2, 7, 64}): presence
     /// encoding, scaling, SVM decisions, and composite features are all
     /// per-row pure, so chunked batches produce the reference rows, and the
-    /// dirty set is derived by the same influence-set rule the incremental
-    /// `FeatureCache` uses. Each chunk's composite features read a store
-    /// joining the chunk's own presence rows with the current graph's edge
-    /// rows — besides its own pair, a k-hop path embedding can only ever
-    /// look up edges of the graph it walks, and every such edge is a member
-    /// of the candidate universe.
+    /// same dirty-row rule picks the rows to rescore. Each chunk's
+    /// composite features read a store joining the chunk's own presence
+    /// rows with the current graph's edge rows — besides its own pair, a
+    /// k-hop path embedding can only ever look up edges of the graph it
+    /// walks, and every such edge is a member of the candidate universe.
     pub fn infer_sharded(
         &self,
         cfg: &FriendSeekerConfig,
@@ -506,208 +524,69 @@ impl Phase2Model {
         seeker_obs::gauge!("phase2.infer.shards", n_shards);
         // G⁰ chunk-by-chunk: classifier C is per-row pure, so concatenating
         // chunk predictions reproduces the batched reference graph.
-        let mut graph = SocialGraph::new(target.n_users());
-        for range in seeker_spatial::shard_ranges(pairs.len(), n_shards) {
-            let chunk = &pairs[range];
-            if chunk.is_empty() {
-                continue;
-            }
-            for (&pair, friend) in chunk.iter().zip(phase1.predict(target, chunk)) {
-                if friend {
-                    graph.add_edge(pair);
-                }
-            }
-        }
-        seeker_obs::gauge!("phase2.infer.g0.edges", graph.n_edges());
-        let mut trace = IterationTrace {
-            graphs: vec![graph.clone()],
-            change_ratios: Vec::new(),
-            converged: self.n_iterations == 0,
-        };
-        let mut preds: Vec<bool> = Vec::new();
-        // The graph the current `preds` were scored against (None before
-        // the first iteration) — the role `FeatureCache::graph` plays in
-        // the reference path.
-        let mut feat_graph: Option<SocialGraph> = None;
-        for _ in 0..self.n_iterations.min(cfg.max_iterations) {
-            let _iter_span = seeker_obs::span!("phase2.infer.iter");
-            let dirty: Vec<usize> = match feat_graph.as_ref() {
-                None => {
-                    preds = vec![false; pairs.len()];
-                    (0..pairs.len()).collect()
-                }
-                Some(prev) => {
-                    let diff = seeker_graph::changed_edges(prev, &graph);
-                    if diff.is_empty() {
-                        Vec::new()
-                    } else {
-                        let radius = cfg.k_hop.saturating_sub(1);
-                        let reach = seeker_graph::influence_set(prev, &graph, &diff, radius);
-                        pairs
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, p)| reach[p.lo().index()] && reach[p.hi().index()])
-                            .map(|(i, _)| i)
-                            .collect()
-                    }
-                }
-            };
-            seeker_obs::counter!("phase2.refine.dirty_pairs", dirty.len() as u64);
-            if !dirty.is_empty() {
-                // Presence rows for the scoring graph's edges: the only
-                // rows a composite feature reads besides its own pair's.
-                let edge_pairs: Vec<UserPair> = graph.edges().collect();
-                let edge_store = (!edge_pairs.is_empty())
-                    .then(|| FeatureStore::build(phase1, target, &edge_pairs));
-                for range in seeker_spatial::shard_ranges(dirty.len(), n_shards) {
-                    let chunk_idx = &dirty[range];
-                    if chunk_idx.is_empty() {
-                        continue;
-                    }
-                    let chunk: Vec<UserPair> = chunk_idx.iter().map(|&i| pairs[i]).collect();
-                    let chunk_store = FeatureStore::build(phase1, target, &chunk);
-                    let store = match edge_store.as_ref() {
-                        Some(es) => es.merged(&chunk_store),
-                        None => chunk_store,
-                    };
-                    let rows = seeker_par::par_map_cost(&chunk, seeker_par::Cost::Heavy, |&p| {
-                        composite_feature(&graph, p, cfg.k_hop, &store)
-                    });
-                    let fresh = self.svm.predict(&self.scaler.transform(&rows));
-                    for (&i, p) in chunk_idx.iter().zip(fresh) {
-                        preds[i] = p;
-                    }
-                }
-            }
-            feat_graph = Some(graph.clone());
-            let next = graph_from_predictions(target.n_users(), pairs, &preds);
-            let change = graph.change_ratio(&next);
-            seeker_obs::counter!("phase2.edge_churn", graph.edge_difference(&next) as u64);
-            seeker_obs::gauge!("phase2.infer.iter.edges", next.n_edges());
-            seeker_obs::gauge!("phase2.infer.iter.change_ratio", change);
-            trace.graphs.push(next.clone());
-            trace.change_ratios.push(change);
-            graph = next;
-            if change < cfg.convergence_threshold {
-                trace.converged = true;
-                break;
-            }
-        }
-        trace
+        let g0_preds: Vec<bool> = seeker_spatial::shard_ranges(pairs.len(), n_shards)
+            .into_iter()
+            .filter(|range| !range.is_empty())
+            .flat_map(|range| phase1.predict(target, &pairs[range]))
+            .collect();
+        let g0 = graph_from_predictions(target.n_users(), pairs, &g0_preds);
+        let presence = Presence::PerChunk { phase1, target };
+        let mut scorer = Scorer::Frozen { model: self, presence, n_chunks: n_shards };
+        refine(cfg, pairs, g0, Rows::Delta, &mut scorer, &mut Vec::new())
     }
 
     /// Warm-resume variant of [`Phase2Model::infer`] for the incremental
-    /// attack engine: refinement restarts from the feature cache and
-    /// predictions the *previous* run left in `state` instead of a full
-    /// first-iteration recompute.
+    /// attack engine: refinement restarts from the predictions the
+    /// *previous* run left in `state` instead of a full first-iteration
+    /// recompute.
     ///
     /// The caller supplies the post-ingest presence store and phase-1 graph
     /// `g0`, the sorted positions (`inserted`) at which new pairs entered
-    /// the universe this ingest, and the sorted users whose trajectories
-    /// the ingest touched (`dirty_users`). Bit-identity with a cold
+    /// the universe this ingest, the sorted users whose trajectories the
+    /// ingest touched (`dirty_users`), and the sorted rows whose own
+    /// presence feature changed (`force_rows`: an endpoint in
+    /// `dirty_users`, or a freshly inserted pair). Bit-identity with a cold
     /// [`Phase2Model::infer`] on the rebuilt dataset holds because the warm
-    /// first iteration recomputes exactly the rows a full recompute could
-    /// change: rows whose own presence feature changed (an endpoint in
-    /// `dirty_users`, or a freshly inserted pair) are force-dirty, and rows
-    /// whose k-hop trace could differ — via a graph edit between the cached
-    /// graph and `g0`, or via a dirty user on one of its ≤k-length paths —
-    /// are caught by the seeded influence BFS
-    /// ([`FeatureCache::refresh_seeded`]). Every other row's feature
+    /// first iteration rescores exactly the rows a full recompute could
+    /// change: the `force_rows`, plus the rows whose k-hop trace could
+    /// differ — via a graph edit between the scored graph and `g0`, or via
+    /// a dirty user on one of its ≤k-length paths — which the seeded
+    /// influence BFS of [`dirty_rows`] catches. Every other row's feature
     /// extraction reads only unchanged presence rows over an unchanged
-    /// subgraph, so reuse is exact; `C'` is frozen, so clean features imply
-    /// clean predictions.
+    /// subgraph; `C'` is frozen, so its cached prediction is exact.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn infer_warm(
         &self,
         cfg: &FriendSeekerConfig,
         store: &FeatureStore,
-        n_users: usize,
         pairs: &[UserPair],
         g0: SocialGraph,
         state: &mut ResumeState,
         inserted: &[usize],
-        dirty_users: &[seeker_trace::UserId],
-        force_full: bool,
+        dirty_users: &[UserId],
+        force_rows: &[usize],
     ) -> IterationTrace {
         let _span = seeker_obs::span!("phase2.infer");
-        let mut graph = g0;
-        seeker_obs::gauge!("phase2.infer.g0.edges", graph.n_edges());
-        let mut trace = IterationTrace {
-            graphs: vec![graph.clone()],
-            change_ratios: Vec::new(),
-            converged: self.n_iterations == 0,
-        };
-        let compute = |g: &SocialGraph, p: UserPair| composite_feature(g, p, cfg.k_hop, store);
-        // Splice placeholder rows for pairs that entered the universe this
-        // ingest; they join `force_rows` below, so nothing reads them stale.
         let mut preds = std::mem::take(&mut state.preds);
-        let mut cache = if force_full { None } else { state.cache.take() };
-        if let Some(c) = cache.as_mut() {
-            c.insert_rows(inserted);
-            for &i in inserted {
-                preds.insert(i, false);
+        let scored = state.scored.take();
+        // Placeholder predictions for pairs that entered the universe this
+        // ingest; they are force rows, so nothing reads them stale. A cold
+        // run (nothing scored yet) rescores every row.
+        let rows = match &scored {
+            Some(scored) => {
+                for &i in inserted {
+                    preds.insert(i, false);
+                }
+                Rows::Warm { scored, seed_users: dirty_users, force_rows }
             }
-        } else {
-            preds.clear();
-        }
-        let force_rows: Vec<usize> = {
-            let endpoint_dirty = pairs.iter().enumerate().filter_map(|(i, p)| {
-                (dirty_users.binary_search(&p.lo()).is_ok()
-                    || dirty_users.binary_search(&p.hi()).is_ok())
-                .then_some(i)
-            });
-            let mut v: Vec<usize> = inserted.iter().copied().chain(endpoint_dirty).collect();
-            v.sort_unstable();
-            v.dedup();
-            v
+            None => Rows::Delta,
         };
-        // Data dirt applies to the first refresh only: once the cache has
-        // been reconciled with the post-ingest store, later iterations see
-        // pure graph churn, exactly as in `infer_impl`.
-        let mut data_dirt_pending = cache.is_some();
-        for _ in 0..self.n_iterations.min(cfg.max_iterations) {
-            let _iter_span = seeker_obs::span!("phase2.infer.iter");
-            match cache.as_mut() {
-                None => {
-                    let c = FeatureCache::full(&graph, pairs, &compute);
-                    preds = self.svm.predict(&self.scaler.transform(c.features()));
-                    seeker_obs::counter!("phase2.refine.dirty_pairs", pairs.len() as u64);
-                    cache = Some(c);
-                }
-                Some(c) if force_full => {
-                    *c = FeatureCache::full(&graph, pairs, &compute);
-                    preds = self.svm.predict(&self.scaler.transform(c.features()));
-                    seeker_obs::counter!("phase2.refine.dirty_pairs", pairs.len() as u64);
-                }
-                Some(c) => {
-                    let (seeds, force): (&[seeker_trace::UserId], &[usize]) =
-                        if data_dirt_pending { (dirty_users, &force_rows) } else { (&[], &[]) };
-                    let dirty = c.refresh_seeded(&graph, pairs, cfg.k_hop, &compute, seeds, force);
-                    seeker_obs::counter!("phase2.refine.dirty_pairs", dirty.len() as u64);
-                    let rows: Vec<Vec<f32>> =
-                        dirty.iter().map(|&i| c.features()[i].clone()).collect();
-                    let fresh = self.svm.predict(&self.scaler.transform(&rows));
-                    for (&i, p) in dirty.iter().zip(fresh) {
-                        preds[i] = p;
-                    }
-                }
-            }
-            data_dirt_pending = false;
-            let next = graph_from_predictions(n_users, pairs, &preds);
-            let change = graph.change_ratio(&next);
-            seeker_obs::counter!("phase2.edge_churn", graph.edge_difference(&next) as u64);
-            seeker_obs::gauge!("phase2.infer.iter.edges", next.n_edges());
-            seeker_obs::gauge!("phase2.infer.iter.change_ratio", change);
-            trace.graphs.push(next.clone());
-            trace.change_ratios.push(change);
-            graph = next;
-            if change < cfg.convergence_threshold {
-                trace.converged = true;
-                break;
-            }
+        let mut scorer =
+            Scorer::Frozen { model: self, presence: Presence::Universe(store), n_chunks: 1 };
+        let trace = refine(cfg, pairs, g0, rows, &mut scorer, &mut preds);
+        if let [.., scored, _] = trace.graphs.as_slice() {
+            *state = ResumeState { scored: Some(scored.clone()), preds };
         }
-        state.cache = cache;
-        state.preds = preds;
         trace
     }
 
@@ -903,19 +782,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_env_parsers() {
-        assert!(full_refine_requested(Some("1")));
-        assert!(full_refine_requested(Some("true")));
-        assert!(!full_refine_requested(Some("0")));
-        assert!(!full_refine_requested(None));
-        assert_eq!(shards_requested(None), None);
-        assert_eq!(shards_requested(Some("0")), None);
-        assert_eq!(shards_requested(Some("8")), Some(8));
-        assert_eq!(shards_requested(Some(" 16 ")), Some(16));
-        assert_eq!(shards_requested(Some("many")), None);
-    }
-
-    #[test]
     fn sharded_inference_matches_reference_bitwise() {
         let (ds, cfg, p1) = setup();
         let (model, _) = train_phase2(cfg, &p1.model, ds, &p1.train_pairs, &p1.holdout).unwrap();
@@ -939,6 +805,55 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "{n_shards} shards");
             }
         }
+    }
+
+    /// The delta path for real. The trained fixtures early-stop after one
+    /// iteration and the 240-user worlds dirty every pair, so this runs a
+    /// forced budget on a 1000-user world, where later iterations rescore
+    /// only part of the pairs: default, reference and sharded inference
+    /// must still agree bit for bit.
+    #[test]
+    fn delta_refinement_matches_reference_bitwise_on_1k_world() {
+        let train = generate(&SyntheticConfig::small(61)).unwrap().dataset;
+        let target = generate(&SyntheticConfig::scale(1000, 8201)).unwrap().dataset;
+        let mut cfg = FriendSeekerConfig::fast();
+        cfg.zero_joc_negatives = 64;
+        let attack = crate::FriendSeeker::new(cfg).train(&train).unwrap();
+        let (cfg, p1, trained) = (attack.config(), attack.phase1(), attack.phase2());
+        let model = Phase2Model::from_parts(
+            trained.scaler().clone(),
+            trained.svm().clone(),
+            trained.svm_config().clone(),
+            cfg.max_iterations,
+        );
+        let pairs = &labeled_pairs(&target, 1.0, 4242).pairs;
+        let reference = model.infer_impl(cfg, p1, &target, pairs, Rows::All);
+        assert!(reference.n_iterations() >= 2, "{} iterations", reference.n_iterations());
+        let bits = |t: &IterationTrace| -> Vec<u64> {
+            t.change_ratios.iter().map(|r| r.to_bits()).collect()
+        };
+        let mut runs = vec![("default".to_string(), model.infer(cfg, p1, &target, pairs))];
+        for n_shards in [1usize, 7] {
+            let sharded = model.infer_sharded(cfg, p1, &target, pairs, n_shards);
+            runs.push((format!("{n_shards} shards"), sharded));
+        }
+        for (what, trace) in &runs {
+            assert_eq!(trace.converged, reference.converged, "{what}: convergence");
+            assert_eq!(trace.graphs, reference.graphs, "{what}: graph sequence");
+            assert_eq!(bits(trace), bits(&reference), "{what}: change ratios");
+        }
+        // Iteration t > 1 rescores the dirty rows of the diff between the
+        // graphs scored at t - 2 and t - 1.
+        let scored = &reference.graphs[..reference.n_iterations()];
+        let dirty: Vec<usize> = scored
+            .windows(2)
+            .map(|w| dirty_rows(&w[0], &w[1], pairs, cfg.k_hop, &[], &[]).len())
+            .collect();
+        assert!(
+            dirty.iter().any(|&d| d < pairs.len()),
+            "no iteration skipped a row: dirty {dirty:?} of {}",
+            pairs.len()
+        );
     }
 
     #[test]

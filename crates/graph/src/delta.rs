@@ -77,35 +77,7 @@ pub fn influence_set(
     seeds: &[UserPair],
     radius: usize,
 ) -> Vec<bool> {
-    assert_eq!(
-        old.n_vertices(),
-        new.n_vertices(),
-        "influence set requires graphs over the same vertex set"
-    );
-    let n = old.n_vertices();
-    let mut depth: Vec<Option<usize>> = vec![None; n];
-    let mut queue = VecDeque::new();
-    for pair in seeds {
-        for u in [pair.lo(), pair.hi()] {
-            if depth[u.index()].is_none() {
-                depth[u.index()] = Some(0);
-                queue.push_back(u);
-            }
-        }
-    }
-    while let Some(u) = queue.pop_front() {
-        let d = depth[u.index()].unwrap_or(0);
-        if d == radius {
-            continue;
-        }
-        for &v in old.neighbors(u).iter().chain(new.neighbors(u)) {
-            if depth[v.index()].is_none() {
-                depth[v.index()] = Some(d + 1);
-                queue.push_back(v);
-            }
-        }
-    }
-    depth.into_iter().map(|d| d.is_some()).collect()
+    influence_set_seeded(old, new, seeds, &[], radius)
 }
 
 /// [`influence_set`] with additional vertex seeds at depth 0.

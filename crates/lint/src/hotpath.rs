@@ -1,8 +1,9 @@
 //! Hot-path allocation analysis over the workspace call graph.
 //!
 //! The FriendSeeker pipeline's wall time is dominated by a handful of
-//! pair-quadratic functions (the candidate generator, the feature-cache
-//! refresh, the SVM decision function, the `seeker-par` mapping kernels).
+//! pair-quadratic functions (the candidate generator, the phase-2
+//! refinement scorer, the SVM decision function, the `seeker-par` mapping
+//! kernels).
 //! The [`HOT_PATHS`] table declares those roots by id suffix; the analysis
 //! marks everything they transitively call — following
 //! [`crate::callgraph::CallTarget::Ambiguous`] edges through **every**
@@ -30,9 +31,9 @@ pub const HOT_PATHS: &[&str] = &[
     // Candidate generation (pair-quadratic fan-out).
     "CellIndex::candidate_pairs",
     "cell_index::candidate_pairs",
-    // Phase-2 refinement inner loop.
-    "FeatureCache::full",
-    "FeatureCache::refresh",
+    // Phase-2 refinement: the driver's per-iteration dirty rows and scoring.
+    "dirty_rows",
+    "Scorer::rescore",
     "path_count_profile",
     // Feature extraction per pair.
     "Phase1Model::features",

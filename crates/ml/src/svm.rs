@@ -336,6 +336,8 @@ impl Svm {
         let mut coeffs = Vec::new();
         for i in 0..n {
             if alphas[i] > 1e-8 {
+                // The retained support vectors are the fitted model itself,
+                // copied once per fit. lint:allow(hot-alloc)
                 support_x.push(xs[i].clone());
                 coeffs.push(alphas[i] * ys[i]);
             }

@@ -4,8 +4,8 @@
 //! snapshot.
 //!
 //! Before this module, nine `SEEKER_*` reads were scattered across four
-//! crates with inconsistent caching: `SEEKER_THREADS` was read once,
-//! `SEEKER_SHARDS` and `SEEKER_FULL_REFINE` were re-read on every call.
+//! crates with inconsistent caching: `SEEKER_THREADS` was read once, the
+//! phase-2 escape hatches were re-read on every call.
 //! Centralizing the reads makes the caching uniform (configuration is
 //! immutable process state, not a live knob), gives `seeker-lint` a single
 //! machine-readable spec to cross-check `docs/CONFIGURATION.md` against, and
@@ -69,13 +69,6 @@ pub const VARS: &[VarSpec] = &[
         description: "Escape hatch: incremental sessions rebuild all state from scratch on every ingest batch.",
     },
     VarSpec {
-        name: "SEEKER_FULL_REFINE",
-        kind: "1|true",
-        default: "delta-driven incremental refinement",
-        consumer: "friendseeker",
-        description: "Escape hatch forcing the full per-iteration feature recompute in phase 2.",
-    },
-    VarSpec {
         name: "SEEKER_LOG",
         kind: "off|summary|trace",
         default: "summary",
@@ -95,13 +88,6 @@ pub const VARS: &[VarSpec] = &[
         default: "20230701",
         consumer: "seeker-bench",
         description: "The experiment seed used by the experiment binaries.",
-    },
-    VarSpec {
-        name: "SEEKER_SHARDS",
-        kind: "usize > 0",
-        default: "unsharded inference",
-        consumer: "friendseeker",
-        description: "Routes `TrainedAttack::infer` through the shard-by-shard pipeline with this many shards.",
     },
     VarSpec {
         name: "SEEKER_THREADS",

@@ -1,8 +1,8 @@
 //! Candidate-mode / incremental-refinement exactness contract.
 //!
 //! The quadratic reference path — full pair universe, full per-iteration
-//! feature recompute (`TrainedAttack::infer_full`, what `SEEKER_FULL_REFINE=1`
-//! forces) — and the optimized default path — co-occurrence candidates plus
+//! feature recompute (`TrainedAttack::infer_full`, the refinement driver's
+//! reference mode) — and the optimized default path — co-occurrence candidates plus
 //! dirty-pair refresh (`TrainedAttack::infer`) — must produce **bit
 //! identical** output on a fixed seed: the same final `SocialGraph`, the
 //! same graph sequence, and the same change ratios to the last bit.
