@@ -164,25 +164,7 @@ pub fn render_inventory(sites: &[AtomicSite]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn workspace(lib: &str) -> PathBuf {
-        let root = std::env::temp_dir().join(format!(
-            "seeker-lint-atomics-{}-{}",
-            std::process::id(),
-            lib.len()
-        ));
-        let _ = fs::remove_dir_all(&root);
-        fs::create_dir_all(root.join("crates/alpha/src")).expect("mkdir");
-        fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = [\"crates/*\"]\n")
-            .expect("write");
-        fs::write(
-            root.join("crates/alpha/Cargo.toml"),
-            "[package]\nname = \"alpha\"\nversion = \"0.0.0\"\n",
-        )
-        .expect("write");
-        fs::write(root.join("crates/alpha/src/lib.rs"), lib).expect("write");
-        root
-    }
+    use crate::scratch::workspace;
 
     const HEADER: &str = "//! A.\n#![deny(missing_docs)]\nuse std::sync::atomic::{AtomicU64, Ordering};\nstatic N: AtomicU64 = AtomicU64::new(0);\n";
 
@@ -195,7 +177,6 @@ mod tests {
         assert_eq!(sites.len(), 1);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].to_string().contains("atomic-ordering"));
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -207,7 +188,6 @@ mod tests {
         assert_eq!(sites.len(), 1);
         assert!(sites[0].justified);
         assert!(violations.is_empty(), "{violations:?}");
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -217,7 +197,6 @@ mod tests {
         ));
         let (_, violations) = atomic_sites(&root).expect("scan");
         assert!(violations.is_empty(), "{violations:?}");
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -228,7 +207,6 @@ mod tests {
         let (sites, violations) = atomic_sites(&root).expect("scan");
         assert_eq!(sites.len(), 2);
         assert!(violations.is_empty(), "{violations:?}");
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -239,7 +217,6 @@ mod tests {
         let (sites, violations) = atomic_sites(&root).expect("scan");
         assert!(sites.is_empty());
         assert!(violations.is_empty());
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -251,7 +228,6 @@ mod tests {
         assert_eq!(sites.len(), 1);
         assert!(!sites[0].justified);
         assert!(violations.is_empty(), "{violations:?}");
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -263,6 +239,5 @@ mod tests {
         let report = render_inventory(&sites);
         assert!(report.contains("Ordering::Acquire"));
         assert!(report.contains("1 site(s) total"));
-        let _ = fs::remove_dir_all(&root);
     }
 }

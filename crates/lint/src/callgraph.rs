@@ -793,30 +793,14 @@ fn narrowed(hits: &[usize]) -> CallTarget {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::{workspace, write};
 
     fn graph_of(files: &[(&str, &str)]) -> CallGraph {
-        let root = std::env::temp_dir().join(format!(
-            "seeker-lint-cg-{}-{}",
-            std::process::id(),
-            files.len()
-        ));
-        let _ = fs::remove_dir_all(&root);
-        fs::create_dir_all(root.join("crates/alpha/src")).expect("mkdir");
-        fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = [\"crates/*\"]\n")
-            .expect("write");
-        fs::write(
-            root.join("crates/alpha/Cargo.toml"),
-            "[package]\nname = \"alpha\"\nversion = \"0.0.0\"\n",
-        )
-        .expect("write");
+        let root = workspace("");
         for (rel, content) in files {
-            let path = root.join(rel);
-            fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
-            fs::write(path, content).expect("write");
+            write(&root, rel, content);
         }
-        let graph = build_call_graph(&root).expect("graph");
-        let _ = fs::remove_dir_all(&root);
-        graph
+        build_call_graph(&root).expect("graph")
     }
 
     #[test]

@@ -4,16 +4,14 @@
 //! registry ([`seeker_obs::env::VARS`]) — the `env-read` lexical rule bans
 //! raw `std::env::var` reads in library code, so the registry *is* the
 //! complete configuration surface. This pass keeps the human-facing table
-//! in `docs/CONFIGURATION.md` generated from that single source of truth:
-//! the full gate fails when the doc drifts from the registry, and
-//! `--bless-config` regenerates it.
+//! in `docs/CONFIGURATION.md` generated from that single source of truth.
+//! The doc is a lock of [`crate::lockfile`], compared as a whole: the full
+//! gate fails when it drifts from the registry, and `--bless-config`
+//! regenerates it.
 
-use std::fs;
+use crate::lockfile::Rendered;
+
 use std::io;
-use std::path::{Path, PathBuf};
-
-/// The generated doc path, relative to the workspace root.
-pub const CONFIG_DOC: &str = "docs/CONFIGURATION.md";
 
 /// Renders the full generated document (prose header + registry table).
 #[must_use]
@@ -33,71 +31,35 @@ pub fn render_config_doc() -> String {
     doc
 }
 
-/// Checks `docs/CONFIGURATION.md` against the registry. Returns a drift
-/// description, or `None` when the doc is current.
-///
-/// # Errors
-///
-/// Propagates I/O errors other than the doc not existing (reported as
-/// drift, not error).
-pub fn check_config(root: &Path) -> io::Result<Option<String>> {
-    let path = root.join(CONFIG_DOC);
-    let on_disk = match fs::read_to_string(&path) {
-        Ok(doc) => doc,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            return Ok(Some(format!(
-                "{CONFIG_DOC}: [config-doc] missing — run \
-                 `cargo run -p seeker-lint -- --bless-config`"
-            )));
-        }
-        Err(e) => return Err(e),
-    };
-    if on_disk == render_config_doc() {
-        Ok(None)
-    } else {
-        Ok(Some(format!(
-            "{CONFIG_DOC}: [config-doc] stale — the `seeker_obs::env` registry changed; \
-             run `cargo run -p seeker-lint -- --bless-config`"
-        )))
-    }
-}
-
-/// Regenerates `docs/CONFIGURATION.md` from the registry.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the write.
-pub fn bless_config(root: &Path) -> io::Result<PathBuf> {
-    let rel = PathBuf::from(CONFIG_DOC);
-    if let Some(parent) = root.join(&rel).parent() {
-        fs::create_dir_all(parent)?;
-    }
-    fs::write(root.join(&rel), render_config_doc())?;
-    Ok(rel)
+/// Renders `docs/CONFIGURATION.md`, one row per line.
+pub(crate) fn render_lock() -> io::Result<Rendered> {
+    Ok(Rendered::one("", render_config_doc().lines().map(|line| (line.to_string(), None))))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lockfile::{bless, check, Drift, DriftKind, Lock};
+    use crate::scratch::Scratch;
+    use std::fs;
+    use std::path::PathBuf;
 
     #[test]
     fn bless_then_check_roundtrip_and_drift() {
-        let root =
-            std::env::temp_dir().join(format!("seeker-lint-configdoc-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&root);
-        fs::create_dir_all(&root).expect("mkdir");
+        let root = Scratch::new();
+        let check_config = || check(Lock::Config, &root).expect("check").1;
         // Missing doc is drift.
-        assert!(check_config(&root).expect("check").is_some());
+        assert!(matches!(check_config().as_slice(), [Drift { kind: DriftKind::Missing, .. }]));
         // Bless → clean.
-        let rel = bless_config(&root).expect("bless");
-        assert_eq!(rel, PathBuf::from(CONFIG_DOC));
-        assert!(check_config(&root).expect("check").is_none());
+        let written = bless(Lock::Config, &root).expect("bless");
+        assert_eq!(written, vec![PathBuf::from("docs/CONFIGURATION.md")]);
+        let path = root.join("docs/CONFIGURATION.md");
+        assert_eq!(fs::read_to_string(&path).expect("read"), render_config_doc());
+        assert!(check_config().is_empty());
         // Any edit is drift.
-        let path = root.join(CONFIG_DOC);
         let doc = fs::read_to_string(&path).expect("read");
         fs::write(&path, doc.replace("SEEKER_THREADS", "SEEKER_TREADS")).expect("write");
-        assert!(check_config(&root).expect("check").is_some());
-        let _ = fs::remove_dir_all(&root);
+        assert!(matches!(check_config().as_slice(), [Drift { kind: DriftKind::Changed(_), .. }]));
     }
 
     #[test]

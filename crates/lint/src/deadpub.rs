@@ -11,14 +11,15 @@
 //! (internal mentions exist → demote; none anywhere → delete).
 //!
 //! Since v4 the candidate counts are additionally **growth-gated**: the
-//! blessed per-crate counts in `api/deadpub.lock` are a ratchet, and
-//! `--check-deadpub` fails when any crate's candidate count *increases*
-//! over its blessed value — new dead surface cannot land silently, while
-//! existing candidates are paid down at leisure (decreases pass, and
-//! `--bless-deadpub` records the improvement).
+//! blessed per-crate counts in `api/deadpub.lock` are a ratchet lock of
+//! [`crate::lockfile`], and `--check-deadpub` fails when any crate's
+//! candidate count *increases* over its blessed value — new dead surface
+//! cannot land silently, while existing candidates are paid down at leisure
+//! (decreases pass, and `--bless-deadpub` records the improvement).
 
 use crate::api_lock::extract_workspace_api;
 use crate::lexer::lex;
+use crate::lockfile::Rendered;
 use crate::tokens::TokenKind;
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -27,10 +28,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Where the report is written, relative to the workspace root.
-pub const DEADPUB_REPORT: &str = "results/DEADPUB.md";
-
-/// The blessed per-crate candidate counts, relative to the workspace root.
-pub const DEADPUB_LOCK: &str = "api/deadpub.lock";
+const DEADPUB_REPORT: &str = "results/DEADPUB.md";
 
 /// One unreferenced `pub` item.
 #[derive(Debug, Clone)]
@@ -116,18 +114,15 @@ pub fn dead_pub_items(root: &Path) -> io::Result<Vec<DeadPub>> {
 
     let mut out = Vec::new();
     let mut seen: BTreeSet<(String, String)> = BTreeSet::new();
-    for (crate_name, doc) in &api {
-        let crate_dir = doc_crate_dir(root, crate_name);
-        for line in doc.lines() {
-            if line.starts_with('#') || line.trim().is_empty() {
-                continue;
-            }
-            let Some((file, signature)) = line.split_once(": ") else { continue };
+    for (info, rows) in &api {
+        let crate_name = &info.name;
+        for row in rows {
+            let Some((file, signature)) = row.split_once(": ") else { continue };
             let Some(name) = signature_name(signature) else { continue };
             if !seen.insert((crate_name.clone(), name.clone())) {
                 continue;
             }
-            let def_file = crate_dir.join(file);
+            let def_file = info.dir.join(file);
             let by_file = mentions.get(&name);
             let own =
                 by_file.and_then(|m| m.get(&def_file)).copied().unwrap_or(0).saturating_sub(1); // the definition itself
@@ -146,16 +141,6 @@ pub fn dead_pub_items(root: &Path) -> io::Result<Vec<DeadPub>> {
         }
     }
     Ok(out)
-}
-
-/// The crate directory an API snapshot's file paths are relative to.
-fn doc_crate_dir(root: &Path, crate_name: &str) -> PathBuf {
-    for info in crate::walk::workspace_crates(root).unwrap_or_default() {
-        if info.name == crate_name {
-            return info.dir;
-        }
-    }
-    PathBuf::new()
 }
 
 /// Recursively collects workspace `.rs` files (relative paths), skipping
@@ -180,7 +165,7 @@ fn collect_rs_files(root: &Path, rel: &Path, out: &mut Vec<PathBuf>) -> io::Resu
     Ok(())
 }
 
-/// Renders the report and writes it to [`DEADPUB_REPORT`]; returns the
+/// Renders the report and writes it to `results/DEADPUB.md`; returns the
 /// report path and the number of candidates.
 ///
 /// # Errors
@@ -218,82 +203,26 @@ pub fn write_dead_pub_report(root: &Path) -> io::Result<(PathBuf, usize)> {
     Ok((path, count))
 }
 
-/// The current per-crate candidate counts, sorted by crate name.
-fn per_crate_counts(items: &[DeadPub]) -> BTreeMap<String, usize> {
+/// Renders `api/deadpub.lock`: each crate's candidate count.
+pub(crate) fn render_lock(root: &Path) -> io::Result<Rendered> {
     let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-    for item in items {
-        *counts.entry(item.crate_name.clone()).or_insert(0) += 1;
+    for item in dead_pub_items(root)? {
+        *counts.entry(item.crate_name).or_insert(0) += 1;
     }
-    counts
-}
-
-/// Checks the dead-`pub` ratchet: fails (returns messages) when any
-/// crate's candidate count exceeds its blessed count in
-/// `api/deadpub.lock`, or when the lock is missing. Decreases pass.
-///
-/// # Errors
-///
-/// Propagates I/O errors from analysis or the lock read.
-pub fn check_deadpub(root: &Path) -> io::Result<Vec<String>> {
-    let counts = per_crate_counts(&dead_pub_items(root)?);
-    let lock_path = root.join(DEADPUB_LOCK);
-    let Ok(doc) = fs::read_to_string(&lock_path) else {
-        return Ok(vec![format!(
-            "{DEADPUB_LOCK}: [deadpub-ratchet] missing lock \
-             (run `cargo run -p seeker-lint -- --bless-deadpub`)"
-        )]);
-    };
-    let blessed: BTreeMap<&str, usize> = doc
-        .lines()
-        .map(str::trim_end)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .filter_map(|l| {
-            let (name, count) = l.split_once('\t')?;
-            Some((name, count.parse().ok()?))
-        })
-        .collect();
-    let mut failures = Vec::new();
-    for (name, &count) in &counts {
-        let ceiling = blessed.get(name.as_str()).copied().unwrap_or(0);
-        if count > ceiling {
-            failures.push(format!(
-                "{DEADPUB_LOCK}: [deadpub-ratchet] crate `{name}` has {count} dead-pub \
-                 candidate(s), blessed ceiling is {ceiling} — remove the new dead surface \
-                 (see `--deadpub` report) or consciously re-bless with `--bless-deadpub`"
-            ));
-        }
-    }
-    Ok(failures)
-}
-
-/// Regenerates `api/deadpub.lock` with the current per-crate counts.
-/// Returns the written path (relative) and the total candidate count.
-///
-/// # Errors
-///
-/// Propagates I/O errors from analysis or the lock write.
-pub fn bless_deadpub(root: &Path) -> io::Result<(PathBuf, usize)> {
-    let items = dead_pub_items(root)?;
-    let counts = per_crate_counts(&items);
-    let mut doc = String::from(
-        "# Dead-pub ratchet — blessed per-crate candidate counts, generated by\n\
-         # `cargo run -p seeker-lint -- --bless-deadpub`. CI fails when a crate's\n\
-         # count *increases*; decreases are improvements — re-bless to lock them in.\n",
-    );
-    for (name, count) in &counts {
-        doc.push_str(&format!("{name}\t{count}\n"));
-    }
-    let rel = PathBuf::from(DEADPUB_LOCK);
-    if let Some(parent) = root.join(&rel).parent() {
-        fs::create_dir_all(parent)?;
-    }
-    fs::write(root.join(&rel), doc)?;
-    Ok((rel, items.len()))
+    let rows = counts.into_iter().map(|(name, count)| (format!("{name}\t{count}"), None));
+    Ok(Rendered::one(
+        "Dead-pub ratchet — blessed per-crate candidate counts, generated by\n\
+         `cargo run -p seeker-lint -- --bless-deadpub`. CI fails when a crate's\n\
+         count *increases*; decreases are improvements — re-bless to lock them in.",
+        rows,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lockfile::{bless, check, Lock};
+    use crate::scratch::workspace;
 
     #[test]
     fn signature_names_are_extracted() {
@@ -306,21 +235,9 @@ mod tests {
 
     #[test]
     fn unreferenced_pub_is_reported_and_referenced_is_not() {
-        let root = std::env::temp_dir().join(format!("seeker-lint-dead-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&root);
-        fs::create_dir_all(root.join("crates/alpha/src")).expect("mkdir");
-        fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = [\"crates/*\"]\n")
-            .expect("write");
-        fs::write(
-            root.join("crates/alpha/Cargo.toml"),
-            "[package]\nname = \"alpha\"\nversion = \"0.0.0\"\n",
-        )
-        .expect("write");
-        fs::write(
-            root.join("crates/alpha/src/lib.rs"),
+        let root = workspace(
             "//! A.\n#![deny(missing_docs)]\n\n/// Used internally only.\npub fn semi(x: u32) -> u32 { x }\n\n/// Truly dead.\npub fn corpse() {}\n\n/// Live: calls semi.\npub fn live(x: u32) -> u32 { semi(x) }\n",
-        )
-        .expect("write");
+        );
         fs::create_dir_all(root.join("tests")).expect("mkdir");
         fs::write(root.join("tests/it.rs"), "#[test]\nfn t() { alpha::live(1); }\n")
             .expect("write");
@@ -337,26 +254,27 @@ mod tests {
 
         // Ratchet lifecycle: missing lock → bless → clean → growth fails,
         // shrinkage passes.
-        assert_eq!(check_deadpub(&root).expect("check").len(), 1, "missing lock must fail");
-        let (rel, blessed) = bless_deadpub(&root).expect("bless");
-        assert_eq!(rel, PathBuf::from(DEADPUB_LOCK));
-        assert_eq!(blessed, 2);
-        assert!(check_deadpub(&root).expect("check").is_empty());
+        let check_deadpub = || check(Lock::DeadPub, &root).expect("check").1;
+        assert_eq!(check_deadpub().len(), 1, "missing lock must fail");
+        let written = bless(Lock::DeadPub, &root).expect("bless");
+        assert_eq!(written, vec![PathBuf::from("api/deadpub.lock")]);
+        let lock = fs::read_to_string(root.join("api/deadpub.lock")).expect("read");
+        assert!(lock.ends_with("\nalpha\t2\n"), "{lock}");
+        assert!(check_deadpub().is_empty());
         // A new dead pub item raises the count past the ceiling.
         let lib = root.join("crates/alpha/src/lib.rs");
         let source = fs::read_to_string(&lib).expect("read");
         fs::write(&lib, format!("{source}\n/// Also dead.\npub fn corpse2() {{}}\n"))
             .expect("write");
-        let failures = check_deadpub(&root).expect("check");
+        let failures = check_deadpub();
         assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("alpha"), "{failures:?}");
+        assert!(failures[0].to_string().contains("alpha"), "{failures:?}");
         // Removing dead surface below the ceiling passes without re-bless.
         fs::write(
             &lib,
             "//! A.\n#![deny(missing_docs)]\n\n/// Live: used by tests.\npub fn live(x: u32) -> u32 { x }\n",
         )
         .expect("write");
-        assert!(check_deadpub(&root).expect("check").is_empty());
-        let _ = fs::remove_dir_all(&root);
+        assert!(check_deadpub().is_empty());
     }
 }

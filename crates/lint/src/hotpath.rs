@@ -145,26 +145,7 @@ pub fn check_hotpath(root: &Path) -> io::Result<Vec<HotFinding>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::fs;
-
-    fn workspace(lib: &str) -> PathBuf {
-        let root = std::env::temp_dir().join(format!(
-            "seeker-lint-hot-{}-{}",
-            std::process::id(),
-            lib.len()
-        ));
-        let _ = fs::remove_dir_all(&root);
-        fs::create_dir_all(root.join("crates/alpha/src")).expect("mkdir");
-        fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = [\"crates/*\"]\n")
-            .expect("write");
-        fs::write(
-            root.join("crates/alpha/Cargo.toml"),
-            "[package]\nname = \"alpha\"\nversion = \"0.0.0\"\n",
-        )
-        .expect("write");
-        fs::write(root.join("crates/alpha/src/lib.rs"), lib).expect("write");
-        root
-    }
+    use crate::scratch::workspace;
 
     #[test]
     fn allocation_in_hot_loop_is_flagged_transitively() {
@@ -176,7 +157,6 @@ mod tests {
         assert_eq!(findings[0].what, "format!");
         assert_eq!(findings[0].in_fn, "alpha::helper");
         assert_eq!(findings[0].root, "alpha::path_count_profile");
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -186,7 +166,6 @@ mod tests {
         );
         let findings = check_hotpath(&root).expect("hotpath");
         assert!(findings.is_empty(), "findings: {findings:?}");
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! `seeker-lint` — the FriendSeeker workspace's custom static-analysis pass.
 //!
 //! The repository enforces repo-specific correctness rules that `rustc` and
-//! Clippy cannot express (see `docs/LINTING.md`). Since v2 the pass runs on
-//! a lossless token stream from a small hand-rolled [`lexer`] (no syntax
-//! tree, std-only, milliseconds over the whole workspace) and has three
-//! parts:
+//! Clippy cannot express (see `docs/LINTING.md`). The pass runs on a
+//! lossless token stream from a small hand-rolled [`lexer`] (no syntax
+//! tree, std-only, milliseconds over the whole workspace):
 //!
 //! **Lexical rules** ([`rules`]), per source file:
 //!
@@ -39,23 +38,26 @@
 //! is declared once ([`layers::LAYER_DAG`]) and validated against every
 //! `Cargo.toml` `[dependencies]` table and every `use seeker_*` statement.
 //!
-//! **Public-API lockfile** ([`api_lock`]): each crate's `pub` item
-//! signatures are snapshotted into `api/<crate>.api`; CI fails when the
-//! sources drift from the checked-in snapshots, and
-//! `cargo run -p seeker-lint -- --bless-api` regenerates them after an
-//! intentional change.
+//! **Semantic passes** over the [`callgraph`] — panic reachability
+//! ([`panics`]), hot-path allocations ([`hotpath`]), lock order ([`locks`]) —
+//! and over atomics ([`atomics`]) and `unsafe` ([`unsafe_audit`]).
+//!
+//! **Lockfiles** ([`lockfile`]): the public API ([`api_lock`]), the panic
+//! set, the unsafe ledger, `docs/CONFIGURATION.md` ([`config_docs`]) and the
+//! dead-`pub` counts ([`deadpub`]) are checked-in files that one engine
+//! checks (`--check-<lock>`) and regenerates (`--bless-<lock>`).
 
 #![deny(missing_docs)]
 
-/// Public-API extraction and the `api/<crate>.api` lockfile.
+/// Public-API extraction for the `api/<crate>.api` snapshots.
 pub mod api_lock;
 /// The atomics-ordering audit.
 pub mod atomics;
 /// The workspace function call graph.
 pub mod callgraph;
-/// The generated `docs/CONFIGURATION.md` cross-check.
+/// The generated `docs/CONFIGURATION.md`.
 pub mod config_docs;
-/// The dead-`pub` report (report-only pass).
+/// The dead-`pub` report and the counts of its growth ratchet.
 pub mod deadpub;
 /// Hot-path allocation analysis (call-graph pass).
 pub mod hotpath;
@@ -63,12 +65,14 @@ pub mod hotpath;
 pub mod layers;
 /// The hand-rolled lossless Rust lexer.
 pub mod lexer;
+/// The lock engine: format, comparison rules, bless and check.
+pub mod lockfile;
 /// Lock-order and condvar-protocol analysis (call-graph pass).
 pub mod locks;
 /// Legacy comment/string masking (v1 engine), retained as the reference
 /// implementation for the token-vs-line rule-agreement tests.
 pub mod mask;
-/// Panic-reachability analysis and its lockfile gate (call-graph pass).
+/// Panic-reachability analysis (call-graph pass).
 pub mod panics;
 /// The rule matchers and per-file driver.
 pub mod rules;
@@ -76,23 +80,19 @@ pub mod rules;
 pub mod syntax;
 /// The token model the lexer produces.
 pub mod tokens;
-/// The unsafe ledger and its `api/unsafe.lock` gate.
+/// The unsafe ledger and its `SAFETY:`-comment check.
 pub mod unsafe_audit;
 /// Workspace traversal and file classification.
 pub mod walk;
 
-/// API-lockfile entry points.
-pub use api_lock::{bless_api, check_api, ApiDrift};
 /// Atomics-audit entry points.
 pub use atomics::{atomic_sites, render_inventory, AtomicSite, AtomicViolation};
 /// Call-graph construction and core types.
 pub use callgraph::{build_call_graph, CallGraph, CallTarget};
-/// Configuration-doc entry points.
-pub use config_docs::{bless_config, check_config, render_config_doc, CONFIG_DOC};
-/// Dead-`pub` report and ratchet entry points.
-pub use deadpub::{
-    bless_deadpub, check_deadpub, dead_pub_items, write_dead_pub_report, DeadPub, DEADPUB_LOCK,
-};
+/// Configuration-doc entry point.
+pub use config_docs::render_config_doc;
+/// Dead-`pub` report entry points.
+pub use deadpub::{dead_pub_items, write_dead_pub_report, DeadPub};
 /// Hot-path analysis entry points.
 pub use hotpath::{check_hotpath, hot_findings, HotFinding, HOT_PATHS};
 /// Layering-pass entry points.
@@ -103,8 +103,8 @@ pub use lexer::lex;
 pub use locks::{
     acquire_closure, lock_order, render_lock_graph, LockEdge, LockFinding, LockOrderReport,
 };
-/// Panic-reachability entry points.
-pub use panics::{bless_panics, check_panics, panic_entries, PanicDrift, PANICS_LOCK};
+/// Panic-reachability entry point.
+pub use panics::panic_entries;
 /// Core rule types and the per-file entry points.
 pub use rules::{lint_source, lint_source_with, Config, FileClass, Rule, Violation};
 /// Item-tree parser entry points.
@@ -112,10 +112,7 @@ pub use syntax::{parse_source, Item, ItemKind, ItemTree};
 /// Token types.
 pub use tokens::{Token, TokenKind, TokenStream};
 /// Unsafe-ledger entry points.
-pub use unsafe_audit::{
-    bless_unsafe, check_unsafe, unsafe_sites, UnsafeDrift, UnsafeKind, UnsafeSite, UnsafeViolation,
-    UNSAFE_LOCK,
-};
+pub use unsafe_audit::{unsafe_sites, UnsafeKind, UnsafeSite, UnsafeViolation};
 /// Workspace traversal entry points.
 pub use walk::{workspace_crates, workspace_sources, CrateInfo, SourceFile};
 
@@ -158,14 +155,71 @@ pub fn lint_workspace_with(root: &Path, config: &Config) -> io::Result<Vec<Viola
     Ok(violations)
 }
 
+/// Scratch workspaces for the unit tests: each call gets a directory of its
+/// own, removed when the returned guard drops.
+#[cfg(test)]
+pub(crate) mod scratch {
+    use std::fs;
+    use std::ops::Deref;
+    use std::path::{Path, PathBuf};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A fresh directory under the system temp dir, removed on drop.
+    pub(crate) struct Scratch(PathBuf);
+
+    impl Scratch {
+        /// Creates a directory no other call in this process shares.
+        pub(crate) fn new() -> Scratch {
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let dir = std::env::temp_dir().join(format!("seeker-lint-{}-{n}", std::process::id()));
+            let _ = fs::remove_dir_all(&dir);
+            fs::create_dir_all(&dir).expect("scratch dir");
+            Scratch(dir)
+        }
+    }
+
+    impl Deref for Scratch {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// Writes `content` to `rel` under `root`, creating parent directories.
+    pub(crate) fn write(root: &Path, rel: &str, content: &str) {
+        let path = root.join(rel);
+        fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
+        fs::write(path, content).expect("write");
+    }
+
+    /// A workspace of one crate, `alpha`, whose `src/lib.rs` is `lib`.
+    pub(crate) fn workspace(lib: &str) -> Scratch {
+        let root = Scratch::new();
+        write(&root, "Cargo.toml", "[workspace]\nmembers = [\"crates/*\"]\n");
+        write(
+            &root,
+            "crates/alpha/Cargo.toml",
+            "[package]\nname = \"alpha\"\nversion = \"0.0.0\"\n",
+        );
+        write(&root, "crates/alpha/src/lib.rs", lib);
+        root
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn lints_a_synthetic_workspace_end_to_end() {
-        let root = std::env::temp_dir().join(format!("seeker-lint-ws-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&root);
+        let root = scratch::Scratch::new();
         let write = |rel: &str, content: &str| {
             let path = root.join(rel);
             fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
@@ -183,7 +237,6 @@ mod tests {
         let ids: Vec<&str> = violations.iter().map(|v| v.rule.id()).collect();
         assert_eq!(ids, vec!["deny-header", "no-panic", "undocumented-pub"]);
         assert!(violations.iter().all(|v| v.file.starts_with("crates/bad")));
-        let _ = fs::remove_dir_all(&root);
     }
 
     fn real_workspace_root() -> &'static Path {
@@ -218,7 +271,8 @@ mod tests {
 
     #[test]
     fn the_real_workspace_api_snapshots_are_current() {
-        let drifts = check_api(real_workspace_root()).expect("api check");
+        let (_, drifts) =
+            lockfile::check(lockfile::Lock::Api, real_workspace_root()).expect("api check");
         assert!(
             drifts.is_empty(),
             "public-API snapshots drifted (run `cargo run -p seeker-lint -- --bless-api`):\n{}",

@@ -643,33 +643,13 @@ pub fn render_lock_graph(report: &LockOrderReport) -> String {
 mod tests {
     use super::*;
     use crate::callgraph::build_call_graph;
+    use crate::scratch::workspace;
     use proptest::prelude::*;
-
-    fn workspace(lib: &str) -> PathBuf {
-        let root = std::env::temp_dir().join(format!(
-            "seeker-lint-locks-{}-{}",
-            std::process::id(),
-            lib.len()
-        ));
-        let _ = fs::remove_dir_all(&root);
-        fs::create_dir_all(root.join("crates/alpha/src")).expect("mkdir");
-        fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = [\"crates/*\"]\n")
-            .expect("write");
-        fs::write(
-            root.join("crates/alpha/Cargo.toml"),
-            "[package]\nname = \"alpha\"\nversion = \"0.0.0\"\n",
-        )
-        .expect("write");
-        fs::write(root.join("crates/alpha/src/lib.rs"), lib).expect("write");
-        root
-    }
 
     fn run(lib: &str) -> LockOrderReport {
         let root = workspace(lib);
         let graph = build_call_graph(&root).expect("call graph");
-        let report = lock_order(&root, &graph).expect("lock order");
-        let _ = fs::remove_dir_all(&root);
-        report
+        lock_order(&root, &graph).expect("lock order")
     }
 
     const HEADER: &str = "//! A.\n#![deny(missing_docs)]\nuse std::sync::{Condvar, Mutex};\nstatic A: Mutex<u32> = Mutex::new(0);\nstatic B: Mutex<u32> = Mutex::new(0);\n";

@@ -4,27 +4,19 @@
 //!
 //! With no flags the full gate runs: all lexical rules, the crate-layering
 //! pass (including the unused-dependency check), the public-API lockfile
-//! check, the panic-reachability lock check, the hot-path allocation
-//! analysis, the unsafe ledger check, the lock-order/condvar analysis, the
-//! atomics-ordering audit, and the generated-configuration-doc check.
-//! Flags select a subset or switch to snapshot regeneration:
+//! check, the unsafe ledger check, the atomics-ordering audit, the
+//! generated-configuration-doc check, the panic-reachability lock check,
+//! the hot-path allocation analysis and the lock-order/condvar analysis.
+//! A flag runs one pass alone or switches to regenerating a lock:
 //!
-//! - `--rules`          lexical rules only;
-//! - `--layering`       crate-layering pass only;
-//! - `--check-api`      public-API lockfile check only;
-//! - `--bless-api`      regenerate the `api/<crate>.api` snapshots and exit;
-//! - `--check-panics`   panic-reachability lock check only;
-//! - `--bless-panics`   regenerate `api/panics.lock` and exit;
-//! - `--hotpath`        hot-path allocation analysis only;
-//! - `--check-unsafe`   unsafe ledger check only (`api/unsafe.lock`);
-//! - `--bless-unsafe`   regenerate `api/unsafe.lock` and exit;
-//! - `--lock-order`     lock-order/condvar analysis only (prints the graph);
-//! - `--atomics`        atomics audit only (prints the ordering inventory);
-//! - `--check-config`   generated `docs/CONFIGURATION.md` check only;
-//! - `--bless-config`   regenerate `docs/CONFIGURATION.md` and exit;
-//! - `--check-deadpub`  dead-`pub` growth ratchet (`api/deadpub.lock`);
-//! - `--bless-deadpub`  regenerate `api/deadpub.lock` and exit;
-//! - `--deadpub`        write the dead-`pub` report to `results/DEADPUB.md`
+//! - `--rules`, `--layering`, `--hotpath`: that pass only;
+//! - `--lock-order`, `--atomics`: that pass only, also printing the lock
+//!   graph or the ordering inventory;
+//! - `--check-<lock>`: that lock's check only, for `api`, `panics`,
+//!   `unsafe`, `config` and `deadpub` (the dead-`pub` growth ratchet, which
+//!   the full gate leaves out);
+//! - `--bless-<lock>`: regenerate that lock's files and exit;
+//! - `--deadpub`: write the dead-`pub` report to `results/DEADPUB.md`
 //!   (report-only: always exits 0 on success).
 //!
 //! With no root argument the workspace root is discovered by walking up from
@@ -34,88 +26,95 @@
 
 #![deny(missing_docs)]
 
+use seeker_lint::lockfile::{self, Lock};
 use seeker_lint::{
-    bless_api, bless_config, bless_deadpub, bless_panics, bless_unsafe, build_call_graph,
-    check_api, check_config, check_deadpub, check_layering, check_unsafe, hot_findings,
-    lint_workspace, lock_order, panics, render_inventory, render_lock_graph,
+    atomic_sites, build_call_graph, check_layering, hot_findings, lint_workspace, lock_order,
+    render_inventory, render_lock_graph, write_dead_pub_report, CallGraph,
 };
 
+use std::cell::OnceCell;
 use std::env;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// Which passes a single invocation runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Every check pass (the default; see the module docs).
-    Full,
-    /// Lexical rules only.
+/// One check pass.
+#[derive(Clone, Copy)]
+enum Pass {
+    /// Lexical rules.
     Rules,
-    /// Crate-layering pass only.
+    /// Crate layering.
     Layering,
-    /// Public-API lockfile check only.
-    CheckApi,
-    /// Regenerate the API snapshots.
-    BlessApi,
-    /// Panic-reachability lock check only.
-    CheckPanics,
-    /// Regenerate the panic lock.
-    BlessPanics,
-    /// Hot-path allocation analysis only.
-    Hotpath,
-    /// Unsafe ledger check only.
-    CheckUnsafe,
-    /// Regenerate the unsafe ledger.
-    BlessUnsafe,
-    /// Lock-order/condvar analysis only (with graph output).
-    LockOrder,
-    /// Atomics audit only (with inventory output).
+    /// Atomics-ordering audit.
     Atomics,
-    /// Configuration-doc check only.
-    CheckConfig,
-    /// Regenerate the configuration doc.
-    BlessConfig,
-    /// Dead-`pub` growth ratchet check.
-    CheckDeadPub,
-    /// Regenerate the dead-`pub` ratchet lock.
-    BlessDeadPub,
-    /// Write the dead-`pub` report (report-only).
-    DeadPub,
+    /// Hot-path allocations.
+    Hotpath,
+    /// Lock order and condvar protocol.
+    LockOrder,
+    /// A lock's check.
+    Check(Lock),
+}
+
+/// The full gate's passes, in order; the dead-`pub` ratchet stays outside.
+const FULL_GATE: [Pass; 9] = [
+    Pass::Rules,
+    Pass::Layering,
+    Pass::Check(Lock::Api),
+    Pass::Check(Lock::Unsafe),
+    Pass::Atomics,
+    Pass::Check(Lock::Config),
+    Pass::Check(Lock::Panics),
+    Pass::Hotpath,
+    Pass::LockOrder,
+];
+
+/// What a flag asks for instead of the full gate.
+enum Mode {
+    /// One check pass, alone.
+    Only(Pass),
+    /// Regenerate a lock's files.
+    Bless(Lock),
+    /// Write the dead-`pub` report.
+    Report,
+}
+
+impl Mode {
+    /// The mode a flag selects, or `None` for an unknown flag.
+    fn of(flag: &str) -> Option<Mode> {
+        let pass = match flag {
+            "--rules" => Pass::Rules,
+            "--layering" => Pass::Layering,
+            "--atomics" => Pass::Atomics,
+            "--hotpath" => Pass::Hotpath,
+            "--lock-order" => Pass::LockOrder,
+            "--deadpub" => return Some(Mode::Report),
+            _ => match flag.strip_prefix("--bless-") {
+                Some(name) => return Lock::named(name).map(Mode::Bless),
+                None => Pass::Check(Lock::named(flag.strip_prefix("--check-")?)?),
+            },
+        };
+        Some(Mode::Only(pass))
+    }
 }
 
 fn main() -> ExitCode {
-    let mut mode = Mode::Full;
+    let mut mode = None;
     let mut root_arg: Option<PathBuf> = None;
     for arg in env::args().skip(1) {
-        match arg.as_str() {
-            "--rules" => mode = Mode::Rules,
-            "--layering" => mode = Mode::Layering,
-            "--check-api" => mode = Mode::CheckApi,
-            "--bless-api" => mode = Mode::BlessApi,
-            "--check-panics" => mode = Mode::CheckPanics,
-            "--bless-panics" => mode = Mode::BlessPanics,
-            "--hotpath" => mode = Mode::Hotpath,
-            "--check-unsafe" => mode = Mode::CheckUnsafe,
-            "--bless-unsafe" => mode = Mode::BlessUnsafe,
-            "--lock-order" => mode = Mode::LockOrder,
-            "--atomics" => mode = Mode::Atomics,
-            "--check-config" => mode = Mode::CheckConfig,
-            "--bless-config" => mode = Mode::BlessConfig,
-            "--check-deadpub" => mode = Mode::CheckDeadPub,
-            "--bless-deadpub" => mode = Mode::BlessDeadPub,
-            "--deadpub" => mode = Mode::DeadPub,
-            other if other.starts_with("--") => {
-                eprintln!("seeker-lint: unknown flag {other}");
-                eprintln!(
-                    "usage: seeker-lint [--rules | --layering | --check-api | --bless-api | \
-                     --check-panics | --bless-panics | --hotpath | --check-unsafe | \
-                     --bless-unsafe | --lock-order | --atomics | --check-config | \
-                     --bless-config | --check-deadpub | --bless-deadpub | --deadpub] [root]"
-                );
-                return ExitCode::from(2);
-            }
-            path => root_arg = Some(PathBuf::from(path)),
+        if !arg.starts_with("--") {
+            root_arg = Some(PathBuf::from(arg));
+            continue;
         }
+        let Some(chosen) = Mode::of(&arg) else {
+            eprintln!("seeker-lint: unknown flag {arg}");
+            eprintln!(
+                "usage: seeker-lint [--rules | --layering | --hotpath | --lock-order | --atomics | \
+                 --check-<lock> | --bless-<lock> | --deadpub] [root], \
+                 <lock> one of api, panics, unsafe, config, deadpub"
+            );
+            return ExitCode::from(2);
+        };
+        mode = Some(chosen);
     }
     let root = match root_arg.or_else(discover_workspace_root) {
         Some(path) => path,
@@ -130,61 +129,22 @@ fn main() -> ExitCode {
         eprintln!("seeker-lint: {} is not a workspace root (no Cargo.toml)", root.display());
         return ExitCode::from(2);
     }
-
-    match mode {
-        Mode::BlessApi => {
-            return match bless_api(&root) {
+    let (passes, alone) = match mode {
+        None => (FULL_GATE.to_vec(), false),
+        Some(Mode::Only(pass)) => (vec![pass], true),
+        Some(Mode::Bless(lock)) => {
+            return match lockfile::bless(lock, &root) {
                 Ok(written) => {
                     for path in &written {
                         println!("seeker-lint: blessed {}", path.display());
                     }
-                    println!("seeker-lint: {} API snapshot(s) written", written.len());
                     ExitCode::SUCCESS
                 }
                 Err(err) => io_error("blessing", &root, &err),
             };
         }
-        Mode::BlessPanics => {
-            return match bless_panics(&root) {
-                Ok(path) => {
-                    println!("seeker-lint: blessed {}", path.display());
-                    ExitCode::SUCCESS
-                }
-                Err(err) => io_error("blessing", &root, &err),
-            };
-        }
-        Mode::BlessUnsafe => {
-            return match bless_unsafe(&root) {
-                Ok((path, count)) => {
-                    println!("seeker-lint: blessed {} ({count} unsafe site(s))", path.display());
-                    ExitCode::SUCCESS
-                }
-                Err(err) => io_error("blessing", &root, &err),
-            };
-        }
-        Mode::BlessConfig => {
-            return match bless_config(&root) {
-                Ok(path) => {
-                    println!("seeker-lint: blessed {}", path.display());
-                    ExitCode::SUCCESS
-                }
-                Err(err) => io_error("blessing", &root, &err),
-            };
-        }
-        Mode::BlessDeadPub => {
-            return match bless_deadpub(&root) {
-                Ok((path, count)) => {
-                    println!(
-                        "seeker-lint: blessed {} ({count} dead-pub candidate(s))",
-                        path.display()
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(err) => io_error("blessing", &root, &err),
-            };
-        }
-        Mode::DeadPub => {
-            return match seeker_lint::write_dead_pub_report(&root) {
+        Some(Mode::Report) => {
+            return match write_dead_pub_report(&root) {
                 Ok((path, count)) => {
                     println!(
                         "seeker-lint: wrote {} ({count} dead-pub candidate(s))",
@@ -195,209 +155,80 @@ fn main() -> ExitCode {
                 Err(err) => io_error("dead-pub report for", &root, &err),
             };
         }
-        Mode::CheckDeadPub => {
-            return match check_deadpub(&root) {
-                Ok(failures) => {
-                    for f in &failures {
-                        println!("{f}");
-                    }
-                    if failures.is_empty() {
-                        println!("seeker-lint: dead-pub ratchet holds ({})", root.display());
-                        ExitCode::SUCCESS
-                    } else {
-                        eprintln!("seeker-lint: {} ratchet failure(s)", failures.len());
-                        ExitCode::FAILURE
-                    }
-                }
-                Err(err) => io_error("dead-pub ratchet for", &root, &err),
-            };
-        }
-        _ => {}
-    }
+    };
 
-    let mut reported = 0usize;
-    if matches!(mode, Mode::Full | Mode::Rules) {
-        match run_rules(&root) {
-            Ok(count) => reported += count,
-            Err(code) => return code,
-        }
-    }
-    if matches!(mode, Mode::Full | Mode::Layering) {
-        match run_layering(&root) {
-            Ok(count) => reported += count,
-            Err(code) => return code,
-        }
-    }
-    if matches!(mode, Mode::Full | Mode::CheckApi) {
-        match run_api_check(&root) {
-            Ok(count) => reported += count,
-            Err(code) => return code,
-        }
-    }
-    if matches!(mode, Mode::Full | Mode::CheckUnsafe) {
-        match check_unsafe(&root) {
-            Ok((violations, drift)) => {
-                for v in &violations {
-                    println!("{v}");
+    let (graph, mut reported) = (OnceCell::new(), 0usize);
+    for pass in passes {
+        match run(pass, &root, &graph, alone) {
+            Ok(lines) => {
+                for line in &lines {
+                    println!("{line}");
                 }
-                for d in &drift {
-                    println!("{d}");
-                }
-                if !(violations.is_empty() && drift.is_empty()) {
-                    eprintln!(
-                        "seeker-lint: unsafe-ledger failure — write the SAFETY obligation \
-                         and/or re-bless with `cargo run -p seeker-lint -- --bless-unsafe`"
-                    );
-                }
-                reported += violations.len() + drift.len();
+                reported += lines.len();
             }
-            Err(err) => return io_error("unsafe ledger for", &root, &err),
-        }
-    }
-    if matches!(mode, Mode::Full | Mode::Atomics) {
-        match seeker_lint::atomic_sites(&root) {
-            Ok((sites, violations)) => {
-                if mode == Mode::Atomics {
-                    print!("{}", render_inventory(&sites));
-                }
-                for v in &violations {
-                    println!("{v}");
-                }
-                reported += violations.len();
-            }
-            Err(err) => return io_error("atomics audit for", &root, &err),
-        }
-    }
-    if matches!(mode, Mode::Full | Mode::CheckConfig) {
-        match check_config(&root) {
-            Ok(drift) => {
-                if let Some(message) = drift {
-                    println!("{message}");
-                    reported += 1;
-                }
-            }
-            Err(err) => return io_error("configuration-doc check for", &root, &err),
-        }
-    }
-    if matches!(mode, Mode::Full | Mode::CheckPanics | Mode::Hotpath | Mode::LockOrder) {
-        // The semantic passes share one call graph.
-        let graph = match build_call_graph(&root) {
-            Ok(graph) => graph,
-            Err(err) => return io_error("building call graph for", &root, &err),
-        };
-        if matches!(mode, Mode::Full | Mode::CheckPanics) {
-            match panics::check_panics_graph(&root, &graph) {
-                Ok(drifts) => {
-                    for d in &drifts {
-                        println!("{d}");
-                    }
-                    if !drifts.is_empty() {
-                        eprintln!(
-                            "seeker-lint: panic-reachability drift — fix the panic path, add \
-                             `// lint:allow(panic-reach)` at the definition, or re-bless with \
-                             `cargo run -p seeker-lint -- --bless-panics`"
-                        );
-                    }
-                    reported += drifts.len();
-                }
-                Err(err) => return io_error("panic check for", &root, &err),
-            }
-        }
-        if matches!(mode, Mode::Full | Mode::Hotpath) {
-            let findings = hot_findings(&graph);
-            for f in &findings {
-                println!("{f}");
-            }
-            if !findings.is_empty() {
-                eprintln!(
-                    "seeker-lint: hot-path allocation(s) — hoist the allocation out of the \
-                     loop or sanction with `// lint:allow(hot-alloc)`"
-                );
-            }
-            reported += findings.len();
-        }
-        if matches!(mode, Mode::Full | Mode::LockOrder) {
-            match lock_order(&root, &graph) {
-                Ok(report) => {
-                    if mode == Mode::LockOrder {
-                        print!("{}", render_lock_graph(&report));
-                    }
-                    for f in &report.findings {
-                        println!("{f}");
-                    }
-                    if !report.findings.is_empty() {
-                        eprintln!(
-                            "seeker-lint: lock/condvar finding(s) — restructure the protocol \
-                             or sanction with `// lint:allow(lock-order)`"
-                        );
-                    }
-                    reported += report.findings.len();
-                }
-                Err(err) => return io_error("lock-order analysis for", &root, &err),
-            }
+            Err(err) => return io_error("checking", &root, &err),
         }
     }
     if reported == 0 {
         println!("seeker-lint: clean ({})", root.display());
         ExitCode::SUCCESS
     } else {
-        eprintln!("seeker-lint: {reported} violation(s)");
+        eprintln!(
+            "seeker-lint: {reported} violation(s) — fix each, sanction a site with \
+             `// lint:allow(<tag>)` where its rule allows, or review and re-bless a lock"
+        );
         ExitCode::FAILURE
     }
 }
 
+/// Runs one check pass and returns its report lines. The hot-path and
+/// lock-order passes share the call graph `graph` caches. Run `alone`, the
+/// atomics and lock-order passes also print their inventories.
+fn run(
+    pass: Pass,
+    root: &Path,
+    graph: &OnceCell<CallGraph>,
+    alone: bool,
+) -> io::Result<Vec<String>> {
+    let graph = || match graph.get() {
+        Some(graph) => Ok(graph),
+        None => build_call_graph(root).map(|built| graph.get_or_init(|| built)),
+    };
+    Ok(match pass {
+        Pass::Rules => lines(&lint_workspace(root)?),
+        Pass::Layering => lines(&check_layering(root)?),
+        Pass::Atomics => {
+            let (sites, violations) = atomic_sites(root)?;
+            if alone {
+                print!("{}", render_inventory(&sites));
+            }
+            lines(&violations)
+        }
+        Pass::Hotpath => lines(&hot_findings(graph()?)),
+        Pass::LockOrder => {
+            let report = lock_order(root, graph()?)?;
+            if alone {
+                print!("{}", render_lock_graph(&report));
+            }
+            lines(&report.findings)
+        }
+        Pass::Check(lock) => {
+            let (mut findings, drift) = lockfile::check(lock, root)?;
+            findings.extend(lines(&drift));
+            findings
+        }
+    })
+}
+
+/// Renders findings as report lines.
+fn lines<T: ToString>(items: &[T]) -> Vec<String> {
+    items.iter().map(ToString::to_string).collect()
+}
+
 /// Reports an I/O failure uniformly and returns the usage exit code.
-fn io_error(what: &str, root: &Path, err: &std::io::Error) -> ExitCode {
+fn io_error(what: &str, root: &Path, err: &io::Error) -> ExitCode {
     eprintln!("seeker-lint: I/O error {what} {}: {err}", root.display());
     ExitCode::from(2)
-}
-
-/// Runs the lexical rules; returns the violation count or an exit code on
-/// I/O failure.
-fn run_rules(root: &Path) -> Result<usize, ExitCode> {
-    match lint_workspace(root) {
-        Ok(violations) => {
-            for v in &violations {
-                println!("{v}");
-            }
-            Ok(violations.len())
-        }
-        Err(err) => Err(io_error("while linting", root, &err)),
-    }
-}
-
-/// Runs the crate-layering pass; returns the violation count or an exit code
-/// on I/O failure.
-fn run_layering(root: &Path) -> Result<usize, ExitCode> {
-    match check_layering(root) {
-        Ok(violations) => {
-            for v in &violations {
-                println!("{v}");
-            }
-            Ok(violations.len())
-        }
-        Err(err) => Err(io_error("in layering pass", root, &err)),
-    }
-}
-
-/// Runs the public-API lockfile check; returns the drift count or an exit
-/// code on I/O failure.
-fn run_api_check(root: &Path) -> Result<usize, ExitCode> {
-    match check_api(root) {
-        Ok(drifts) => {
-            for d in &drifts {
-                println!("{d}");
-            }
-            if !drifts.is_empty() {
-                eprintln!(
-                    "seeker-lint: API drift — run `cargo run -p seeker-lint -- --bless-api` \
-                     after reviewing the change"
-                );
-            }
-            Ok(drifts.len())
-        }
-        Err(err) => Err(io_error("in API check", root, &err)),
-    }
 }
 
 /// Walks up from the current directory to the first `Cargo.toml` declaring a

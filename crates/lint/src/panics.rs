@@ -1,6 +1,5 @@
-//! Panic-reachability analysis over the workspace call graph, gated by a
-//! blessed lockfile (`api/panics.lock`) in the style of the public-API
-//! lockfile ([`crate::api_lock`]).
+//! Panic-reachability analysis over the workspace call graph, gated by the
+//! blessed lock `api/panics.lock` (a lock of [`crate::lockfile`]).
 //!
 //! A function is a **direct panic source** when its body contains a
 //! panic-family macro (`panic!`, `todo!`, `unimplemented!`,
@@ -12,25 +11,20 @@
 //! lock can only shrink through genuine fixes, never through resolution
 //! accidents.
 //!
-//! The gate snapshots which `pub` functions are panicky into
-//! `api/panics.lock` (sorted ids, one per line). `--check-panics` fails on
-//! *any* difference — a new panic path must be either fixed, sanctioned
-//! with `// lint:allow(panic-reach)` on the function's signature line, or
-//! deliberately re-blessed; a fixed path must be re-blessed too, so the
-//! lock never goes stale. Functions carrying `lint:allow(panic-reach)` are
-//! treated as non-panicking (propagation stops there), documenting at the
-//! definition site that the panic is a contract violation by the caller.
+//! The lock pins which `pub` functions are panicky (sorted ids, one per
+//! line). `--check-panics` fails on *any* difference — a new panic path
+//! must be either fixed, sanctioned with `// lint:allow(panic-reach)` on the
+//! function's signature line, or deliberately re-blessed; a fixed path must
+//! be re-blessed too, so the lock never goes stale. Functions carrying
+//! `lint:allow(panic-reach)` are treated as non-panicking (propagation stops
+//! there), documenting at the definition site that the panic is a contract
+//! violation by the caller.
 
 use crate::callgraph::{build_call_graph, CallGraph};
+use crate::lockfile::Rendered;
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
-use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
-
-/// Location of the panic lock, relative to the workspace root.
-pub const PANICS_LOCK: &str = "api/panics.lock";
+use std::path::Path;
 
 /// One panicky `pub` function, with the evidence chain.
 #[derive(Debug, Clone)]
@@ -42,37 +36,6 @@ pub struct PanicEntry {
     pub chain: Vec<String>,
     /// Human-readable description of the final panic site.
     pub site: String,
-}
-
-/// One difference between the computed panic set and the blessed lock.
-#[derive(Debug, Clone)]
-pub enum PanicDrift {
-    /// The lockfile does not exist yet.
-    MissingLock,
-    /// A `pub` function reaches a panic but is not in the lock.
-    Added(PanicEntry),
-    /// A lock entry no longer reaches any panic (stale — re-bless).
-    Removed(String),
-}
-
-impl fmt::Display for PanicDrift {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PanicDrift::MissingLock => {
-                write!(f, "[panic-reach] {PANICS_LOCK} missing — run --bless-panics")
-            }
-            PanicDrift::Added(entry) => write!(
-                f,
-                "[panic-reach] new panic path: {} → {} ({})",
-                entry.id,
-                entry.chain.join(" → "),
-                entry.site
-            ),
-            PanicDrift::Removed(id) => {
-                write!(f, "[panic-reach] stale lock entry (panic fixed — re-bless): {id}")
-            }
-        }
-    }
 }
 
 /// Computes the panicky `pub` functions of a call graph, sorted by id.
@@ -130,98 +93,26 @@ pub fn panic_entries(graph: &CallGraph) -> Vec<PanicEntry> {
     entries
 }
 
-/// Compares the computed panic set against the blessed lock.
-///
-/// # Errors
-///
-/// Propagates I/O errors from graph construction or the lock read.
-pub fn check_panics(root: &Path) -> io::Result<Vec<PanicDrift>> {
-    let graph = build_call_graph(root)?;
-    check_panics_graph(root, &graph)
-}
-
-/// [`check_panics`] over an already-built graph (so the CLI's full mode
-/// builds the graph once for both semantic passes).
-///
-/// # Errors
-///
-/// Propagates I/O errors from the lock read.
-pub fn check_panics_graph(root: &Path, graph: &CallGraph) -> io::Result<Vec<PanicDrift>> {
-    let entries = panic_entries(graph);
-    let lock_path = root.join(PANICS_LOCK);
-    if !lock_path.is_file() {
-        return Ok(vec![PanicDrift::MissingLock]);
-    }
-    let blessed: BTreeSet<String> = fs::read_to_string(&lock_path)?
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(str::to_string)
-        .collect();
-    let computed: BTreeMap<&str, &PanicEntry> =
-        entries.iter().map(|e| (e.id.as_str(), e)).collect();
-    let mut drifts = Vec::new();
-    for (id, entry) in &computed {
-        if !blessed.contains(*id) {
-            drifts.push(PanicDrift::Added((*entry).clone()));
-        }
-    }
-    for id in &blessed {
-        if !computed.contains_key(id.as_str()) {
-            drifts.push(PanicDrift::Removed(id.clone()));
-        }
-    }
-    Ok(drifts)
-}
-
-/// Regenerates `api/panics.lock` from the current sources; returns the lock
-/// path.
-///
-/// # Errors
-///
-/// Propagates I/O errors from graph construction or the lock write.
-pub fn bless_panics(root: &Path) -> io::Result<PathBuf> {
-    let graph = build_call_graph(root)?;
-    let entries = panic_entries(&graph);
-    let lock_path = root.join(PANICS_LOCK);
-    if let Some(parent) = lock_path.parent() {
-        fs::create_dir_all(parent)?;
-    }
-    let mut out = String::from(
-        "# Panic-reachability lock — `pub` functions that transitively reach a\n\
-         # panic site (blessed output of `cargo run -p seeker-lint -- --bless-panics`).\n\
-         # `--check-panics` fails when the computed set differs from this file.\n",
-    );
-    for entry in &entries {
-        out.push_str(&entry.id);
-        out.push('\n');
-    }
-    fs::write(&lock_path, out)?;
-    Ok(lock_path)
+/// Renders `api/panics.lock`: one row per panicky `pub` function, witnessed
+/// by its chain to the panic site.
+pub(crate) fn render_lock(root: &Path) -> io::Result<Rendered> {
+    let entries = panic_entries(&build_call_graph(root)?);
+    let rows =
+        entries.into_iter().map(|e| (e.id, Some(format!("{}: {}", e.chain.join(" → "), e.site))));
+    Ok(Rendered::one(
+        "Panic-reachability lock — `pub` functions that transitively reach a\n\
+         panic site (blessed output of `cargo run -p seeker-lint -- --bless-panics`).\n\
+         `--check-panics` fails when the computed set differs from this file.",
+        rows,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn workspace(lib: &str) -> PathBuf {
-        let root = std::env::temp_dir().join(format!(
-            "seeker-lint-panics-{}-{}",
-            std::process::id(),
-            lib.len()
-        ));
-        let _ = fs::remove_dir_all(&root);
-        fs::create_dir_all(root.join("crates/alpha/src")).expect("mkdir");
-        fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = [\"crates/*\"]\n")
-            .expect("write");
-        fs::write(
-            root.join("crates/alpha/Cargo.toml"),
-            "[package]\nname = \"alpha\"\nversion = \"0.0.0\"\n",
-        )
-        .expect("write");
-        fs::write(root.join("crates/alpha/src/lib.rs"), lib).expect("write");
-        root
-    }
+    use crate::lockfile::{bless, check, Drift, DriftKind, Lock};
+    use crate::scratch::workspace;
+    use std::fs;
 
     #[test]
     fn transitive_panic_reaches_the_pub_entry() {
@@ -234,7 +125,6 @@ mod tests {
         assert_eq!(ids, vec!["alpha::entry"]);
         assert_eq!(entries[0].chain, vec!["alpha::entry", "alpha::middle", "alpha::deep"]);
         assert!(entries[0].site.contains("unwrap"), "site: {}", entries[0].site);
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -244,7 +134,6 @@ mod tests {
         );
         let graph = build_call_graph(&root).expect("graph");
         assert!(panic_entries(&graph).is_empty());
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -252,27 +141,32 @@ mod tests {
         let root = workspace(
             "//! A.\n#![deny(missing_docs)]\n\n/// E.\npub fn entry(x: Option<u32>) -> u32 { x.unwrap() }\n",
         );
+        let check_panics = || check(Lock::Panics, &root).expect("check").1;
+        let bless_panics = || bless(Lock::Panics, &root).expect("bless");
         // Missing lock is drift.
-        let drifts = check_panics(&root).expect("check");
-        assert!(matches!(drifts.as_slice(), [PanicDrift::MissingLock]));
+        let drifts = check_panics();
+        assert!(matches!(drifts.as_slice(), [Drift { kind: DriftKind::Missing, .. }]));
         // Bless → clean.
-        bless_panics(&root).expect("bless");
-        assert!(check_panics(&root).expect("check").is_empty());
+        bless_panics();
+        assert!(check_panics().is_empty());
         // New panic path → Added drift.
         let lib = root.join("crates/alpha/src/lib.rs");
         let mut source = fs::read_to_string(&lib).expect("read");
         source.push_str("\n/// F.\npub fn fresh(v: &[u32]) -> u32 { v[0] }\n");
         fs::write(&lib, source).expect("write");
-        let drifts = check_panics(&root).expect("check");
+        let drifts = check_panics();
         assert_eq!(drifts.len(), 1);
-        assert!(matches!(&drifts[0], PanicDrift::Added(e) if e.id == "alpha::fresh"));
+        assert!(
+            matches!(&drifts[0], Drift { kind: DriftKind::Added(_), key, .. } if key == "alpha::fresh")
+        );
         // Re-bless, then fix the original panic → Removed drift.
-        bless_panics(&root).expect("bless");
+        bless_panics();
         let fixed = fs::read_to_string(&lib).expect("read").replace("x.unwrap()", "x.unwrap_or(0)");
         fs::write(&lib, fixed).expect("write");
-        let drifts = check_panics(&root).expect("check");
+        let drifts = check_panics();
         assert_eq!(drifts.len(), 1);
-        assert!(matches!(&drifts[0], PanicDrift::Removed(id) if id == "alpha::entry"));
-        let _ = fs::remove_dir_all(&root);
+        assert!(
+            matches!(&drifts[0], Drift { kind: DriftKind::Removed, key, .. } if key == "alpha::entry")
+        );
     }
 }

@@ -1,16 +1,15 @@
 //! The unsafe ledger: every `unsafe` construct in library code must sit
-//! under a `// SAFETY:` comment **and** be recorded in the blessed lockfile
-//! `api/unsafe.lock` — one line per construct with its crate-qualified item
-//! path, construct kind, span-normalized body hash, and one-line obligation
-//! (the first `SAFETY:` line).
+//! under a `// SAFETY:` comment **and** be recorded in the blessed lock
+//! `api/unsafe.lock` (a lock of [`crate::lockfile`]) — one row per construct
+//! with its crate-qualified item path, construct kind, span-normalized body
+//! hash, and one-line obligation (the first `SAFETY:` line).
 //!
-//! The lifecycle mirrors `api/panics.lock`: `--check-unsafe` (and the
-//! default full gate) fails on *both* directions of drift — a new or
-//! changed `unsafe` construct must be consciously blessed, and a removed
-//! one must be re-blessed away so the ledger shrinks with the unsafe
-//! surface. `--bless-unsafe` regenerates the lock. A missing `SAFETY:`
-//! comment is a hard violation regardless of lock state: the ledger records
-//! *reviewed* obligations, it cannot substitute for writing one down.
+//! `--check-unsafe` (and the default full gate) fails on *both* directions
+//! of drift — a new or changed `unsafe` construct must be consciously
+//! blessed, and a removed one must be re-blessed away so the ledger shrinks
+//! with the unsafe surface. A missing `SAFETY:` comment is a hard violation
+//! regardless of lock state: the ledger records *reviewed* obligations, it
+//! cannot substitute for writing one down.
 //!
 //! The body hash is computed over the construct's **code tokens only**
 //! (whitespace and comments excluded, FNV-1a 64-bit), so reformatting never
@@ -18,6 +17,7 @@
 //! however small — forces a conscious re-bless of its entry.
 
 use crate::lexer::lex;
+use crate::lockfile::Rendered;
 use crate::rules::{self, FileClass, Rule};
 use crate::syntax::{parse_stream, Item};
 use crate::tokens::{TokenKind, TokenStream};
@@ -27,9 +27,6 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// The checked-in ledger path, relative to the workspace root.
-pub const UNSAFE_LOCK: &str = "api/unsafe.lock";
 
 /// The syntactic class of an `unsafe` construct.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,55 +90,6 @@ pub struct UnsafeViolation {
 impl fmt::Display for UnsafeViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}:{}: [unsafe-ledger] {}", self.file.display(), self.line, self.message)
-    }
-}
-
-/// One direction of drift between the workspace and `api/unsafe.lock`.
-#[derive(Debug, Clone)]
-pub enum UnsafeDrift {
-    /// The lockfile does not exist yet.
-    MissingLock,
-    /// An `unsafe` construct exists that the ledger does not record.
-    Added(UnsafeSite),
-    /// A ledger entry whose construct no longer exists.
-    Removed(String),
-    /// A recorded construct whose body hash or obligation changed.
-    Changed {
-        /// The ledger id.
-        id: String,
-        /// What changed (`body hash` / `obligation`).
-        what: String,
-    },
-}
-
-impl fmt::Display for UnsafeDrift {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            UnsafeDrift::MissingLock => write!(
-                f,
-                "{UNSAFE_LOCK}: [unsafe-ledger] missing ledger \
-                 (run `cargo run -p seeker-lint -- --bless-unsafe`)"
-            ),
-            UnsafeDrift::Added(site) => write!(
-                f,
-                "{}:{}: [unsafe-ledger] unrecorded `unsafe` {} `{}` — review its SAFETY \
-                 obligation, then `cargo run -p seeker-lint -- --bless-unsafe`",
-                site.file.display(),
-                site.line,
-                site.kind.as_str(),
-                site.id
-            ),
-            UnsafeDrift::Removed(id) => write!(
-                f,
-                "{UNSAFE_LOCK}: [unsafe-ledger] stale entry `{id}` — the construct is gone; \
-                 re-bless so the ledger shrinks with the unsafe surface"
-            ),
-            UnsafeDrift::Changed { id, what } => write!(
-                f,
-                "{UNSAFE_LOCK}: [unsafe-ledger] `{id}` drifted ({what}) — re-review the \
-                 obligation, then `cargo run -p seeker-lint -- --bless-unsafe`"
-            ),
-        }
     }
 }
 
@@ -378,117 +326,28 @@ fn safety_obligation(lines: &[&str], line: usize) -> Option<String> {
     None
 }
 
-/// Parses the ledger into `(id, kind, hash, obligation)` rows.
-fn parse_lock(doc: &str) -> Vec<(String, String, String, String)> {
-    doc.lines()
-        .map(str::trim_end)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .filter_map(|l| {
-            let mut parts = l.splitn(4, '\t');
-            Some((
-                parts.next()?.to_string(),
-                parts.next()?.to_string(),
-                parts.next()?.to_string(),
-                parts.next().unwrap_or("").to_string(),
-            ))
-        })
-        .collect()
-}
-
-/// Checks the workspace against `api/unsafe.lock`. Returns the
-/// missing-`SAFETY:` violations and the ledger drift; both empty means the
-/// gate passes.
-///
-/// # Errors
-///
-/// Propagates I/O errors from source reads.
-pub fn check_unsafe(root: &Path) -> io::Result<(Vec<UnsafeViolation>, Vec<UnsafeDrift>)> {
+/// Renders `api/unsafe.lock`, each row witnessed by its `file:line`; the
+/// missing-`SAFETY:` violations are the rendering's findings.
+pub(crate) fn render_lock(root: &Path) -> io::Result<Rendered> {
     let (sites, violations) = unsafe_sites(root)?;
-    let lock_path = root.join(UNSAFE_LOCK);
-    let Ok(doc) = fs::read_to_string(&lock_path) else {
-        return Ok((violations, vec![UnsafeDrift::MissingLock]));
-    };
-    let locked = parse_lock(&doc);
-    let mut drift = Vec::new();
-    for site in &sites {
-        match locked.iter().find(|(id, ..)| *id == site.id) {
-            None => drift.push(UnsafeDrift::Added(site.clone())),
-            Some((_, _, hash, obligation)) => {
-                if *hash != format!("{:016x}", site.hash) {
-                    drift.push(UnsafeDrift::Changed {
-                        id: site.id.clone(),
-                        what: "body hash".to_string(),
-                    });
-                } else if site.obligation.as_deref().unwrap_or("") != obligation {
-                    drift.push(UnsafeDrift::Changed {
-                        id: site.id.clone(),
-                        what: "obligation".to_string(),
-                    });
-                }
-            }
-        }
-    }
-    for (id, ..) in &locked {
-        if !sites.iter().any(|s| &s.id == id) {
-            drift.push(UnsafeDrift::Removed(id.clone()));
-        }
-    }
-    Ok((violations, drift))
-}
-
-/// Regenerates `api/unsafe.lock` from the current workspace. Returns the
-/// written path (relative to the workspace root) and the entry count.
-///
-/// # Errors
-///
-/// Propagates I/O errors from source reads or the lock write.
-pub fn bless_unsafe(root: &Path) -> io::Result<(PathBuf, usize)> {
-    let (sites, _) = unsafe_sites(root)?;
-    let mut doc = String::from(
-        "# Unsafe ledger — every `unsafe` construct in library code, generated by\n\
-         # `cargo run -p seeker-lint -- --bless-unsafe`.\n\
-         # One tab-separated row per construct: id, kind, span-normalized body hash,\n\
-         # one-line SAFETY obligation. CI fails on any drift in either direction.\n",
-    );
-    for site in &sites {
-        doc.push_str(&format!(
-            "{}\t{}\t{:016x}\t{}\n",
-            site.id,
-            site.kind.as_str(),
-            site.hash,
-            site.obligation.as_deref().unwrap_or("")
-        ));
-    }
-    let rel = PathBuf::from(UNSAFE_LOCK);
-    if let Some(parent) = root.join(&rel).parent() {
-        fs::create_dir_all(parent)?;
-    }
-    fs::write(root.join(&rel), doc)?;
-    Ok((rel, sites.len()))
+    let rows = sites.into_iter().map(|site| {
+        let obligation = site.obligation.unwrap_or_default();
+        let row = format!("{}\t{}\t{:016x}\t{obligation}", site.id, site.kind.as_str(), site.hash);
+        (row, Some(format!("{}:{}", site.file.display(), site.line)))
+    });
+    let header = "Unsafe ledger — every `unsafe` construct in library code, generated by\n\
+        `cargo run -p seeker-lint -- --bless-unsafe`.\n\
+        One tab-separated row per construct: id, kind, span-normalized body hash,\n\
+        one-line SAFETY obligation. CI fails on any drift in either direction.";
+    let findings = violations.iter().map(ToString::to_string).collect();
+    Ok(Rendered { findings, ..Rendered::one(header, rows) })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn workspace(lib: &str) -> PathBuf {
-        let root = std::env::temp_dir().join(format!(
-            "seeker-lint-unsafe-{}-{}",
-            std::process::id(),
-            lib.len()
-        ));
-        let _ = fs::remove_dir_all(&root);
-        fs::create_dir_all(root.join("crates/alpha/src")).expect("mkdir");
-        fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = [\"crates/*\"]\n")
-            .expect("write");
-        fs::write(
-            root.join("crates/alpha/Cargo.toml"),
-            "[package]\nname = \"alpha\"\nversion = \"0.0.0\"\n",
-        )
-        .expect("write");
-        fs::write(root.join("crates/alpha/src/lib.rs"), lib).expect("write");
-        root
-    }
+    use crate::lockfile::{bless, check, Drift, DriftKind, Lock};
+    use crate::scratch::workspace;
 
     const ANNOTATED: &str = "//! A.\n#![deny(missing_docs)]\n\n/// Reads one byte.\npub fn peek(p: *const u8) -> u8 {\n    // SAFETY: caller guarantees p is valid for reads.\n    unsafe { *p }\n}\n";
 
@@ -501,7 +360,6 @@ mod tests {
         assert_eq!(sites[0].id, "alpha::peek#0");
         assert_eq!(sites[0].kind, UnsafeKind::Block);
         assert_eq!(sites[0].obligation.as_deref(), Some("caller guarantees p is valid for reads."));
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -513,7 +371,6 @@ mod tests {
         assert_eq!(sites.len(), 1);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].message.contains("SAFETY"), "{}", violations[0].message);
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -524,27 +381,35 @@ mod tests {
         let (sites, violations) = unsafe_sites(&root).expect("scan");
         assert!(sites.is_empty());
         assert!(violations.is_empty());
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn bless_then_check_roundtrip_added_changed_and_stale_drift() {
         let root = workspace(ANNOTATED);
+        let check_unsafe = || check(Lock::Unsafe, &root).expect("check");
+        let bless_unsafe = || bless(Lock::Unsafe, &root).expect("bless");
+        let rows = || {
+            fs::read_to_string(root.join("api/unsafe.lock"))
+                .expect("read")
+                .lines()
+                .filter(|l| !l.starts_with('#'))
+                .count()
+        };
         // Missing lock is drift.
-        let (_, drift) = check_unsafe(&root).expect("check");
-        assert!(matches!(drift.as_slice(), [UnsafeDrift::MissingLock]));
+        let (_, drift) = check_unsafe();
+        assert!(matches!(drift.as_slice(), [Drift { kind: DriftKind::Missing, .. }]));
         // Bless → clean.
-        let (rel, n) = bless_unsafe(&root).expect("bless");
-        assert_eq!(rel, PathBuf::from(UNSAFE_LOCK));
-        assert_eq!(n, 1);
-        let (violations, drift) = check_unsafe(&root).expect("check");
+        let written = bless_unsafe();
+        assert_eq!(written, vec![PathBuf::from("api/unsafe.lock")]);
+        assert_eq!(rows(), 1);
+        let (violations, drift) = check_unsafe();
         assert!(violations.is_empty() && drift.is_empty(), "{drift:?}");
         // Editing the unsafe body is Changed drift.
         let lib = root.join("crates/alpha/src/lib.rs");
         fs::write(&lib, ANNOTATED.replace("*p", "*p.offset(0)")).expect("write");
-        let (_, drift) = check_unsafe(&root).expect("check");
+        let (_, drift) = check_unsafe();
         assert!(
-            matches!(drift.as_slice(), [UnsafeDrift::Changed { what, .. }] if what == "body hash"),
+            matches!(drift.as_slice(), [Drift { kind: DriftKind::Changed(what), .. }] if what == "body hash"),
             "{drift:?}"
         );
         // A second unsafe construct is Added drift.
@@ -553,9 +418,9 @@ mod tests {
             format!("{ANNOTATED}\n/// W.\npub fn poke(p: *mut u8) {{\n    // SAFETY: caller guarantees p is valid for writes.\n    unsafe {{ *p = 0 }}\n}}\n"),
         )
         .expect("write");
-        let (_, drift) = check_unsafe(&root).expect("check");
+        let (_, drift) = check_unsafe();
         assert!(
-            matches!(drift.as_slice(), [UnsafeDrift::Added(site)] if site.id == "alpha::poke#0"),
+            matches!(drift.as_slice(), [Drift { kind: DriftKind::Added(_), key, .. }] if key == "alpha::poke#0"),
             "{drift:?}"
         );
         // Removing every unsafe construct leaves a stale entry.
@@ -564,13 +429,14 @@ mod tests {
             "//! A.\n#![deny(missing_docs)]\n\n/// Safe now.\npub fn peek() -> u8 { 0 }\n",
         )
         .expect("write");
-        let (_, drift) = check_unsafe(&root).expect("check");
-        assert!(matches!(drift.as_slice(), [UnsafeDrift::Removed(id)] if id == "alpha::peek#0"));
+        let (_, drift) = check_unsafe();
+        assert!(
+            matches!(drift.as_slice(), [Drift { kind: DriftKind::Removed, key, .. }] if key == "alpha::peek#0")
+        );
         // Re-bless shrinks the ledger back to clean.
-        let (_, n) = bless_unsafe(&root).expect("bless");
-        assert_eq!(n, 0);
-        assert!(check_unsafe(&root).expect("check").1.is_empty());
-        let _ = fs::remove_dir_all(&root);
+        bless_unsafe();
+        assert_eq!(rows(), 0);
+        assert!(check_unsafe().1.is_empty());
     }
 
     #[test]
@@ -581,7 +447,6 @@ mod tests {
         fs::write(root.join("crates/alpha/src/lib.rs"), reformatted).expect("write");
         let (b, _) = unsafe_sites(&root).expect("scan");
         assert_eq!(a[0].hash, b[0].hash, "whitespace must not churn the ledger");
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -601,6 +466,5 @@ mod tests {
                 ("alpha::get#1", UnsafeKind::Block),
             ],
         );
-        let _ = fs::remove_dir_all(&root);
     }
 }

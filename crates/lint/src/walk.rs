@@ -226,24 +226,11 @@ fn classify(file: &Path, src_dir: &Path, test_modules: &BTreeSet<PathBuf>) -> Fi
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn write(dir: &Path, rel: &str, content: &str) {
-        let path = dir.join(rel);
-        fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
-        fs::write(path, content).expect("write");
-    }
-
-    fn scratch(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("seeker-lint-walk-{name}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).expect("scratch dir");
-        dir
-    }
+    use crate::scratch::{write, Scratch};
 
     #[test]
     fn classifies_roots_bins_and_modules() {
-        let root = scratch("classify");
+        let root = Scratch::new();
         write(&root, "crates/alpha/src/lib.rs", "//! A.\n#![deny(missing_docs)]\n");
         write(&root, "crates/alpha/src/util.rs", "fn x() {}\n");
         write(&root, "crates/beta/src/main.rs", "fn main() {}\n");
@@ -262,12 +249,11 @@ mod tests {
         assert_eq!(class_of("beta/src/main.rs"), FileClass::BinaryRoot);
         assert_eq!(class_of("bin/extra.rs"), FileClass::BinaryRoot);
         assert_eq!(class_of("src/lib.rs"), FileClass::LibraryRoot);
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn file_level_test_modules_are_test_code() {
-        let root = scratch("testmod");
+        let root = Scratch::new();
         write(
             &root,
             "crates/gamma/src/lib.rs",
@@ -280,16 +266,14 @@ mod tests {
             .find(|f| f.path.to_string_lossy().ends_with("proptests.rs"))
             .expect("proptests listed");
         assert_eq!(prop.class, FileClass::TestCode);
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn skips_fixture_directories() {
-        let root = scratch("fixtures");
+        let root = Scratch::new();
         write(&root, "crates/delta/src/lib.rs", "//! D.\n#![deny(missing_docs)]\n");
         write(&root, "crates/delta/src/fixtures/bad.rs", "fn f() { panic!() }\n");
         let files = workspace_sources(&root).expect("walk");
         assert!(files.iter().all(|f| !f.path.to_string_lossy().contains("fixtures")));
-        let _ = fs::remove_dir_all(&root);
     }
 }

@@ -1,7 +1,8 @@
 //! Integration tests for the semantic passes as CI gates: the compiled
-//! binary's `--check-panics` bless→drift lifecycle, the `--hotpath`
-//! allocation gate, the `unused-dep` layering rule, and cross-crate call
-//! resolution with pinned `Resolved` vs `Ambiguous` edges.
+//! binary's bless→drift lifecycle for the panic, unsafe, configuration-doc
+//! and dead-`pub` locks, the `--hotpath` allocation gate, the `unused-dep`
+//! layering rule, and cross-crate call resolution with pinned `Resolved` vs
+//! `Ambiguous` edges.
 
 use seeker_lint::{build_call_graph, CallTarget};
 
@@ -223,4 +224,78 @@ fn cross_crate_calls_pin_resolved_and_ambiguous_edges() {
     }
 
     let _ = fs::remove_dir_all(&root);
+}
+
+/// Runs the binary and returns its exit code and stdout.
+fn run_code(args: &[&str], root: &Path) -> (Option<i32>, String) {
+    let bin = env!("CARGO_BIN_EXE_seeker-lint");
+    let out = Command::new(bin).args(args).arg(root).output().expect("run seeker-lint");
+    (out.status.code(), String::from_utf8_lossy(&out.stdout).into_owned())
+}
+
+/// Replaces `from` (which must occur) with `to` in the file `rel` under `root`.
+fn replace_in(root: &Path, rel: &str, from: &str, to: &str) {
+    let path = root.join(rel);
+    let text = fs::read_to_string(&path).expect("read");
+    assert!(text.contains(from), "{rel} lacks {from:?}");
+    fs::write(&path, text.replace(from, to)).expect("write");
+}
+
+#[test]
+fn unsafe_config_and_deadpub_locks_bless_then_detect_drift() {
+    const PEEK: &str = "//! A.\n\n/// Reads one byte.\npub fn peek(p: *const u8) -> u8 {\n    // SAFETY: caller guarantees p is valid for reads.\n    unsafe { *p }\n}\n";
+    const DEAD: &str = "//! A.\n\n/// Nothing mentions this.\npub fn corpse() {}\n";
+    const LIB: &str = "crates/alpha/src/lib.rs";
+    type Edit = fn(&Path);
+    // (lock, tag, lib.rs of crate `alpha`, plant drift, shrink without re-bless)
+    let cases: [(&str, &str, &str, Edit, Option<Edit>); 3] = [
+        (
+            "unsafe",
+            "[unsafe-ledger]",
+            PEEK,
+            |root| replace_in(root, LIB, "*p }", "*p.add(1) }"),
+            None,
+        ),
+        (
+            "config",
+            "[config-doc]",
+            PEEK,
+            |root| replace_in(root, "docs/CONFIGURATION.md", "SEEKER_THREADS", "SEEKER_TREADS"),
+            None,
+        ),
+        (
+            "deadpub",
+            "[deadpub-ratchet]",
+            DEAD,
+            |root| replace_in(root, LIB, "{}\n", "{}\n\n/// Also dead.\npub fn corpse2() {}\n"),
+            Some(|root| replace_in(root, LIB, "pub fn corpse() {}", "")),
+        ),
+    ];
+    for (lock, tag, lib, plant, shrink) in cases {
+        let root = workspace(
+            &format!("lock-{lock}"),
+            &[("crates/alpha/Cargo.toml", &package("alpha")), (LIB, lib)],
+        );
+        let check = format!("--check-{lock}");
+        let (code, stdout) = run_code(&[&check], &root);
+        assert_eq!(code, Some(1), "{check} before blessing:\n{stdout}");
+        assert!(stdout.contains(tag), "{check} stdout lacks {tag}:\n{stdout}");
+
+        let (code, stdout) = run_code(&[&format!("--bless-{lock}")], &root);
+        assert_eq!(code, Some(0), "--bless-{lock}:\n{stdout}");
+        let (code, stdout) = run_code(&[&check], &root);
+        assert_eq!(code, Some(0), "{check} after blessing:\n{stdout}");
+
+        plant(&root);
+        let (code, stdout) = run_code(&[&check], &root);
+        assert_eq!(code, Some(1), "{check} after planting drift:\n{stdout}");
+        assert!(stdout.contains(tag), "{check} stdout lacks {tag}:\n{stdout}");
+
+        if let Some(shrink) = shrink {
+            shrink(&root);
+            let (code, stdout) = run_code(&[&check], &root);
+            assert_eq!(code, Some(0), "{check} after removing dead surface:\n{stdout}");
+        }
+        let _ = fs::remove_dir_all(&root);
+    }
 }
