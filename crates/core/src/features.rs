@@ -22,7 +22,8 @@ use crate::phase1::Phase1Model;
 pub struct FeatureStore {
     // Sorted by pair for binary-search lookup. A hash index would be O(1)
     // instead of O(log n), but its iteration order is nondeterministic
-    // (no-hash-iter) and lookup is nowhere near the phase-2 hot path.
+    // (no-hash-iter). Lookup is on the phase-2 hot path, once per edge of
+    // every collected path, so a faster index would show there.
     index: Vec<(UserPair, usize)>,
     features: Matrix,
 }

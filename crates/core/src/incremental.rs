@@ -16,9 +16,13 @@
 //!    exactly the pairs with a dirtied endpoint — per-pair purity of the
 //!    encoder makes the partial batch bitwise equal to a full re-encode —
 //!    and `G⁰` is re-thresholded from the cached probabilities;
-//! 4. phase-2 refinement resumes from the previous run's predictions
-//!    (the [`crate::phase2`] warm-resume path), seeding the influence BFS
-//!    with the dirty users and rescoring the rows step 3 re-encoded.
+//! 4. phase-2 refinement resumes the previous run iteration by iteration
+//!    (the [`crate::phase2`] warm-resume path): the session's last result
+//!    is the resume state, and iteration `t` starts from that run's
+//!    predictions on its own `Gᵗ`. Every resumed iteration rescores the
+//!    rows its graph diff reaches, the rows near a dirty user, and the
+//!    rows step 3 re-encoded; past the previous run's last iteration the
+//!    run goes on from its own previous one.
 //!
 //! The contract — pinned by the `serve_contract` append==rebuild proptest —
 //! is that after any sequence of ingests the session's result is
@@ -35,7 +39,7 @@ use crate::candidates::CandidateUniverse;
 use crate::error::{AttackError, Result};
 use crate::features::FeatureStore;
 use crate::pairs::{all_pairs, pair_universe_size};
-use crate::phase2::{graph_from_predictions, ResumeState};
+use crate::phase2::graph_from_predictions;
 
 /// Construction options for an [`IncrementalAttack`] session.
 #[derive(Debug, Clone, Default)]
@@ -96,10 +100,11 @@ pub struct IncrementalAttack {
     p1_proba: Vec<f64>,
     /// Presence features for `pairs` (None while the universe is empty).
     store: Option<FeatureStore>,
-    resume: ResumeState,
     n_total: u64,
     residue_probability: f64,
     residue_predicted_friend: bool,
+    /// The current result, which reads answer from; its trace is what the
+    /// next refinement resumes.
     last: InferenceResult,
     n_ingested_batches: u64,
     n_ingested_checkins: u64,
@@ -139,7 +144,6 @@ impl IncrementalAttack {
             pairs,
             p1_proba: Vec::new(),
             store: None,
-            resume: ResumeState::default(),
             n_total,
             residue_probability,
             residue_predicted_friend,
@@ -152,7 +156,7 @@ impl IncrementalAttack {
         } else {
             let every: Vec<usize> = (0..session.pairs.len()).collect();
             session.refresh_phase1(&every);
-            session.run_refinement(&[], &[], &[]);
+            session.run_refinement(&[], &[]);
         }
         Ok(session)
     }
@@ -214,7 +218,7 @@ impl IncrementalAttack {
             .collect();
         seeker_obs::counter!("incremental.ingest.dirty_pairs", dirty_rows.len() as u64);
         self.refresh_phase1(&dirty_rows);
-        self.run_refinement(&inserted, delta.users(), &dirty_rows);
+        self.run_refinement(delta.users(), &dirty_rows);
         Ok(&self.last)
     }
 
@@ -376,10 +380,11 @@ impl IncrementalAttack {
         }
     }
 
-    /// Runs phase-2 refinement from the warm resume state and stores the
-    /// new reference-equivalent [`InferenceResult`]. `force_rows` are the
-    /// rows whose presence feature the batch changed.
-    fn run_refinement(&mut self, inserted: &[usize], dirty_users: &[UserId], force_rows: &[usize]) {
+    /// Runs phase-2 refinement resumed from the last result's trace and
+    /// stores the new reference-equivalent [`InferenceResult`].
+    /// `dirty_users` and `force_rows` are the users and rows whose presence
+    /// features the batch changed.
+    fn run_refinement(&mut self, dirty_users: &[UserId], force_rows: &[usize]) {
         if self.pairs.is_empty() {
             // Reference behavior for an empty candidate universe: the
             // answer is the empty graph, no classifier run needed.
@@ -405,8 +410,7 @@ impl IncrementalAttack {
             store,
             &self.pairs,
             g0,
-            &mut self.resume,
-            inserted,
+            &self.last.trace,
             dirty_users,
             force_rows,
         );
@@ -523,6 +527,59 @@ mod tests {
         assert_same_result(session.result(), &reference);
         assert_eq!(session.n_ingested_batches(), 2);
         assert_eq!(session.n_ingested_checkins(), tail.len() as u64);
+    }
+
+    /// Warm resume past iteration 0. The shared fixture refines for one
+    /// iteration only, so this forces an eight-iteration budget on a
+    /// 1000-user world, where runs take four or five iterations. The
+    /// session opens without every tenth in-span check-in and then takes
+    /// twelve 80-check-in batches of them in time order. After every batch
+    /// the session must equal a cold inference bit for bit, and one run
+    /// must outlast the run it resumes, so its last iteration falls back to
+    /// the run's own previous one.
+    #[test]
+    fn warm_resume_matches_rebuild_past_iteration_zero_on_1k_world() {
+        use crate::phase2::Phase2Model;
+        let train = generate(&SyntheticConfig::small(61)).unwrap().dataset;
+        let target = generate(&SyntheticConfig::scale(1000, 8201)).unwrap().dataset;
+        let mut cfg = FriendSeekerConfig::fast();
+        cfg.zero_joc_negatives = 64;
+        let trained = FriendSeeker::new(cfg).train(&train).unwrap();
+        let mut cfg = trained.config().clone();
+        cfg.max_iterations = 8;
+        let p2 = trained.phase2();
+        let model = Phase2Model::from_parts(
+            p2.scaler().clone(),
+            p2.svm().clone(),
+            p2.svm_config().clone(),
+            cfg.max_iterations,
+        );
+        let attack = TrainedAttack::from_parts(cfg, trained.phase1().clone(), model);
+        let slots = attack.phase1().division().slots();
+        let (mut kept, mut withheld): (Vec<CheckIn>, Vec<CheckIn>) = (Vec::new(), Vec::new());
+        for (i, c) in target.checkins().iter().enumerate() {
+            if i % 10 == 0 && slots.slot_of(c.time).is_some() {
+                withheld.push(*c);
+            } else {
+                kept.push(*c);
+            }
+        }
+        withheld.sort_by_key(|c| c.time);
+        let initial = target.with_checkins(kept).unwrap();
+        let mut session =
+            IncrementalAttack::new(attack.clone(), initial, IncrementalOptions::default()).unwrap();
+        let mut iterations = vec![session.result().trace.n_iterations()];
+        for batch in withheld.chunks(80).take(12) {
+            session.ingest(batch).unwrap();
+            let reference = attack.infer(session.dataset()).unwrap();
+            assert_same_result(session.result(), &reference);
+            iterations.push(session.result().trace.n_iterations());
+        }
+        assert!(iterations.iter().all(|&n| n >= 3), "every run passes iteration 2: {iterations:?}");
+        assert!(
+            iterations.windows(2).any(|w| w[0] < w[1]),
+            "no run outlasted the run it resumed: {iterations:?}"
+        );
     }
 
     #[test]

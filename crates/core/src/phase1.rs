@@ -17,6 +17,13 @@ use crate::config::{ClassifierKind, FriendSeekerConfig};
 use crate::error::{AttackError, Result};
 use crate::pairs::{labeled_pairs, LabeledPairs};
 
+/// Pairs whose sparse JOC rows and encoder activations are held at once.
+/// The encoder and classifier `C` are row-pure, so encoding block by block
+/// is bit-identical to one batch (the property sharded inference relies
+/// on). Each block pays its own pool hand-offs, so the block stays well
+/// above the per-shard chunks of a sharded 10k-user inference (~5k pairs).
+const ENCODE_BLOCK: usize = 16_384;
+
 /// The trained phase-1 model: STD + encoder + classifier `C`.
 #[derive(Debug, Clone)]
 pub struct Phase1Model {
@@ -189,12 +196,11 @@ impl Phase1Model {
         assert!(!pairs.is_empty(), "no pairs to featurize");
         let _span = seeker_obs::span!("phase1.joc");
         seeker_obs::counter!("core.pairs_evaluated", pairs.len() as u64);
-        // Per-pair JOC construction is the quadratic front half of phase 1;
-        // each cuboid only reads the (shared) division and trajectories.
-        let xs: Vec<SparseRow> = seeker_par::par_map_cost(pairs, seeker_par::Cost::Heavy, |&p| {
-            joc_row(&self.division, ds, p)
-        });
-        self.autoencoder.encode(&xs)
+        let mut data = Vec::with_capacity(pairs.len() * self.feature_dim());
+        for block in pairs.chunks(ENCODE_BLOCK) {
+            data.extend_from_slice(self.autoencoder.encode(&self.joc_rows(ds, block)).as_slice());
+        }
+        Matrix::from_vec(pairs.len(), self.feature_dim(), data)
     }
 
     /// The presence feature of a single pair.
@@ -206,18 +212,29 @@ impl Phase1Model {
     pub fn predict_proba(&self, ds: &Dataset, pairs: &[UserPair]) -> Vec<f64> {
         let _span = seeker_obs::span!("phase1.joc");
         seeker_obs::counter!("core.pairs_evaluated", pairs.len() as u64);
-        let xs: Vec<SparseRow> = seeker_par::par_map_cost(pairs, seeker_par::Cost::Heavy, |&p| {
+        let mut out = Vec::with_capacity(pairs.len());
+        for block in pairs.chunks(ENCODE_BLOCK) {
+            let xs = self.joc_rows(ds, block);
+            if let Some(knn) = &self.knn {
+                let encoded = self.autoencoder.encode(&xs);
+                out.extend((0..encoded.rows()).map(|r| knn.predict_proba_one(encoded.row(r))));
+            } else if let Some(forest) = &self.forest {
+                let encoded = self.autoencoder.encode(&xs);
+                out.extend((0..encoded.rows()).map(|r| forest.predict_proba_one(encoded.row(r))));
+            } else {
+                out.extend(self.autoencoder.predict_proba(&xs).into_iter().map(f64::from));
+            }
+        }
+        out
+    }
+
+    /// The sparse JOC rows of `pairs`. Per-pair JOC construction is the
+    /// quadratic front half of phase 1; each cuboid only reads the (shared)
+    /// division and trajectories.
+    fn joc_rows(&self, ds: &Dataset, pairs: &[UserPair]) -> Vec<SparseRow> {
+        seeker_par::par_map_cost(pairs, seeker_par::Cost::Heavy, |&p| {
             joc_row(&self.division, ds, p)
-        });
-        if let Some(knn) = &self.knn {
-            let encoded = self.autoencoder.encode(&xs);
-            return (0..encoded.rows()).map(|r| knn.predict_proba_one(encoded.row(r))).collect();
-        }
-        if let Some(forest) = &self.forest {
-            let encoded = self.autoencoder.encode(&xs);
-            return (0..encoded.rows()).map(|r| forest.predict_proba_one(encoded.row(r))).collect();
-        }
-        self.autoencoder.predict_proba(&xs).into_iter().map(f64::from).collect()
+        })
     }
 
     /// Binary friendship predictions at the calibrated threshold.

@@ -102,6 +102,20 @@ pub(crate) fn dirty_rows(
     dirty
 }
 
+/// Sets `preds[i]` to whether `pairs[i]` is an edge of `graph`: the
+/// predictions `graph` was built from, for every pair of the run that
+/// built it and `false` for any pair that joined since. One merge of the
+/// sorted pair list with the sorted edge list.
+fn edge_membership(graph: &SocialGraph, pairs: &[UserPair], preds: &mut [bool]) {
+    debug_assert!(pairs.is_sorted(), "a resumed run's pair list is sorted");
+    let mut edges = graph.edges().peekable();
+    for (pair, pred) in pairs.iter().zip(preds.iter_mut()) {
+        while edges.next_if(|e| e < pair).is_some() {}
+        *pred = edges.next_if_eq(pair).is_some();
+    }
+    debug_assert_eq!(preds.iter().filter(|&&p| p).count(), graph.n_edges(), "edge outside pairs");
+}
+
 /// Composite features of a fixed pair list, the training scorer's state.
 /// Rows are recomputed only when dirty; clean rows are reused bit for bit
 /// (the [`dirty_rows`] soundness argument).
@@ -166,19 +180,6 @@ impl FeatureCache {
     }
 }
 
-/// Cross-run refinement state carried by the incremental attack engine
-/// (`crate::incremental`): the frozen-`C'` predictions of the last
-/// completed [`Phase2Model::infer_warm`] run and the graph they were scored
-/// against. `preds` is aligned with that run's pair list.
-#[derive(Default)]
-pub(crate) struct ResumeState {
-    /// The graph the last run's final iteration scored (None before any
-    /// refinement iteration ever ran).
-    pub(crate) scored: Option<SocialGraph>,
-    /// The frozen-SVM decisions of that iteration.
-    pub(crate) preds: Vec<bool>,
-}
-
 /// The rows a refinement iteration rescores.
 #[derive(Clone, Copy)]
 pub(crate) enum Rows<'a> {
@@ -187,10 +188,14 @@ pub(crate) enum Rows<'a> {
     /// Every row on the cold first iteration; afterwards the
     /// [`dirty_rows`] of the edge diff since the previous iteration.
     Delta,
-    /// [`Rows::Delta`] resumed from an earlier run: the first iteration
-    /// diffs against the graph the resumed predictions were scored against
-    /// and adds that run's data dirt.
-    Warm { scored: &'a SocialGraph, seed_users: &'a [UserId], force_rows: &'a [usize] },
+    /// [`Rows::Delta`] resumed from an earlier run's trace `prev`, which
+    /// was scored before the data changed at `seed_users` (users) and
+    /// `force_rows` (rows). Iteration `t` resumes `prev`'s iteration `t`:
+    /// its predictions start as the edges of `prev.graphs[t + 1]`, and it
+    /// rescores the [`dirty_rows`] of the diff from `prev.graphs[t]` plus
+    /// that data dirt. Once `prev` has no iteration `t`, the run goes on as
+    /// [`Rows::Delta`] from its own previous iteration.
+    Warm { prev: &'a IterationTrace, seed_users: &'a [UserId], force_rows: &'a [usize] },
 }
 
 /// Where the frozen scorer reads presence rows from.
@@ -300,17 +305,12 @@ impl Scorer<'_> {
 /// The phase-2 refinement loop: from `g0`, rescore the iteration's rows,
 /// rebuild the graph from the predictions, and stop once fewer than the
 /// convergence threshold of edges change or the iteration budget is spent.
-///
-/// `preds` carries predictions in and out: a warm resume passes the
-/// resumed predictions, aligned with `pairs`; a cold run passes an empty
-/// vector. On return it holds the final iteration's predictions.
 fn refine(
     cfg: &FriendSeekerConfig,
     pairs: &[UserPair],
     g0: SocialGraph,
     rows: Rows<'_>,
     scorer: &mut Scorer<'_>,
-    preds: &mut Vec<bool>,
 ) -> IterationTrace {
     let (budget, idle, [iter_span, edges_gauge, ratio_gauge]) = match scorer {
         Scorer::Refit { .. } => (
@@ -327,22 +327,23 @@ fn refine(
             )
         }
     };
-    preds.resize(pairs.len(), false);
+    let mut preds = vec![false; pairs.len()];
     let mut trace = IterationTrace { graphs: vec![g0], change_ratios: Vec::new(), converged: idle };
     for t in 0..budget {
         let _iter_span = seeker_obs::span!(iter_span);
         let graph = &trace.graphs[t];
         let dirty = match rows {
             Rows::All => (0..pairs.len()).collect(),
-            _ if t > 0 => dirty_rows(&trace.graphs[t - 1], graph, pairs, cfg.k_hop, &[], &[]),
-            Rows::Delta => (0..pairs.len()).collect(),
-            Rows::Warm { scored, seed_users, force_rows } => {
-                dirty_rows(scored, graph, pairs, cfg.k_hop, seed_users, force_rows)
+            Rows::Warm { prev, seed_users, force_rows } if t < prev.n_iterations() => {
+                edge_membership(&prev.graphs[t + 1], pairs, &mut preds);
+                dirty_rows(&prev.graphs[t], graph, pairs, cfg.k_hop, seed_users, force_rows)
             }
+            _ if t > 0 => dirty_rows(&trace.graphs[t - 1], graph, pairs, cfg.k_hop, &[], &[]),
+            _ => (0..pairs.len()).collect(),
         };
         seeker_obs::counter!("phase2.refine.dirty_pairs", dirty.len() as u64);
-        scorer.rescore(cfg.k_hop, graph, pairs, &dirty, preds);
-        let next = graph_from_predictions(graph.n_vertices(), pairs, preds);
+        scorer.rescore(cfg.k_hop, graph, pairs, &dirty, &mut preds);
+        let next = graph_from_predictions(graph.n_vertices(), pairs, &preds);
         let change = graph.change_ratio(&next);
         seeker_obs::counter!("phase2.edge_churn", graph.edge_difference(&next) as u64);
         seeker_obs::gauge!(edges_gauge, next.n_edges());
@@ -408,8 +409,7 @@ pub fn train_phase2(
             cache: None,
             fitted: None,
         };
-        let mut trace =
-            refine(cfg, &train_pairs.pairs, g0.clone(), Rows::Delta, &mut scorer, &mut Vec::new());
+        let mut trace = refine(cfg, &train_pairs.pairs, g0.clone(), Rows::Delta, &mut scorer);
         let Scorer::Refit { fitted: Some((scaler, svm)), .. } = scorer else {
             return Err(AttackError::Config("max_iterations must be at least 1".into()));
         };
@@ -494,7 +494,7 @@ impl Phase2Model {
         let g0 = phase1.predict_graph(target, pairs);
         let presence = Presence::Universe(&store);
         let mut scorer = Scorer::Frozen { model: self, presence, n_chunks: 1 };
-        refine(cfg, pairs, g0, rows, &mut scorer, &mut Vec::new())
+        refine(cfg, pairs, g0, rows, &mut scorer)
     }
 
     /// Shard-by-shard variant of [`Phase2Model::infer`]: no full-universe
@@ -532,28 +532,32 @@ impl Phase2Model {
         let g0 = graph_from_predictions(target.n_users(), pairs, &g0_preds);
         let presence = Presence::PerChunk { phase1, target };
         let mut scorer = Scorer::Frozen { model: self, presence, n_chunks: n_shards };
-        refine(cfg, pairs, g0, Rows::Delta, &mut scorer, &mut Vec::new())
+        refine(cfg, pairs, g0, Rows::Delta, &mut scorer)
     }
 
     /// Warm-resume variant of [`Phase2Model::infer`] for the incremental
-    /// attack engine: refinement restarts from the predictions the
-    /// *previous* run left in `state` instead of a full first-iteration
-    /// recompute.
+    /// attack engine: iteration `t` resumes iteration `t` of `prev`, the
+    /// trace of the previous run over the same session, instead of
+    /// recomputing every row.
     ///
-    /// The caller supplies the post-ingest presence store and phase-1 graph
-    /// `g0`, the sorted positions (`inserted`) at which new pairs entered
-    /// the universe this ingest, the sorted users whose trajectories the
-    /// ingest touched (`dirty_users`), and the sorted rows whose own
-    /// presence feature changed (`force_rows`: an endpoint in
-    /// `dirty_users`, or a freshly inserted pair). Bit-identity with a cold
-    /// [`Phase2Model::infer`] on the rebuilt dataset holds because the warm
-    /// first iteration rescores exactly the rows a full recompute could
-    /// change: the `force_rows`, plus the rows whose k-hop trace could
-    /// differ — via a graph edit between the scored graph and `g0`, or via
-    /// a dirty user on one of its ≤k-length paths — which the seeded
-    /// influence BFS of [`dirty_rows`] catches. Every other row's feature
-    /// extraction reads only unchanged presence rows over an unchanged
-    /// subgraph; `C'` is frozen, so its cached prediction is exact.
+    /// The caller supplies the post-ingest presence store, the sorted pair
+    /// universe (a superset of `prev`'s) and phase-1 graph `g0`, the sorted
+    /// users whose trajectories changed since `prev` (`dirty_users`), and
+    /// the sorted rows whose own presence feature changed (`force_rows`: an
+    /// endpoint in `dirty_users`, or a pair new to the universe).
+    ///
+    /// While `prev` has an iteration `t`, iteration `t` scores the current
+    /// `Gᵗ` starting from `prev`'s predictions on `prev.graphs[t]` (the
+    /// edges of `prev.graphs[t + 1]`), and rescores the `force_rows` plus
+    /// every row whose k-hop trace could differ between the two graphs:
+    /// through an edge of `prev.graphs[t] Δ Gᵗ`, or through a dirty user on
+    /// one of its ≤k-length paths, which the seeded influence BFS of
+    /// [`dirty_rows`] catches. Every other row reads unchanged presence
+    /// rows over an unchanged subgraph, and `C'` is frozen, so `prev`'s
+    /// prediction is exact for it. Past `prev`'s last iteration the run
+    /// diffs against its own previous iteration, as [`Phase2Model::infer`]
+    /// does. By induction over iterations the trace is bit-identical to a
+    /// cold [`Phase2Model::infer`] on the rebuilt dataset.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn infer_warm(
         &self,
@@ -561,33 +565,15 @@ impl Phase2Model {
         store: &FeatureStore,
         pairs: &[UserPair],
         g0: SocialGraph,
-        state: &mut ResumeState,
-        inserted: &[usize],
+        prev: &IterationTrace,
         dirty_users: &[UserId],
         force_rows: &[usize],
     ) -> IterationTrace {
         let _span = seeker_obs::span!("phase2.infer");
-        let mut preds = std::mem::take(&mut state.preds);
-        let scored = state.scored.take();
-        // Placeholder predictions for pairs that entered the universe this
-        // ingest; they are force rows, so nothing reads them stale. A cold
-        // run (nothing scored yet) rescores every row.
-        let rows = match &scored {
-            Some(scored) => {
-                for &i in inserted {
-                    preds.insert(i, false);
-                }
-                Rows::Warm { scored, seed_users: dirty_users, force_rows }
-            }
-            None => Rows::Delta,
-        };
+        let rows = Rows::Warm { prev, seed_users: dirty_users, force_rows };
         let mut scorer =
             Scorer::Frozen { model: self, presence: Presence::Universe(store), n_chunks: 1 };
-        let trace = refine(cfg, pairs, g0, rows, &mut scorer, &mut preds);
-        if let [.., scored, _] = trace.graphs.as_slice() {
-            *state = ResumeState { scored: Some(scored.clone()), preds };
-        }
-        trace
+        refine(cfg, pairs, g0, rows, &mut scorer)
     }
 
     /// The underlying SVM (ablation inspection).

@@ -51,21 +51,19 @@ impl KHopSubgraph {
             pair.hi()
         );
         let (a, b) = pair.as_tuple();
-        // Working copy: we only ever *disable* vertices, so a boolean mask is
-        // cheaper than cloning the graph.
-        let mut alive = vec![true; graph.n_vertices()];
+        // The working graph only ever loses interior vertices, so it is the
+        // input graph minus this sorted set: O(paths found), not O(users).
+        let mut consumed: Vec<UserId> = Vec::new();
         let mut paths_by_len: BTreeMap<usize, Vec<Vec<UserId>>> = BTreeMap::new();
 
         for l in 2..=k {
-            let found = paths_of_length(graph, &alive, a, b, l);
+            let found = paths_of_length(graph, &consumed, a, b, l);
             if found.is_empty() {
                 continue;
             }
-            for path in &found {
-                for v in &path[1..path.len() - 1] {
-                    alive[v.index()] = false;
-                }
-            }
+            consumed.extend(found.iter().flat_map(|path| path[1..path.len() - 1].iter().copied()));
+            consumed.sort_unstable();
+            consumed.dedup();
             paths_by_len.insert(l, found);
         }
         #[cfg(debug_assertions)]
@@ -73,7 +71,7 @@ impl KHopSubgraph {
             // Theorem 1: interior vertices consumed at length l are disabled
             // for every longer length, so batches of different lengths are
             // internally vertex-disjoint.
-            let mut consumed = std::collections::BTreeSet::new();
+            let mut earlier = std::collections::BTreeSet::new();
             for paths in paths_by_len.values() {
                 let batch: std::collections::BTreeSet<UserId> = paths
                     .iter()
@@ -81,10 +79,10 @@ impl KHopSubgraph {
                     // Debug-assertions-only check. lint:allow(hot-alloc)
                     .collect();
                 debug_assert!(
-                    batch.is_disjoint(&consumed),
+                    batch.is_disjoint(&earlier),
                     "Theorem 1 violated: interior vertex reused across path lengths for {pair}"
                 );
-                consumed.extend(batch);
+                earlier.extend(batch);
             }
         }
         KHopSubgraph { pair, k, paths_by_len }
@@ -147,8 +145,7 @@ impl KHopSubgraph {
 /// Counts length-`l` paths between `a` and `b` in `graph` without building a
 /// subgraph — the raw statistic behind Fig. 5 of the paper.
 pub fn count_paths_of_length(graph: &SocialGraph, a: UserId, b: UserId, l: usize) -> usize {
-    let alive = vec![true; graph.n_vertices()];
-    paths_of_length(graph, &alive, a, b, l).len()
+    paths_of_length(graph, &[], a, b, l).len()
 }
 
 /// Enumerates **all** simple paths of exactly `l` edges between `a` and `b`,
@@ -161,83 +158,262 @@ pub fn all_paths_of_length(
     b: UserId,
     l: usize,
 ) -> Vec<Vec<UserId>> {
-    let alive = vec![true; graph.n_vertices()];
-    paths_of_length(graph, &alive, a, b, l)
+    paths_of_length(graph, &[], a, b, l)
 }
 
-/// Enumerates all simple paths of exactly `l` edges from `a` to `b` that use
-/// only `alive` intermediate vertices.
+/// Enumerates all simple paths of exactly `l` edges from `a` to `b` whose
+/// interior avoids the sorted `consumed` vertices, in depth-first order
+/// over the sorted adjacency lists.
+///
+/// The walk keeps no per-vertex state: the stack (at most `l + 1`
+/// vertices) answers "on the path", and the last two hops are resolved as
+/// one sorted merge of `N(current)` and `N(b)`, which visits the middle
+/// vertices in the order a per-neighbor scan would.
 fn paths_of_length(
     graph: &SocialGraph,
-    alive: &[bool],
+    consumed: &[UserId],
     a: UserId,
     b: UserId,
     l: usize,
 ) -> Vec<Vec<UserId>> {
     let mut out = Vec::new();
-    let mut stack: Vec<UserId> = vec![a];
-    let mut on_path = vec![false; graph.n_vertices()];
-    on_path[a.index()] = true;
-    dfs(graph, alive, b, l, &mut stack, &mut on_path, &mut out);
+    let mut stack: Vec<UserId> = Vec::with_capacity(l + 1);
+    stack.push(a);
+    walk(graph, consumed, b, l, &mut stack, &mut out);
     out
 }
 
-fn dfs(
+/// Appends to `out` every length-`l` path to `target` that extends the
+/// prefix on `stack`.
+fn walk(
     graph: &SocialGraph,
-    alive: &[bool],
+    consumed: &[UserId],
     target: UserId,
     l: usize,
     stack: &mut Vec<UserId>,
-    on_path: &mut [bool],
     out: &mut Vec<Vec<UserId>>,
 ) {
     // Callers seed the stack with the source vertex; an empty stack means
     // there is no path prefix to extend.
     let Some(&current) = stack.last() else { return };
-    let remaining = l + 1 - stack.len();
-    if remaining == 0 {
-        if current == target {
-            out.push(stack.clone());
+    // Each completed path must be materialized into the result set; the
+    // clones below ARE the output.
+    match l + 1 - stack.len() {
+        0 => {
+            if current == target {
+                out.push(stack.clone()); // lint:allow(hot-alloc)
+            }
         }
-        return;
-    }
-    // The endpoint can only appear as the final vertex.
-    for &next in graph.neighbors(current) {
-        if on_path[next.index()] {
-            continue;
-        }
-        if next == target {
-            if remaining == 1 {
-                stack.push(next);
-                // Each completed path must be materialized into the result
-                // set; the clone IS the output. lint:allow(hot-alloc)
-                out.push(stack.clone());
+        1 => {
+            if !stack.contains(&target) && graph.neighbors(current).binary_search(&target).is_ok() {
+                stack.push(target);
+                out.push(stack.clone()); // lint:allow(hot-alloc)
                 stack.pop();
             }
-            continue;
         }
-        // Intermediate vertices must be alive (not consumed by shorter paths).
-        if !alive[next.index()] {
-            continue;
+        2 => {
+            if stack.contains(&target) {
+                return;
+            }
+            // current → x → target for every x adjacent to both.
+            let (near, far) = (graph.neighbors(current), graph.neighbors(target));
+            let (mut i, mut j) = (0usize, 0usize);
+            while let (Some(&x), Some(&y)) = (near.get(i), far.get(j)) {
+                if x < y {
+                    i += 1;
+                } else if y < x {
+                    j += 1;
+                } else {
+                    if !stack.contains(&x) && consumed.binary_search(&x).is_err() {
+                        stack.extend([x, target]);
+                        out.push(stack.clone()); // lint:allow(hot-alloc)
+                        stack.truncate(stack.len() - 2);
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
         }
-        if remaining == 1 {
-            continue; // would need to end here but `next != target`
+        _ => {
+            // The endpoint can only appear as the final vertex, and
+            // intermediate vertices must not be consumed by shorter paths.
+            for &next in graph.neighbors(current) {
+                if next == target || stack.contains(&next) || consumed.binary_search(&next).is_ok()
+                {
+                    continue;
+                }
+                stack.push(next);
+                walk(graph, consumed, target, l, stack, out);
+                stack.pop();
+            }
         }
-        stack.push(next);
-        on_path[next.index()] = true;
-        dfs(graph, alive, target, l, stack, on_path, out);
-        on_path[next.index()] = false;
-        stack.pop();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::BTreeSet;
 
     fn pair(a: u32, b: u32) -> UserPair {
         UserPair::new(UserId::new(a), UserId::new(b))
+    }
+
+    /// The reference kernel: a DFS over an `alive` mask of every vertex, a
+    /// fresh `on_path` mask per call, and a scan of every neighbor on the
+    /// last hop. The stack-and-merge kernel must emit the same paths in the
+    /// same order.
+    mod reference {
+        use super::*;
+
+        pub(super) fn extract(graph: &SocialGraph, pair: UserPair, k: usize) -> KHopSubgraph {
+            let (a, b) = pair.as_tuple();
+            let mut alive = vec![true; graph.n_vertices()];
+            let mut paths_by_len = BTreeMap::new();
+            for l in 2..=k {
+                let found = paths_of_length(graph, &alive, a, b, l);
+                if found.is_empty() {
+                    continue;
+                }
+                for path in &found {
+                    for v in &path[1..path.len() - 1] {
+                        alive[v.index()] = false;
+                    }
+                }
+                paths_by_len.insert(l, found);
+            }
+            KHopSubgraph { pair, k, paths_by_len }
+        }
+
+        pub(super) fn all_paths(
+            graph: &SocialGraph,
+            a: UserId,
+            b: UserId,
+            l: usize,
+        ) -> Vec<Vec<UserId>> {
+            paths_of_length(graph, &vec![true; graph.n_vertices()], a, b, l)
+        }
+
+        fn paths_of_length(
+            graph: &SocialGraph,
+            alive: &[bool],
+            a: UserId,
+            b: UserId,
+            l: usize,
+        ) -> Vec<Vec<UserId>> {
+            let mut out = Vec::new();
+            let mut stack = vec![a];
+            let mut on_path = vec![false; graph.n_vertices()];
+            on_path[a.index()] = true;
+            dfs(graph, alive, b, l, &mut stack, &mut on_path, &mut out);
+            out
+        }
+
+        fn dfs(
+            graph: &SocialGraph,
+            alive: &[bool],
+            target: UserId,
+            l: usize,
+            stack: &mut Vec<UserId>,
+            on_path: &mut [bool],
+            out: &mut Vec<Vec<UserId>>,
+        ) {
+            let current = *stack.last().unwrap();
+            let remaining = l + 1 - stack.len();
+            if remaining == 0 {
+                if current == target {
+                    out.push(stack.clone());
+                }
+                return;
+            }
+            for &next in graph.neighbors(current) {
+                if on_path[next.index()] {
+                    continue;
+                }
+                if next == target {
+                    if remaining == 1 {
+                        stack.push(next);
+                        out.push(stack.clone());
+                        stack.pop();
+                    }
+                    continue;
+                }
+                if !alive[next.index()] || remaining == 1 {
+                    continue;
+                }
+                stack.push(next);
+                on_path[next.index()] = true;
+                dfs(graph, alive, target, l, stack, on_path, out);
+                on_path[next.index()] = false;
+                stack.pop();
+            }
+        }
+    }
+
+    /// Random graphs where up to three hub vertices are joined to roughly
+    /// half of all vertices, so merges meet long adjacency lists.
+    fn arb_hub_graph(max_n: usize) -> impl Strategy<Value = SocialGraph> {
+        (3..max_n).prop_flat_map(|n| {
+            let edges = proptest::collection::vec((0..n as u32, 0..n as u32), 0..n * 2);
+            let hubs = proptest::collection::vec((0..n as u32, any::<u64>()), 0..4);
+            (edges, hubs).prop_map(move |(raw, hubs)| {
+                let mut g = SocialGraph::new(n);
+                for (a, b) in raw {
+                    if a != b {
+                        g.add_edge(pair(a, b));
+                    }
+                }
+                for (h, mask) in hubs {
+                    for v in (0..n as u32).filter(|&v| v != h && mask >> (v % 64) & 1 == 1) {
+                        g.add_edge(pair(h, v));
+                    }
+                }
+                g
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn kernel_matches_mask_dfs_reference(g in arb_hub_graph(18), k in 2usize..5) {
+            let n = g.n_vertices() as u32;
+            for a in 0..n {
+                for b in 0..n {
+                    if a < b {
+                        let p = pair(a, b);
+                        prop_assert_eq!(KHopSubgraph::extract(&g, p, k), reference::extract(&g, p, k));
+                    }
+                    // Both directions, and a == b, for the path enumerators.
+                    let (x, y) = (UserId::new(a), UserId::new(b));
+                    for l in 0..=k {
+                        let expected = reference::all_paths(&g, x, y, l);
+                        prop_assert_eq!(count_paths_of_length(&g, x, y, l), expected.len());
+                        prop_assert_eq!(all_paths_of_length(&g, x, y, l), expected);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn path_lengths_zero_and_one_are_exact() {
+        let g = fig4();
+        let (a, b, c) = (UserId::new(0), UserId::new(1), UserId::new(2));
+        // Length 0 joins a vertex to itself only, never two distinct users.
+        assert!(all_paths_of_length(&g, a, b, 0).is_empty());
+        assert_eq!(count_paths_of_length(&g, a, b, 0), 0);
+        // Length 1 is the direct edge, in either direction, if present.
+        assert_eq!(all_paths_of_length(&g, a, c, 1), vec![vec![a, c]]);
+        assert_eq!(all_paths_of_length(&g, c, a, 1), vec![vec![c, a]]);
+        assert_eq!(count_paths_of_length(&g, a, b, 1), 0);
+        for (x, y) in [(a, b), (a, c), (c, b)] {
+            for l in 0..=1 {
+                assert_eq!(all_paths_of_length(&g, x, y, l), reference::all_paths(&g, x, y, l));
+            }
+        }
     }
 
     /// The Fig. 4 example graph of the paper: vertices a=0, b=1, c=2, d=3,

@@ -91,7 +91,7 @@ impl Server {
                     if accept_flag.load(Ordering::SeqCst) {
                         break;
                     }
-                    let Ok(stream) = stream else { continue };
+                    let Some(stream) = accepted(stream) else { continue };
                     let conn_queue = Arc::clone(&accept_queue);
                     let conn_flag = Arc::clone(&accept_flag);
                     // lint:allow(thread-spawn) -- one blocking framing loop per connection
@@ -122,6 +122,16 @@ impl Server {
             let _ = h.join();
         }
     }
+}
+
+/// The acceptor's hand-off of a new connection to its thread: turns off
+/// Nagle's algorithm, as [`crate::Client::connect`] does on its side, so a
+/// small response is not held back waiting for the peer's delayed ACK.
+/// `None` drops a connection that failed to accept or to configure.
+fn accepted(stream: std::io::Result<TcpStream>) -> Option<TcpStream> {
+    let stream = stream.ok()?;
+    stream.set_nodelay(true).ok()?;
+    Some(stream)
 }
 
 /// One connection's framing loop: read a request frame, enqueue the job,
@@ -184,5 +194,21 @@ fn serve_frames(stream: &TcpStream, queue: &JobQueue) -> Result<bool> {
         if acknowledged_shutdown {
             return Ok(true);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_connections_disable_nagle() {
+        let listener = TcpListener::bind(SocketAddr::from(([127, 0, 0, 1], 0))).unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (raw, _) = listener.accept().unwrap();
+        assert!(!raw.nodelay().unwrap(), "a fresh socket batches small writes");
+        let stream = accepted(Ok(raw)).unwrap();
+        assert!(stream.nodelay().unwrap(), "the hand-off must set TCP_NODELAY");
+        drop(client);
     }
 }
