@@ -9,19 +9,20 @@
 //! 2. **Per-iteration refine speedup** — the cost of bringing the composite
 //!    features up to date after a converged-regime diff (1 changed edge, the
 //!    steady state implied by the < 1 % convergence threshold): dirty-pair
-//!    refresh via `changed_edges` + `influence_set` vs full recompute. The
-//!    refreshed matrix is asserted bit-identical to the full recompute
-//!    before any timing is reported.
+//!    refresh via `reachable_rows`, the rule phase 2 rescores by, vs full
+//!    recompute. The refreshed matrix is asserted bit-identical to the full
+//!    recompute before any timing is reported.
 //!
 //! The refinement state for measurement 2 is the target's ground-truth
 //! friendship graph. Refinement iterates on *predicted* social graphs, but
 //! real social graphs — the paper's setting — are sparse (mean degree ≈ 5
 //! here), and the attack's accuracy contract means a converged prediction is
 //! sparse too. The tiny-world phase-1 calibration over-predicts, producing
-//! an unrealistically dense G⁰ whose radius-(k−1) ball swallows the whole
-//! graph; we still *count* the dirty pairs in that dense regime and record
-//! the number as an honest worst case (`dense_g0_dirty_pairs`), where the
-//! refresh degrades to a full recompute plus a cheap BFS.
+//! an unrealistically dense G⁰ in which a changed edge reaches nearly every
+//! pair within the path-length budget; we still *count* the dirty pairs in
+//! that dense regime and record the number as an honest worst case
+//! (`dense_g0_dirty_pairs`), where the refresh degrades to a full recompute
+//! plus two cheap BFS passes.
 //!
 //! The end-to-end `infer` vs `infer_full` wall clock is a secondary,
 //! expensive statistic (it dilutes the per-iteration win with the shared
@@ -35,9 +36,8 @@ use std::time::Instant;
 use friendseeker::features::{composite_feature, FeatureStore};
 use friendseeker::pairs::all_pairs;
 use seeker_bench::report::results_dir;
-use seeker_graph::{changed_edges, influence_set, SocialGraph};
+use seeker_graph::{reachable_rows, SocialGraph};
 use seeker_trace::synth::{generate, SyntheticConfig};
-use seeker_trace::UserPair;
 
 /// Timing repetitions; the minimum is reported (least-noise statistic).
 const REPS: usize = 3;
@@ -52,19 +52,6 @@ fn time_min<R>(mut f: impl FnMut() -> R) -> (f64, R) {
         out = Some(r);
     }
     (best, out.expect("REPS >= 1"))
-}
-
-/// Pair indices whose endpoints both lie in the radius-(k−1) influence set
-/// of the `old` → `new` edge diff.
-fn dirty_indices(pairs: &[UserPair], old: &SocialGraph, new: &SocialGraph, k: usize) -> Vec<usize> {
-    let diff = changed_edges(old, new);
-    let reach = influence_set(old, new, &diff, k.saturating_sub(1));
-    pairs
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| reach[p.lo().index()] && reach[p.hi().index()])
-        .map(|(i, _)| i)
-        .collect()
 }
 
 fn main() {
@@ -120,7 +107,7 @@ fn main() {
     let (incr_ms, incr_feats) = time_min(|| {
         let mut feats = seeker_par::par_map(&pairs, |&p| composite_feature(&graph, p, k, &store));
         let t0 = Instant::now();
-        let dirty = dirty_indices(&pairs, &graph, &next, k);
+        let dirty = reachable_rows(&graph, &next, &pairs, k, &[]).rows;
         let fresh = seeker_par::par_map(&dirty, |&i| composite_feature(&next, pairs[i], k, &store));
         for (&i, f) in dirty.iter().zip(fresh) {
             feats[i] = f;
@@ -138,13 +125,13 @@ fn main() {
     );
 
     // Worst case for the record: the same 1-edge diff against the dense
-    // over-predicted G⁰, where the influence ball covers ~everything.
+    // over-predicted G⁰, where the path-length budget reaches ~everything.
     let g0 = trained.phase1().predict_graph(&target, &pairs);
     let mut g0_next = g0.clone();
     if !g0_next.add_edge(toggle) {
         g0_next.remove_edge(toggle);
     }
-    let dense_dirty = dirty_indices(&pairs, &g0, &g0_next, k).len();
+    let dense_dirty = reachable_rows(&g0, &g0_next, &pairs, k, &[]).rows.len();
     eprintln!("  dense-G0 worst case: {dense_dirty} of {} pairs dirty", pairs.len());
 
     // -- 3. End-to-end infer vs infer_full (secondary, opt-in) ----------

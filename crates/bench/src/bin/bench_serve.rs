@@ -86,7 +86,7 @@ fn run_size(
     let tail = &in_span[cut..];
 
     let t0 = Instant::now();
-    let engine = IncrementalAttack::new(attack.clone(), initial, IncrementalOptions::from_env())
+    let engine = IncrementalAttack::new(attack.clone(), initial, IncrementalOptions::default())
         .expect("open session");
     let open_ms = t0.elapsed().as_secs_f64() * 1e3;
 

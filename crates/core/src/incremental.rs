@@ -27,9 +27,7 @@
 //! The contract — pinned by the `serve_contract` append==rebuild proptest —
 //! is that after any sequence of ingests the session's result is
 //! **bit-identical** to rerunning [`TrainedAttack::infer`] on the
-//! equivalent rebuilt dataset. `SEEKER_FULL_INGEST=1` (or
-//! [`IncrementalOptions::full_ingest`]) is the escape hatch that performs
-//! exactly that rebuild on every batch.
+//! equivalent rebuilt dataset.
 
 use seeker_spatial::{CellIndex, DataDelta};
 use seeker_trace::{CheckIn, Dataset, UserId, UserPair};
@@ -49,21 +47,6 @@ pub struct IncrementalOptions {
     /// capping transient memory on large worlds. Output is bit-identical
     /// either way (shard contract).
     pub n_shards: Option<usize>,
-    /// Escape hatch: discard all incremental state and rerun the reference
-    /// [`TrainedAttack::infer`] from scratch on every ingest. Also enabled
-    /// by `SEEKER_FULL_INGEST=1` via [`IncrementalOptions::from_env`].
-    pub full_ingest: bool,
-}
-
-impl IncrementalOptions {
-    /// Reads the `SEEKER_FULL_INGEST` escape hatch from the cached
-    /// [`seeker_obs::env`] registry; `n_shards` stays unset.
-    pub fn from_env() -> Self {
-        IncrementalOptions {
-            full_ingest: seeker_obs::env::flag("SEEKER_FULL_INGEST"),
-            ..IncrementalOptions::default()
-        }
-    }
 }
 
 /// A friendship verdict for one queried pair.
@@ -72,9 +55,9 @@ pub struct PairVerdict {
     /// Whether the final refined graph contains the pair.
     pub friend: bool,
     /// Classifier `C`'s friend probability for the pair: the cached
-    /// per-pair score for co-location candidates, the zero-JOC stand-in for
-    /// the never-co-located residue, or `None` in full-ingest mode (no
-    /// probability cache is maintained there).
+    /// per-pair score for co-location candidates, or the zero-JOC stand-in
+    /// for the never-co-located residue. Always `Some`; the `Option` stays
+    /// until the wire format drops it.
     pub probability: Option<f64>,
 }
 
@@ -87,7 +70,7 @@ pub struct IncrementalAttack {
     opts: IncrementalOptions,
     dataset: Dataset,
     /// Inverted STD cell index of `dataset` (kept in sync by
-    /// `CellIndex::apply`); unused in full-ingest mode.
+    /// `CellIndex::apply`).
     index: CellIndex,
     /// Co-location candidate pairs, canonical order — the universe record.
     candidates: Vec<UserPair>,
@@ -151,13 +134,9 @@ impl IncrementalAttack {
             n_ingested_batches: 0,
             n_ingested_checkins: 0,
         };
-        if session.opts.full_ingest {
-            session.recompute_reference()?;
-        } else {
-            let every: Vec<usize> = (0..session.pairs.len()).collect();
-            session.refresh_phase1(&every);
-            session.run_refinement(&[], &[]);
-        }
+        let every: Vec<usize> = (0..session.pairs.len()).collect();
+        session.refresh_phase1(&every);
+        session.run_refinement(&[], &[]);
         Ok(session)
     }
 
@@ -182,11 +161,6 @@ impl IncrementalAttack {
         self.n_ingested_checkins += batch.len() as u64;
         seeker_obs::counter!("incremental.ingest.batches", 1);
         seeker_obs::counter!("incremental.ingest.checkins", batch.len() as u64);
-        if self.opts.full_ingest {
-            self.dataset = self.dataset.append_batch(batch)?;
-            self.recompute_reference()?;
-            return Ok(&self.last);
-        }
         let delta = DataDelta::compute(self.attack.phase1().division(), batch);
         self.dataset = self.dataset.append_batch(batch)?;
         // Superset of the genuinely new co-location pairs; the splice
@@ -270,49 +244,30 @@ impl IncrementalAttack {
             return Err(AttackError::Ingest(format!("query for self-pair of user {}", a.raw())));
         }
         let pair = UserPair::new(a, b);
-        let probability = if self.opts.full_ingest {
-            None
-        } else {
-            match self.pairs.binary_search(&pair) {
-                Ok(i) => Some(self.p1_proba[i]),
-                // Never-co-located residue: classifier C's zero-JOC
-                // stand-in, exactly what candidate pruning scored it as.
-                Err(_) => Some(self.residue_probability),
-            }
-        };
-        Ok(PairVerdict { friend: self.last.final_graph().has_edge(pair), probability })
+        let friend = self.last.final_graph().has_edge(pair);
+        Ok(PairVerdict { friend, probability: Some(self.probability(pair)) })
     }
 
     /// The `k` predicted friendships ranked by classifier `C`'s probability
-    /// (descending, ties broken by canonical pair order). In full-ingest
-    /// mode the probabilities are recomputed on demand for the predicted
-    /// edges only.
+    /// (descending, ties broken by canonical pair order).
     pub fn top_k(&self, k: usize) -> Vec<(UserPair, f64)> {
-        let edges: Vec<UserPair> = self.last.final_graph().edges().collect();
-        let mut scored: Vec<(UserPair, f64)> = if self.opts.full_ingest {
-            if edges.is_empty() {
-                Vec::new()
-            } else {
-                let proba = self.attack.phase1().predict_proba(&self.dataset, &edges);
-                edges.into_iter().zip(proba).collect()
-            }
-        } else {
-            edges
-                .into_iter()
-                .map(|e| {
-                    let p = match self.pairs.binary_search(&e) {
-                        Ok(i) => self.p1_proba[i],
-                        Err(_) => self.residue_probability,
-                    };
-                    (e, p)
-                })
-                .collect()
-        };
+        let mut scored: Vec<(UserPair, f64)> =
+            self.last.final_graph().edges().map(|e| (e, self.probability(e))).collect();
         scored.sort_by(|a, b| {
             b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
         });
         scored.truncate(k);
         scored
+    }
+
+    /// Classifier `C`'s cached friend probability for `pair`; for the
+    /// never-co-located residue, the zero-JOC stand-in, exactly what
+    /// candidate pruning scored it as.
+    fn probability(&self, pair: UserPair) -> f64 {
+        match self.pairs.binary_search(&pair) {
+            Ok(i) => self.p1_proba[i],
+            Err(_) => self.residue_probability,
+        }
     }
 
     /// Rejects any batch member the trained division cannot place in time,
@@ -431,16 +386,6 @@ impl IncrementalAttack {
             residue_probability: self.residue_probability,
             residue_predicted_friend: self.residue_predicted_friend,
         }
-    }
-
-    /// Full-ingest escape hatch: rerun the reference attack end-to-end on
-    /// the current dataset (no incremental state is consulted or kept).
-    fn recompute_reference(&mut self) -> Result<()> {
-        self.last = match self.opts.n_shards {
-            Some(n) => self.attack.infer_sharded(&self.dataset, n)?,
-            None => self.attack.infer(&self.dataset)?,
-        };
-        Ok(())
     }
 }
 
@@ -580,20 +525,6 @@ mod tests {
             iterations.windows(2).any(|w| w[0] < w[1]),
             "no run outlasted the run it resumed: {iterations:?}"
         );
-    }
-
-    #[test]
-    fn full_ingest_hatch_matches_incremental() {
-        let (trained, target, initial, tail) = setup();
-        let mut hatch = IncrementalAttack::new(
-            trained.clone(),
-            initial.clone(),
-            IncrementalOptions { full_ingest: true, ..Default::default() },
-        )
-        .unwrap();
-        hatch.ingest(tail).unwrap();
-        let reference = trained.infer(target).unwrap();
-        assert_same_result(hatch.result(), &reference);
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //! One private driver (`refine`) runs that loop for training and for every
 //! inference entry point. It is parameterized by the rows an iteration
 //! rescores and by a scorer. Refinement is *delta-driven*: a pair's
-//! composite feature reads only its k-hop reachable subgraph, and every
-//! vertex of a length-≤k simple path between the endpoints lies within
-//! distance `k − 1` of each endpoint. So after the edge diff `Gⁱ Δ Gⁱ⁻¹` is
-//! known, only pairs with **both** endpoints inside the BFS-`(k − 1)`
-//! influence set of a changed edge can change (`dirty_rows`). Training
+//! composite feature reads only its own presence row and the simple paths
+//! of length `2..=k` between its endpoints. So after the edge diff
+//! `Gⁱ Δ Gⁱ⁻¹` is known, only pairs with a changed edge `{u, v}` on such a
+//! path can change, which needs `d(a, u) + 1 + d(v, b) ≤ k` (`dirty_rows`,
+//! a path-length budget over BFS depths from the diff). Training
 //! refits `C'` every iteration over a feature cache that recomputes just
 //! those rows; inference keeps `C'` frozen, so a clean row keeps its
 //! previous *prediction* and only dirty rows are re-extracted and
@@ -73,15 +73,24 @@ impl IterationTrace {
 }
 
 /// The sorted indices of the pairs whose composite feature can differ
-/// between graphs `prev` and `next`: pairs with both endpoints within BFS
-/// depth `k − 1` (over the union adjacency) of a changed-edge endpoint or
-/// of a `seed_users` vertex, a user whose presence rows changed, plus every
-/// `force_rows` index, a pair whose own presence row changed.
+/// between graphs `prev` and `next`: the [`seeker_graph::reachable_rows`]
+/// of the edge diff and of `seed_users` (users whose presence rows
+/// changed), plus every `force_rows` index (a pair whose own presence row
+/// changed, which must include every pair with an endpoint in
+/// `seed_users`).
 ///
-/// Soundness: a composite feature reads its own pair's presence row and
-/// those of the edges on length-≤k paths between the endpoints, and every
-/// vertex of such a path lies within distance `k − 1` of both endpoints.
-/// Any other pair sees the same k-hop trace and the same rows in both.
+/// Soundness: a composite feature depends on three things only: the pair's
+/// own presence row, the set of simple a–b paths of length `2..=k`, and
+/// the presence rows of the edges on those paths. The k-hop extraction's
+/// shortest-first consumption and its DFS order are both functions of that
+/// path set, because a chord of such a path lies on a shorter one. A
+/// changed edge `{u, v}` lies on such a path only if
+/// `d(a, u) + 1 + d(v, b) ≤ k`, and a changed presence row belongs to an
+/// edge with an endpoint `w` in `seed_users`, which lies on such a path only
+/// if `d(a, w) + d(w, b) ≤ k` (a pair new to the universe is a changed
+/// edge wherever it is one). Any other pair reads the same paths and the
+/// same rows in both, so its feature carries over, and under a frozen `C'`
+/// so does its prediction.
 pub(crate) fn dirty_rows(
     prev: &SocialGraph,
     next: &SocialGraph,
@@ -90,13 +99,12 @@ pub(crate) fn dirty_rows(
     seed_users: &[UserId],
     force_rows: &[usize],
 ) -> Vec<usize> {
-    let diff = seeker_graph::changed_edges(prev, next);
-    let reach =
-        seeker_graph::influence_set_seeded(prev, next, &diff, seed_users, k.saturating_sub(1));
-    let mut dirty: Vec<usize> = (0..pairs.len())
-        .filter(|&i| reach[pairs[i].lo().index()] && reach[pairs[i].hi().index()])
-        .chain(force_rows.iter().copied())
-        .collect();
+    let reached = seeker_graph::reachable_rows(prev, next, pairs, k, seed_users);
+    seeker_obs::counter!("phase2.refine.edge_rows", reached.by_edges as u64);
+    seeker_obs::counter!("phase2.refine.user_rows", reached.by_vertices as u64);
+    seeker_obs::counter!("phase2.refine.force_rows", force_rows.len() as u64);
+    let mut dirty = reached.rows;
+    dirty.extend_from_slice(force_rows);
     dirty.sort_unstable();
     dirty.dedup();
     dirty
@@ -198,6 +206,14 @@ pub(crate) enum Rows<'a> {
     Warm { prev: &'a IterationTrace, seed_users: &'a [UserId], force_rows: &'a [usize] },
 }
 
+/// The most rows the frozen scorer extracts and scores in one batch. A
+/// batch's transient memory is its composite features and their scaled
+/// copy, two vectors of `composite_feature_dim` floats per row, so a cold
+/// inference holds one block of them, not one per universe row. Scoring is
+/// row-pure, so the block changes no output bit. It stays above the
+/// per-shard chunks of a sharded 10k-user inference (~5k rows).
+const SCORE_BLOCK: usize = 16_384;
+
 /// Where the frozen scorer reads presence rows from.
 #[derive(Clone, Copy)]
 enum Presence<'a> {
@@ -223,8 +239,8 @@ enum Scorer<'a> {
         fitted: Option<(StandardScaler, Svm)>,
     },
     /// Inference: `C'` is frozen, so only the dirty rows are re-extracted
-    /// and re-scored, `n_chunks` batches at a time; every clean row keeps
-    /// its prediction.
+    /// and re-scored, in at least `n_chunks` batches of at most
+    /// [`SCORE_BLOCK`] rows; every clean row keeps its prediction.
     Frozen { model: &'a Phase2Model, presence: Presence<'a>, n_chunks: usize },
 }
 
@@ -243,12 +259,17 @@ impl Scorer<'_> {
         match self {
             Scorer::Refit { svm_cfg, store, cal_idx, cal_labels, cache, fitted } => {
                 let compute = |g: &SocialGraph, p: UserPair| composite_feature(g, p, k, store);
-                // A cold first iteration (every row dirty) builds the cache in full.
-                if let Some(c) = cache {
-                    c.recompute(graph, pairs, dirty, &compute);
-                }
-                let cache = cache.get_or_insert_with(|| FeatureCache::full(graph, pairs, &compute));
-                let features = cache.features();
+                let features = {
+                    let _span = seeker_obs::span!("phase2.refine.features");
+                    // A cold first iteration (every row dirty) builds the cache in full.
+                    if let Some(c) = cache {
+                        c.recompute(graph, pairs, dirty, &compute);
+                    }
+                    cache
+                        .get_or_insert_with(|| FeatureCache::full(graph, pairs, &compute))
+                        .features()
+                };
+                let _span = seeker_obs::span!("phase2.refine.svm");
                 let cal_features: Vec<Vec<f32>> =
                     cal_idx.iter().map(|&i| features[i].clone()).collect();
                 let (scaler, cal_scaled) = StandardScaler::fit_transform(&cal_features);
@@ -269,7 +290,8 @@ impl Scorer<'_> {
                         (!edges.is_empty()).then(|| FeatureStore::build(phase1, target, &edges))
                     }
                 };
-                for range in seeker_spatial::shard_ranges(dirty.len(), *n_chunks) {
+                let n_chunks = (*n_chunks).max(dirty.len().div_ceil(SCORE_BLOCK));
+                for range in seeker_spatial::shard_ranges(dirty.len(), n_chunks) {
                     let rows = &dirty[range];
                     if rows.is_empty() {
                         continue;
@@ -289,10 +311,16 @@ impl Scorer<'_> {
                             &chunk_store
                         }
                     };
-                    let features = seeker_par::par_map_cost(rows, seeker_par::Cost::Heavy, |&i| {
-                        composite_feature(graph, pairs[i], k, store)
-                    });
-                    let fresh = model.svm.predict(&model.scaler.transform(&features));
+                    let features = {
+                        let _span = seeker_obs::span!("phase2.refine.features");
+                        seeker_par::par_map_cost(rows, seeker_par::Cost::Heavy, |&i| {
+                            composite_feature(graph, pairs[i], k, store)
+                        })
+                    };
+                    let fresh = {
+                        let _span = seeker_obs::span!("phase2.refine.svm");
+                        model.svm.predict(&model.scaler.transform(&features))
+                    };
                     for (&i, p) in rows.iter().zip(fresh) {
                         preds[i] = p;
                     }
@@ -332,20 +360,27 @@ fn refine(
     for t in 0..budget {
         let _iter_span = seeker_obs::span!(iter_span);
         let graph = &trace.graphs[t];
-        let dirty = match rows {
-            Rows::All => (0..pairs.len()).collect(),
-            Rows::Warm { prev, seed_users, force_rows } if t < prev.n_iterations() => {
-                edge_membership(&prev.graphs[t + 1], pairs, &mut preds);
-                dirty_rows(&prev.graphs[t], graph, pairs, cfg.k_hop, seed_users, force_rows)
+        let dirty = {
+            let _span = seeker_obs::span!("phase2.refine.dirty_rows");
+            match rows {
+                Rows::All => (0..pairs.len()).collect(),
+                Rows::Warm { prev, seed_users, force_rows } if t < prev.n_iterations() => {
+                    edge_membership(&prev.graphs[t + 1], pairs, &mut preds);
+                    dirty_rows(&prev.graphs[t], graph, pairs, cfg.k_hop, seed_users, force_rows)
+                }
+                _ if t > 0 => dirty_rows(&trace.graphs[t - 1], graph, pairs, cfg.k_hop, &[], &[]),
+                _ => (0..pairs.len()).collect(),
             }
-            _ if t > 0 => dirty_rows(&trace.graphs[t - 1], graph, pairs, cfg.k_hop, &[], &[]),
-            _ => (0..pairs.len()).collect(),
         };
         seeker_obs::counter!("phase2.refine.dirty_pairs", dirty.len() as u64);
         scorer.rescore(cfg.k_hop, graph, pairs, &dirty, &mut preds);
-        let next = graph_from_predictions(graph.n_vertices(), pairs, &preds);
-        let change = graph.change_ratio(&next);
-        seeker_obs::counter!("phase2.edge_churn", graph.edge_difference(&next) as u64);
+        let (next, change) = {
+            let _span = seeker_obs::span!("phase2.refine.graph");
+            let next = graph_from_predictions(graph.n_vertices(), pairs, &preds);
+            let change = graph.change_ratio(&next);
+            seeker_obs::counter!("phase2.edge_churn", graph.edge_difference(&next) as u64);
+            (next, change)
+        };
         seeker_obs::gauge!(edges_gauge, next.n_edges());
         seeker_obs::gauge!(ratio_gauge, change);
         trace.graphs.push(next);
@@ -551,8 +586,8 @@ impl Phase2Model {
     /// edges of `prev.graphs[t + 1]`), and rescores the `force_rows` plus
     /// every row whose k-hop trace could differ between the two graphs:
     /// through an edge of `prev.graphs[t] Δ Gᵗ`, or through a dirty user on
-    /// one of its ≤k-length paths, which the seeded influence BFS of
-    /// [`dirty_rows`] catches. Every other row reads unchanged presence
+    /// one of its ≤k-length paths, which the path-length budgets of
+    /// [`dirty_rows`] catch. Every other row reads unchanged presence
     /// rows over an unchanged subgraph, and `C'` is frozen, so `prev`'s
     /// prediction is exact for it. Past `prev`'s last iteration the run
     /// diffs against its own previous iteration, as [`Phase2Model::infer`]

@@ -1,4 +1,4 @@
-//! Gates the work warm refinement does for one small ingested frame: the
+//! Gates the work warm refinement does for small ingested frames: the
 //! rows it rescores (`phase2.refine.dirty_pairs`) per universe row per
 //! iteration.
 //!
@@ -6,7 +6,13 @@
 //! previous run, so it rescores what the frame touched, a few percent of
 //! the universe here. A resume that diffs against the previous run's
 //! *last* scored graph instead pays the whole `G⁰ → Gᶠ` refinement churn
-//! again on every frame, and reads 0.45 on this world.
+//! again on every frame, and reads 0.45 on the first frame.
+//!
+//! Over ten consecutive frames the rows rescored are those whose paths of
+//! length ≤ k a change can reach (a path-length budget over BFS depths):
+//! 11,614 rows, 0.017 per row per iteration. The rule before it marked
+//! every pair with both endpoints near some change and read 32,737 rows,
+//! 0.047.
 //!
 //! Counters are global atomics, so this lives in its own integration-test
 //! binary (its own process) where no other test bumps them, under an
@@ -19,6 +25,13 @@ use seeker_trace::CheckIn;
 
 /// Rescored rows per universe row per iteration, for one frame.
 const MAX_DIRTY_FRACTION: f64 = 0.2;
+
+/// Consecutive 20-check-in frames in the second measurement; the first is
+/// the frame the one-frame bound reads.
+const FRAMES: usize = 10;
+
+/// Rescored rows per universe row per iteration, over all [`FRAMES`].
+const MAX_FRAMES_DIRTY_FRACTION: f64 = 0.03;
 
 #[test]
 fn one_frame_rescores_a_small_share_of_the_universe() {
@@ -48,22 +61,35 @@ fn one_frame_rescores_a_small_share_of_the_universe() {
     }
     withheld.sort_by_key(|c| c.time);
     let mid = withheld.len() / 2;
-    let frame = &withheld[mid..mid + 20];
     let initial = target.with_checkins(kept).unwrap();
     let mut session =
         IncrementalAttack::new(attack, initial, IncrementalOptions::default()).unwrap();
 
-    let before = counter_value("phase2.refine.dirty_pairs");
-    session.ingest(frame).unwrap();
-    let dirty = counter_value("phase2.refine.dirty_pairs") - before;
-    let universe = session.result().pairs.len();
-    let iterations = session.result().trace.n_iterations();
-    assert!(iterations >= 2, "the frame's run must refine for at least 2 iterations");
-    let fraction = dirty as f64 / (universe * iterations) as f64;
+    let (mut total_dirty, mut total_rows) = (0u64, 0usize);
+    for (i, frame) in withheld[mid..mid + FRAMES * 20].chunks(20).enumerate() {
+        let before = counter_value("phase2.refine.dirty_pairs");
+        session.ingest(frame).unwrap();
+        let dirty = counter_value("phase2.refine.dirty_pairs") - before;
+        let universe = session.result().pairs.len();
+        let iterations = session.result().trace.n_iterations();
+        if i == 0 {
+            assert!(iterations >= 2, "the frame's run must refine for at least 2 iterations");
+            let fraction = dirty as f64 / (universe * iterations) as f64;
+            assert!(
+                fraction < MAX_DIRTY_FRACTION,
+                "one {}-check-in frame rescored {dirty} rows over {iterations} iterations of a \
+                 {universe}-pair universe: {fraction:.3} per row per iteration, bound \
+                 {MAX_DIRTY_FRACTION}",
+                frame.len()
+            );
+        }
+        total_dirty += dirty;
+        total_rows += universe * iterations;
+    }
+    let fraction = total_dirty as f64 / total_rows as f64;
     assert!(
-        fraction < MAX_DIRTY_FRACTION,
-        "one {}-check-in frame rescored {dirty} rows over {iterations} iterations of a \
-         {universe}-pair universe: {fraction:.3} per row per iteration, bound {MAX_DIRTY_FRACTION}",
-        frame.len()
+        fraction < MAX_FRAMES_DIRTY_FRACTION,
+        "{FRAMES} frames rescored {total_dirty} rows of {total_rows} universe rows over their \
+         iterations: {fraction:.4} per row per iteration, bound {MAX_FRAMES_DIRTY_FRACTION}"
     );
 }

@@ -55,17 +55,21 @@ impl KHopSubgraph {
         // input graph minus this sorted set: O(paths found), not O(users).
         let mut consumed: Vec<UserId> = Vec::new();
         let mut paths_by_len: BTreeMap<usize, Vec<Vec<UserId>>> = BTreeMap::new();
+        let mut n_paths = 0usize;
 
         for l in 2..=k {
             let found = paths_of_length(graph, &consumed, a, b, l);
             if found.is_empty() {
                 continue;
             }
+            n_paths += found.len();
             consumed.extend(found.iter().flat_map(|path| path[1..path.len() - 1].iter().copied()));
             consumed.sort_unstable();
             consumed.dedup();
             paths_by_len.insert(l, found);
         }
+        // The composite feature reads one presence row per edge of these.
+        seeker_obs::counter!("graph.khop.paths", n_paths as u64);
         #[cfg(debug_assertions)]
         {
             // Theorem 1: interior vertices consumed at length l are disabled

@@ -26,8 +26,8 @@ mod graph;
 pub mod heuristics;
 mod khop;
 
-/// Edge-set diffs and dirty-vertex influence sets for incremental refinement.
-pub use delta::{changed_edges, influence_set, influence_set_seeded};
+/// Edge-set diffs and the pairs a change can reach, for incremental refinement.
+pub use delta::{changed_edges, reachable_rows, ReachableRows};
 /// Undirected friendship graph with O(1) edge tests.
 pub use graph::SocialGraph;
 /// k-hop reachable subgraphs (Definition 6, Theorem 1).

@@ -5,7 +5,8 @@
 //! tag, has well-formed `events` / `spans` / `counters` sections, and
 //! contains the per-stage span names and counters the instrumented attack
 //! pipeline is contractually required to emit (quadtree build, JOC
-//! batching, encoder fit, SVM fit, each refinement iteration).
+//! batching, encoder fit, SVM fit, each refinement iteration and its four
+//! steps).
 //!
 //! Usage: `check_obs_json [path]` (default `results/OBS_run.json`).
 //! Exits 0 when valid, 1 with a diagnostic on stderr otherwise.
@@ -25,6 +26,10 @@ const REQUIRED_SPANS: &[&str] = &[
     "nn.autoencoder.fit",
     "ml.svm.fit",
     "phase2.infer.iter",
+    "phase2.refine.dirty_rows",
+    "phase2.refine.features",
+    "phase2.refine.svm",
+    "phase2.refine.graph",
 ];
 
 /// Gauge event names the refinement loop must have emitted per iteration.

@@ -62,13 +62,6 @@ pub const VARS: &[VarSpec] = &[
         description: "Regression threshold: minimum speedup for `bench_par`, memory ceiling (MiB) for `bench_scale`.",
     },
     VarSpec {
-        name: "SEEKER_FULL_INGEST",
-        kind: "1|true",
-        default: "delta-driven incremental ingestion",
-        consumer: "friendseeker",
-        description: "Escape hatch: incremental sessions rebuild all state from scratch on every ingest batch.",
-    },
-    VarSpec {
         name: "SEEKER_LOG",
         kind: "off|summary|trace",
         default: "summary",
