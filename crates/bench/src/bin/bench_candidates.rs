@@ -18,11 +18,10 @@
 //! real social graphs — the paper's setting — are sparse (mean degree ≈ 5
 //! here), and the attack's accuracy contract means a converged prediction is
 //! sparse too. The tiny-world phase-1 calibration over-predicts, producing
-//! an unrealistically dense G⁰ in which a changed edge reaches nearly every
-//! pair within the path-length budget; we still *count* the dirty pairs in
-//! that dense regime and record the number as an honest worst case
-//! (`dense_g0_dirty_pairs`), where the refresh degrades to a full recompute
-//! plus two cheap BFS passes.
+//! an unrealistically dense G⁰ in which one changed edge reaches about half
+//! of the pairs within the path-length budget; we still *count* the dirty
+//! pairs in that dense regime and record the number as an honest worst case
+//! (`dense_g0_dirty_pairs`).
 //!
 //! The end-to-end `infer` vs `infer_full` wall clock is a secondary,
 //! expensive statistic (it dilutes the per-iteration win with the shared
@@ -36,7 +35,7 @@ use std::time::Instant;
 use friendseeker::features::{composite_feature, FeatureStore};
 use friendseeker::pairs::all_pairs;
 use seeker_bench::report::results_dir;
-use seeker_graph::{reachable_rows, SocialGraph};
+use seeker_graph::{reachable_rows, PairIndex, SocialGraph, REACH_WORK_PER_PAIR};
 use seeker_trace::synth::{generate, SyntheticConfig};
 
 /// Timing repetitions; the minimum is reported (least-noise statistic).
@@ -93,6 +92,7 @@ fn main() {
     // -- 2. Per-iteration refresh: dirty-pair vs full recompute ---------
     let pairs = all_pairs(&target).expect("universe fits");
     let store = FeatureStore::build(trained.phase1(), &target, &pairs);
+    let index = PairIndex::new(&pairs);
     let graph = SocialGraph::from_edges(target.n_users(), target.friendships());
     // Converged-regime diff: toggle one edge (< 1 % of edges by far).
     let mut next = graph.clone();
@@ -107,7 +107,7 @@ fn main() {
     let (incr_ms, incr_feats) = time_min(|| {
         let mut feats = seeker_par::par_map(&pairs, |&p| composite_feature(&graph, p, k, &store));
         let t0 = Instant::now();
-        let dirty = reachable_rows(&graph, &next, &pairs, k, &[]).rows;
+        let dirty = reachable_rows(&graph, &next, &index, k, &[], REACH_WORK_PER_PAIR).rows;
         let fresh = seeker_par::par_map(&dirty, |&i| composite_feature(&next, pairs[i], k, &store));
         for (&i, f) in dirty.iter().zip(fresh) {
             feats[i] = f;
@@ -125,13 +125,13 @@ fn main() {
     );
 
     // Worst case for the record: the same 1-edge diff against the dense
-    // over-predicted G⁰, where the path-length budget reaches ~everything.
+    // over-predicted G⁰, where the edge's budget reaches about half the pairs.
     let g0 = trained.phase1().predict_graph(&target, &pairs);
     let mut g0_next = g0.clone();
     if !g0_next.add_edge(toggle) {
         g0_next.remove_edge(toggle);
     }
-    let dense_dirty = reachable_rows(&g0, &g0_next, &pairs, k, &[]).rows.len();
+    let dense_dirty = reachable_rows(&g0, &g0_next, &index, k, &[], REACH_WORK_PER_PAIR).rows.len();
     eprintln!("  dense-G0 worst case: {dense_dirty} of {} pairs dirty", pairs.len());
 
     // -- 3. End-to-end infer vs infer_full (secondary, opt-in) ----------

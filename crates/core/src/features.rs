@@ -7,7 +7,7 @@
 //! `d`-block, and the blocks of lengths `2..=k` are concatenated. The
 //! composite feature `v = h_(a,b) ⊕ s_(a,b)` is what classifier `C'` sees.
 
-use seeker_graph::{KHopSubgraph, SocialGraph};
+use seeker_graph::{KHopSubgraph, PairIndex, SocialGraph};
 use seeker_nn::Matrix;
 use seeker_trace::{Dataset, UserPair};
 
@@ -20,11 +20,11 @@ use crate::phase1::Phase1Model;
 /// so one batched encoding pass up front serves all iterations.
 #[derive(Debug, Clone)]
 pub struct FeatureStore {
-    // Sorted by pair for binary-search lookup. A hash index would be O(1)
-    // instead of O(log n), but its iteration order is nondeterministic
-    // (no-hash-iter). Lookup is on the phase-2 hot path, once per edge of
-    // every collected path, so a faster index would show there.
-    index: Vec<(UserPair, usize)>,
+    // Pair → feature row. A lookup searches the run of the pair's `lo`
+    // user, not the whole universe. A hash index would iterate in a
+    // nondeterministic order (no-hash-iter). Lookup is on the phase-2 hot
+    // path, once per edge of every collected path.
+    index: PairIndex,
     features: Matrix,
 }
 
@@ -36,14 +36,8 @@ impl FeatureStore {
     /// Panics if `pairs` is empty or contains duplicates.
     pub fn build(model: &Phase1Model, ds: &Dataset, pairs: &[UserPair]) -> Self {
         let _span = seeker_obs::span!("core.features.build");
-        let features = model.features(ds, pairs);
-        let mut index: Vec<(UserPair, usize)> =
-            pairs.iter().enumerate().map(|(i, &p)| (p, i)).collect();
-        index.sort_unstable();
-        for w in index.windows(2) {
-            assert!(w[0].0 != w[1].0, "duplicate pair {} in feature store", w[1].0);
-        }
-        FeatureStore { index, features }
+        let index = PairIndex::new(pairs);
+        FeatureStore { index, features: model.features(ds, pairs) }
     }
 
     /// The feature dimension `d`.
@@ -63,10 +57,7 @@ impl FeatureStore {
 
     /// The presence feature of `pair`, if it is part of the universe.
     pub fn get(&self, pair: UserPair) -> Option<&[f32]> {
-        self.index
-            .binary_search_by_key(&pair, |&(p, _)| p)
-            .ok()
-            .map(|slot| self.features.row(self.index[slot].1))
+        self.index.get(pair).map(|row| self.features.row(row))
     }
 
     /// Merges two stores built from the same model and dataset into one
@@ -89,9 +80,10 @@ impl FeatureStore {
             index.push((pair, index.len()));
             data.extend_from_slice(row);
         };
+        let (ours, theirs) = (self.index.entries(), other.index.entries());
         let (mut i, mut j) = (0usize, 0usize);
-        while i < self.index.len() || j < other.index.len() {
-            match (self.index.get(i), other.index.get(j)) {
+        while i < ours.len() || j < theirs.len() {
+            match (ours.get(i), theirs.get(j)) {
                 (Some(&(pa, ra)), Some(&(pb, _))) if pa < pb => {
                     push(pa, self.features.row(ra));
                     i += 1;
@@ -113,7 +105,10 @@ impl FeatureStore {
             }
         }
         let rows = index.len();
-        FeatureStore { index, features: Matrix::from_vec(rows, d, data) }
+        FeatureStore {
+            index: PairIndex::from_entries(index),
+            features: Matrix::from_vec(rows, d, data),
+        }
     }
 }
 
@@ -267,6 +262,54 @@ mod tests {
         for &p in sub {
             assert_eq!(cd.get(p).unwrap(), dc.get(p).unwrap());
         }
+    }
+
+    /// Checks `store.get` against a linear search of `pairs`, whose
+    /// features are the rows of `rows`, for every pair of `pairs` and for
+    /// every other pair over the first `n` users: those absent from the
+    /// store have a `lo` before its first run, inside a run, or past its
+    /// last run.
+    fn assert_get_matches_linear_search(
+        store: &FeatureStore,
+        pairs: &[UserPair],
+        rows: &Matrix,
+        n: u32,
+    ) {
+        assert_eq!(store.len(), pairs.len());
+        for a in 0..n {
+            for b in a + 1..n {
+                let p = UserPair::new(UserId::new(a), UserId::new(b));
+                let linear = pairs.iter().position(|&q| q == p).map(|i| rows.row(i));
+                assert_eq!(store.get(p), linear, "{p}");
+            }
+        }
+    }
+
+    #[test]
+    fn get_matches_a_linear_search_on_built_and_merged_stores() {
+        let (ds, model, pairs) = setup();
+        // Users 3..12, every other pair, in reverse: runs start after user
+        // 0, leave holes inside, and end before the last user looked up.
+        let mut sub: Vec<UserPair> = pairs
+            .iter()
+            .copied()
+            .filter(|p| (3..12).contains(&p.lo().raw()) && p.hi().raw() < 20)
+            .step_by(2)
+            .collect();
+        sub.reverse();
+        assert!(sub.len() > 40);
+        let rows = model.features(ds, &sub);
+        let built = FeatureStore::build(model, ds, &sub);
+        assert_get_matches_linear_search(&built, &sub, &rows, 24);
+        // Overlapping and disjoint merges hold the same rows.
+        let (head, tail) = (&sub[..sub.len() / 2 + 5], &sub[sub.len() / 2 - 5..]);
+        let a = FeatureStore::build(model, ds, head);
+        let b = FeatureStore::build(model, ds, tail);
+        assert_get_matches_linear_search(&a.merged(&b), &sub, &rows, 24);
+        assert_get_matches_linear_search(&b.merged(&a), &sub, &rows, 24);
+        let (c, d) = sub.split_at(sub.len() / 3);
+        let merged = FeatureStore::build(model, ds, d).merged(&FeatureStore::build(model, ds, c));
+        assert_get_matches_linear_search(&merged, &sub, &rows, 24);
     }
 
     #[test]

@@ -287,14 +287,7 @@ impl Phase1Model {
     /// The initial social graph `G⁰`: an edge for every pair predicted as
     /// friends.
     pub fn predict_graph(&self, ds: &Dataset, pairs: &[UserPair]) -> SocialGraph {
-        let preds = self.predict(ds, pairs);
-        let mut g = SocialGraph::new(ds.n_users());
-        for (&pair, &is_friend) in pairs.iter().zip(preds.iter()) {
-            if is_friend {
-                g.add_edge(pair);
-            }
-        }
-        g
+        crate::phase2::graph_from_predictions(ds.n_users(), pairs, &self.predict(ds, pairs))
     }
 }
 

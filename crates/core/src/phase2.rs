@@ -14,14 +14,15 @@
 //! of length `2..=k` between its endpoints. So after the edge diff
 //! `Gⁱ Δ Gⁱ⁻¹` is known, only pairs with a changed edge `{u, v}` on such a
 //! path can change, which needs `d(a, u) + 1 + d(v, b) ≤ k` (`dirty_rows`,
-//! a path-length budget over BFS depths from the diff). Training
-//! refits `C'` every iteration over a feature cache that recomputes just
-//! those rows; inference keeps `C'` frozen, so a clean row keeps its
+//! a path-length budget spent per changed edge over BFS depths from its
+//! endpoints). Training refits `C'` every iteration over a feature cache
+//! that recomputes just those rows; inference keeps `C'` frozen, so a
+//! clean row keeps its
 //! previous *prediction* and only dirty rows are re-extracted and
 //! re-scored. `TrainedAttack::infer_pairs_full` rescores every row every
 //! iteration; the candidate contract test pins both to identical output.
 
-use seeker_graph::SocialGraph;
+use seeker_graph::{PairIndex, SocialGraph, REACH_WORK_PER_PAIR};
 use seeker_ml::{Kernel, StandardScaler, Svm};
 use seeker_trace::{Dataset, UserId, UserPair};
 
@@ -77,7 +78,9 @@ impl IterationTrace {
 /// of the edge diff and of `seed_users` (users whose presence rows
 /// changed), plus every `force_rows` index (a pair whose own presence row
 /// changed, which must include every pair with an endpoint in
-/// `seed_users`).
+/// `seed_users`). `index` maps each pair to its row; `work_per_pair` is
+/// the per-source enumeration's work limit
+/// ([`seeker_graph::REACH_WORK_PER_PAIR`] in refinement).
 ///
 /// Soundness: a composite feature depends on three things only: the pair's
 /// own presence row, the set of simple a–b paths of length `2..=k`, and
@@ -94,15 +97,19 @@ impl IterationTrace {
 pub(crate) fn dirty_rows(
     prev: &SocialGraph,
     next: &SocialGraph,
-    pairs: &[UserPair],
+    index: &PairIndex,
     k: usize,
     seed_users: &[UserId],
     force_rows: &[usize],
+    work_per_pair: usize,
 ) -> Vec<usize> {
-    let reached = seeker_graph::reachable_rows(prev, next, pairs, k, seed_users);
+    let reached = seeker_graph::reachable_rows(prev, next, index, k, seed_users, work_per_pair);
     seeker_obs::counter!("phase2.refine.edge_rows", reached.by_edges as u64);
     seeker_obs::counter!("phase2.refine.user_rows", reached.by_vertices as u64);
     seeker_obs::counter!("phase2.refine.force_rows", force_rows.len() as u64);
+    if reached.multi_source {
+        seeker_obs::counter!("phase2.refine.dense_diffs", 1);
+    }
     let mut dirty = reached.rows;
     dirty.extend_from_slice(force_rows);
     dirty.sort_unstable();
@@ -164,7 +171,8 @@ impl FeatureCache {
     where
         F: Fn(&SocialGraph, UserPair) -> Vec<f32> + Sync,
     {
-        let dirty = dirty_rows(&self.graph, graph, pairs, k, &[], &[]);
+        let index = PairIndex::new(pairs);
+        let dirty = dirty_rows(&self.graph, graph, &index, k, &[], &[], REACH_WORK_PER_PAIR);
         self.recompute(graph, pairs, &dirty, compute);
         self.graph.clone_from(graph);
         dirty
@@ -357,19 +365,29 @@ fn refine(
     };
     let mut preds = vec![false; pairs.len()];
     let mut trace = IterationTrace { graphs: vec![g0], change_ratios: Vec::new(), converged: idle };
+    // The pair → row index of `dirty_rows`, built on its first call.
+    let mut index = None;
     for t in 0..budget {
         let _iter_span = seeker_obs::span!(iter_span);
         let graph = &trace.graphs[t];
         let dirty = {
             let _span = seeker_obs::span!("phase2.refine.dirty_rows");
-            match rows {
-                Rows::All => (0..pairs.len()).collect(),
+            // The graph this iteration diffs against, with the data dirt.
+            let since = match rows {
+                Rows::All => None,
                 Rows::Warm { prev, seed_users, force_rows } if t < prev.n_iterations() => {
                     edge_membership(&prev.graphs[t + 1], pairs, &mut preds);
-                    dirty_rows(&prev.graphs[t], graph, pairs, cfg.k_hop, seed_users, force_rows)
+                    Some((&prev.graphs[t], seed_users, force_rows))
                 }
-                _ if t > 0 => dirty_rows(&trace.graphs[t - 1], graph, pairs, cfg.k_hop, &[], &[]),
-                _ => (0..pairs.len()).collect(),
+                _ if t > 0 => Some((&trace.graphs[t - 1], &[][..], &[][..])),
+                _ => None,
+            };
+            match since {
+                None => (0..pairs.len()).collect(),
+                Some((prev, users, force)) => {
+                    let index = index.get_or_insert_with(|| PairIndex::new(pairs));
+                    dirty_rows(prev, graph, index, cfg.k_hop, users, force, REACH_WORK_PER_PAIR)
+                }
             }
         };
         seeker_obs::counter!("phase2.refine.dirty_pairs", dirty.len() as u64);
@@ -377,9 +395,12 @@ fn refine(
         let (next, change) = {
             let _span = seeker_obs::span!("phase2.refine.graph");
             let next = graph_from_predictions(graph.n_vertices(), pairs, &preds);
-            let change = graph.change_ratio(&next);
-            seeker_obs::counter!("phase2.edge_churn", graph.edge_difference(&next) as u64);
-            (next, change)
+            // `change_ratio` to the bit, from one walk of the two edge sets:
+            // |A ∪ B| = (|A| + |B| + |A Δ B|) / 2.
+            let diff = graph.edge_difference(&next);
+            let union = (graph.n_edges() + next.n_edges() + diff) / 2;
+            seeker_obs::counter!("phase2.edge_churn", diff as u64);
+            (next, diff as f64 / union.max(1) as f64)
         };
         seeker_obs::gauge!(edges_gauge, next.n_edges());
         seeker_obs::gauge!(ratio_gauge, change);
@@ -658,13 +679,8 @@ impl Phase2Model {
 /// this is how misidentified close-range strangers drop out of the graph.
 pub fn graph_from_predictions(n_users: usize, pairs: &[UserPair], preds: &[bool]) -> SocialGraph {
     assert_eq!(pairs.len(), preds.len(), "pair/prediction count mismatch");
-    let mut g = SocialGraph::new(n_users);
-    for (&pair, &friend) in pairs.iter().zip(preds.iter()) {
-        if friend {
-            g.add_edge(pair);
-        }
-    }
-    g
+    let friends = pairs.iter().zip(preds).filter(|(_, &friend)| friend).map(|(&pair, _)| pair);
+    SocialGraph::from_edges(n_users, friends)
 }
 
 /// The Fig. 5 statistic: per-pair counts of length-`l` paths between
@@ -866,9 +882,11 @@ mod tests {
         // Iteration t > 1 rescores the dirty rows of the diff between the
         // graphs scored at t - 2 and t - 1.
         let scored = &reference.graphs[..reference.n_iterations()];
+        let index = PairIndex::new(pairs);
         let dirty: Vec<usize> = scored
             .windows(2)
-            .map(|w| dirty_rows(&w[0], &w[1], pairs, cfg.k_hop, &[], &[]).len())
+            .map(|w| dirty_rows(&w[0], &w[1], &index, cfg.k_hop, &[], &[], REACH_WORK_PER_PAIR))
+            .map(|rows| rows.len())
             .collect();
         assert!(
             dirty.iter().any(|&d| d < pairs.len()),

@@ -6,7 +6,7 @@
 use std::collections::VecDeque;
 
 use proptest::prelude::*;
-use seeker_graph::{KHopSubgraph, SocialGraph};
+use seeker_graph::{KHopSubgraph, PairIndex, SocialGraph};
 use seeker_trace::{UserId, UserPair};
 
 use crate::phase2::{dirty_rows, path_count_profile, FeatureCache};
@@ -112,7 +112,7 @@ fn arb_change(max_n: usize) -> impl Strategy<Value = (SocialGraph, SocialGraph, 
     })
 }
 
-/// The rule [`dirty_rows`] replaced: both endpoints within BFS depth
+/// The rule before the path-length budget: both endpoints within BFS depth
 /// `k − 1`, over the union adjacency, of a changed-edge endpoint or a dirty
 /// user, plus the force rows.
 fn both_endpoints_in_ball(
@@ -158,23 +158,29 @@ fn both_endpoints_in_ball(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// `dirty_rows` is sound and no larger than the rule it replaced: it
-    /// marks every pair whose k-hop subgraph differs between the two graphs
-    /// or passes through a dirty user in either, and it marks only pairs
-    /// whose endpoints both lie in the old rule's ball. Force rows are the
-    /// pairs with a dirty endpoint, as `IncrementalAttack::ingest` passes
-    /// them.
+    /// `dirty_rows` is sound under both rules, and each is no larger than
+    /// the one before it. Per source (an unbounded work limit) and by
+    /// multi-source depths (a limit of 0), it marks every pair whose k-hop
+    /// subgraph differs between the two graphs or passes through a dirty
+    /// user in either. The per-source rows are a subset of the
+    /// multi-source rows, and those mark only pairs whose endpoints both
+    /// lie in the two-ball rule's ball. Force rows are the pairs with a
+    /// dirty endpoint, as `IncrementalAttack::ingest` passes them.
     #[test]
     fn dirty_rows_reach_every_changed_subgraph(
         (prev, next, dirty) in arb_change(16),
         k in 2usize..5,
     ) {
         let pairs = all_pairs_of(prev.n_vertices());
+        let index = PairIndex::new(&pairs);
         let force_rows: Vec<usize> = (0..pairs.len())
             .filter(|&i| dirty.contains(&pairs[i].lo()) || dirty.contains(&pairs[i].hi()))
             .collect();
-        let rows = dirty_rows(&prev, &next, &pairs, k, &dirty, &force_rows);
-        prop_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows sorted and unique");
+        let per_source = dirty_rows(&prev, &next, &index, k, &dirty, &force_rows, usize::MAX);
+        let multi_source = dirty_rows(&prev, &next, &index, k, &dirty, &force_rows, 0);
+        for rows in [&per_source, &multi_source] {
+            prop_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows sorted and unique");
+        }
         for (i, &pair) in pairs.iter().enumerate() {
             let before = KHopSubgraph::extract(&prev, pair, k);
             let after = KHopSubgraph::extract(&next, pair, k);
@@ -182,17 +188,23 @@ proptest! {
                 sub.groups().any(|(_, paths)| paths.iter().flatten().any(|v| dirty.contains(v)))
             });
             if before != after || through_dirty {
-                prop_assert!(
-                    rows.binary_search(&i).is_ok(),
-                    "{} missed: subgraph changed {}, through a dirty user {}",
-                    pair,
-                    before != after,
-                    through_dirty
-                );
+                for (rule, rows) in [("per-source", &per_source), ("multi-source", &multi_source)] {
+                    prop_assert!(
+                        rows.binary_search(&i).is_ok(),
+                        "{} missed by the {} rule: subgraph changed {}, through a dirty user {}",
+                        pair,
+                        rule,
+                        before != after,
+                        through_dirty
+                    );
+                }
             }
         }
+        for i in &per_source {
+            prop_assert!(multi_source.binary_search(i).is_ok(), "{} outside multi-source", pairs[*i]);
+        }
         let ball = both_endpoints_in_ball(&prev, &next, &pairs, k, &dirty, &force_rows);
-        for i in &rows {
+        for i in &multi_source {
             prop_assert!(ball.binary_search(i).is_ok(), "{} outside the old rule", pairs[*i]);
         }
     }

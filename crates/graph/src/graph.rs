@@ -32,7 +32,9 @@ impl SocialGraph {
         SocialGraph { n, adj: vec![Vec::new(); n], edges: BTreeSet::new() }
     }
 
-    /// Builds a graph over `n` vertices from an edge iterator.
+    /// Builds a graph over `n` vertices from an edge iterator, in bulk: the
+    /// edges are sorted once, so the edge set is built from sorted input and
+    /// every adjacency list fills in order.
     ///
     /// Duplicate edges are collapsed.
     ///
@@ -40,11 +42,20 @@ impl SocialGraph {
     ///
     /// Panics if an edge endpoint is ≥ `n`.
     pub fn from_edges(n: usize, edges: impl IntoIterator<Item = UserPair>) -> Self {
-        let mut g = SocialGraph::new(n);
-        for e in edges {
-            g.add_edge(e);
+        let mut sorted: Vec<UserPair> = edges
+            .into_iter()
+            .inspect(|e| assert!(e.hi().index() < n, "edge endpoint {} out of range", e.hi()))
+            .collect();
+        sorted.sort_unstable();
+        sorted.dedup();
+        // In (lo, hi) order, u's lower neighbours arrive (as `lo` of an edge
+        // ending at u) before its upper ones, each group ascending.
+        let mut adj = vec![Vec::new(); n];
+        for e in &sorted {
+            adj[e.lo().index()].push(e.hi());
+            adj[e.hi().index()].push(e.lo());
         }
-        g
+        SocialGraph { n, adj, edges: sorted.into_iter().collect() }
     }
 
     /// Builds the ground-truth graph of a dataset.
@@ -188,10 +199,40 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
+    #[should_panic(expected = "edge endpoint u5 out of range")]
     fn add_edge_rejects_out_of_range() {
         let mut g = SocialGraph::new(2);
         g.add_edge(pair(0, 5));
+    }
+
+    /// The reference build: one `add_edge` per edge.
+    fn edge_by_edge(n: usize, edges: &[UserPair]) -> SocialGraph {
+        let mut g = SocialGraph::new(n);
+        for &e in edges {
+            g.add_edge(e);
+        }
+        g
+    }
+
+    #[test]
+    fn bulk_build_equals_edge_by_edge() {
+        // Unsorted, with a duplicate given in both orientations.
+        let edges = [pair(4, 1), pair(0, 3), pair(2, 1), pair(1, 4), pair(0, 1), pair(3, 2)];
+        let bulk = SocialGraph::from_edges(6, edges);
+        assert_eq!(bulk, edge_by_edge(6, &edges));
+        assert_eq!(bulk.n_edges(), 5);
+        for u in bulk.vertices() {
+            assert!(bulk.neighbors(u).is_sorted(), "adjacency of {u} sorted");
+        }
+        let ns: Vec<u32> = bulk.neighbors(UserId::new(1)).iter().map(|u| u.raw()).collect();
+        assert_eq!(ns, vec![0, 2, 4]);
+        assert_eq!(SocialGraph::from_edges(3, []), SocialGraph::new(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "edge endpoint u5 out of range")]
+    fn bulk_build_rejects_out_of_range() {
+        let _ = SocialGraph::from_edges(3, [pair(0, 1), pair(2, 5)]);
     }
 
     #[test]

@@ -86,7 +86,7 @@ fn run_case(initial_fraction_pct: usize, n_batches: usize, salt: u64) {
     for &threads in &THREAD_COUNTS {
         for &n_shards in &SHARD_COUNTS {
             seeker_par::with_threads(threads, || {
-                let opts = IncrementalOptions { n_shards, ..IncrementalOptions::default() };
+                let opts = IncrementalOptions { n_shards };
                 let mut session =
                     IncrementalAttack::new(trained.clone(), initial.clone(), opts).unwrap();
                 for batch in &batches {
