@@ -129,11 +129,13 @@ impl TrainedAttack {
         self.infer_universe(target, universe, None)
     }
 
-    /// Runs the attack shard-by-shard: candidate enumeration, phase-1
-    /// scoring, and phase-2 refinement all process `n_shards` chunks at a
-    /// time, so no full-universe intermediate (per-cell pair lists, feature
-    /// store, composite-feature matrix, or SVM batch) is ever materialized —
-    /// peak memory is `O(users + candidate pairs + universe/n_shards)`.
+    /// Runs the attack shard-by-shard: candidate enumeration processes
+    /// `n_shards` cell ranges at a time and phase-2 scoring at least
+    /// `n_shards` chunks per iteration, so neither the per-cell pair lists
+    /// nor a universe-wide composite-feature matrix or SVM batch is ever
+    /// materialized. The one universe-sized structure is the presence
+    /// store, `d` floats per candidate pair (~80 B with its index entry),
+    /// so peak memory is `O(users + candidate pairs)`.
     ///
     /// The output is bit-identical to [`TrainedAttack::infer`] on the same
     /// target (pinned by the shard contract tests); the universe split,
@@ -205,7 +207,7 @@ impl TrainedAttack {
     /// recomputation (no reuse) — the incremental path's reference.
     pub fn infer_pairs_full(&self, target: &Dataset, pairs: Vec<UserPair>) -> InferenceResult {
         self.classify(pairs, |p| {
-            self.phase2.infer_impl(&self.cfg, &self.phase1, target, p, Rows::All)
+            self.phase2.infer_impl(&self.cfg, &self.phase1, target, p, Rows::All, 1)
         })
     }
 

@@ -11,13 +11,15 @@ use seeker_graph::{KHopSubgraph, PairIndex, SocialGraph};
 use seeker_nn::Matrix;
 use seeker_trace::{Dataset, UserPair};
 
-use crate::phase1::Phase1Model;
+use crate::phase1::{Phase1Model, ENCODE_BLOCK};
 
 /// Precomputed presence-proximity features for a fixed pair universe.
 ///
 /// Phase 2 needs `h` for every edge that can appear on a path, and every
-/// such edge is a member of the pair universe the graph was predicted from —
-/// so one batched encoding pass up front serves all iterations.
+/// such edge is a member of the pair universe the graph was predicted from,
+/// so one encoding pass per inference serves `G⁰` and every iteration.
+/// The rows are kept as the [`Phase1Model`]'s encoding blocks of at most
+/// 16,384 rows each, not as one universe-sized matrix.
 #[derive(Debug, Clone)]
 pub struct FeatureStore {
     // Pair → feature row. A lookup searches the run of the pair's `lo`
@@ -25,11 +27,14 @@ pub struct FeatureStore {
     // nondeterministic order (no-hash-iter). Lookup is on the phase-2 hot
     // path, once per edge of every collected path.
     index: PairIndex,
-    features: Matrix,
+    // Row `r` is row `r % ENCODE_BLOCK` of block `r / ENCODE_BLOCK`; every
+    // block but the last is full.
+    blocks: Vec<Matrix>,
 }
 
 impl FeatureStore {
-    /// Encodes all `pairs` on `ds` through the phase-1 encoder.
+    /// Encodes all `pairs` on `ds` through the phase-1 encoder; row `i`
+    /// is `pairs[i]`.
     ///
     /// # Panics
     ///
@@ -37,12 +42,12 @@ impl FeatureStore {
     pub fn build(model: &Phase1Model, ds: &Dataset, pairs: &[UserPair]) -> Self {
         let _span = seeker_obs::span!("core.features.build");
         let index = PairIndex::new(pairs);
-        FeatureStore { index, features: model.features(ds, pairs) }
+        FeatureStore { index, blocks: model.feature_blocks(ds, pairs) }
     }
 
     /// The feature dimension `d`.
     pub fn dim(&self) -> usize {
-        self.features.cols()
+        self.blocks.first().map_or(0, Matrix::cols)
     }
 
     /// Number of stored pairs.
@@ -57,12 +62,42 @@ impl FeatureStore {
 
     /// The presence feature of `pair`, if it is part of the universe.
     pub fn get(&self, pair: UserPair) -> Option<&[f32]> {
-        self.index.get(pair).map(|row| self.features.row(row))
+        self.index.get(pair).map(|r| self.row(r))
+    }
+
+    /// Row `r` of the store.
+    fn row(&self, r: usize) -> &[f32] {
+        self.blocks[r / ENCODE_BLOCK].row(r % ENCODE_BLOCK)
+    }
+
+    /// The pair → row index of the store.
+    pub(crate) fn index(&self) -> &PairIndex {
+        &self.index
+    }
+
+    /// Whether row `i` of the store is `pairs[i]` for every `i`, and the
+    /// store holds nothing else.
+    pub(crate) fn covers(&self, pairs: &[UserPair]) -> bool {
+        self.len() == pairs.len()
+            && pairs.iter().enumerate().all(|(i, &p)| self.index.get(p) == Some(i))
+    }
+
+    /// Classifier `C`'s friend probability of every row, in row order,
+    /// classified block by block from the stored rows: for a built store,
+    /// the [`Phase1Model::predict_proba`] of its pairs, with no pair
+    /// encoded twice.
+    pub(crate) fn predict_proba(&self, model: &Phase1Model) -> Vec<f64> {
+        let _span = seeker_obs::span!("phase1.classify");
+        let mut out = Vec::with_capacity(self.len());
+        for block in &self.blocks {
+            out.extend(model.predict_proba_encoded(block));
+        }
+        out
     }
 
     /// Merges two stores built from the same model and dataset into one
-    /// lookup universe (the shard-by-shard inference path joins a per-chunk
-    /// store with the current graph's edge store).
+    /// lookup universe, with its rows in pair order: an incremental session
+    /// merges the rows it re-encoded over the store it keeps.
     ///
     /// A pair present in both keeps `self`'s row — the rows are identical by
     /// construction, because `h` is a pure per-pair function of the model
@@ -74,41 +109,49 @@ impl FeatureStore {
     pub fn merged(&self, other: &FeatureStore) -> FeatureStore {
         assert_eq!(self.dim(), other.dim(), "feature stores must share one dimension");
         let d = self.dim();
-        let mut index: Vec<(UserPair, usize)> = Vec::with_capacity(self.len() + other.len());
-        let mut data: Vec<f32> = Vec::with_capacity((self.len() + other.len()) * d);
+        // At most this many rows, fewer by the pairs the stores share.
+        let bound = self.len() + other.len();
+        let mut index: Vec<(UserPair, usize)> = Vec::with_capacity(bound);
+        let mut blocks: Vec<Matrix> = Vec::new();
+        let mut data: Vec<f32> = Vec::new();
         let mut push = |pair: UserPair, row: &[f32]| {
+            if data.is_empty() {
+                data.reserve_exact(ENCODE_BLOCK.min(bound - index.len()) * d);
+            }
             index.push((pair, index.len()));
             data.extend_from_slice(row);
+            if data.len() == ENCODE_BLOCK * d {
+                blocks.push(Matrix::from_vec(ENCODE_BLOCK, d, std::mem::take(&mut data)));
+            }
         };
         let (ours, theirs) = (self.index.entries(), other.index.entries());
         let (mut i, mut j) = (0usize, 0usize);
         while i < ours.len() || j < theirs.len() {
             match (ours.get(i), theirs.get(j)) {
                 (Some(&(pa, ra)), Some(&(pb, _))) if pa < pb => {
-                    push(pa, self.features.row(ra));
+                    push(pa, self.row(ra));
                     i += 1;
                 }
                 (Some(&(pa, ra)), Some(&(pb, _))) if pa == pb => {
-                    push(pa, self.features.row(ra));
+                    push(pa, self.row(ra));
                     i += 1;
                     j += 1;
                 }
                 (_, Some(&(pb, rb))) => {
-                    push(pb, other.features.row(rb));
+                    push(pb, other.row(rb));
                     j += 1;
                 }
                 (Some(&(pa, ra)), None) => {
-                    push(pa, self.features.row(ra));
+                    push(pa, self.row(ra));
                     i += 1;
                 }
                 (None, None) => unreachable!("loop condition"),
             }
         }
-        let rows = index.len();
-        FeatureStore {
-            index: PairIndex::from_entries(index),
-            features: Matrix::from_vec(rows, d, data),
+        if !data.is_empty() {
+            blocks.push(Matrix::from_vec(data.len() / d, d, data));
         }
+        FeatureStore { index: PairIndex::from_entries(index), blocks }
     }
 }
 
@@ -310,6 +353,47 @@ mod tests {
         let (c, d) = sub.split_at(sub.len() / 3);
         let merged = FeatureStore::build(model, ds, d).merged(&FeatureStore::build(model, ds, c));
         assert_get_matches_linear_search(&merged, &sub, &rows, 24);
+    }
+
+    #[test]
+    fn built_and_merged_stores_index_their_pairs_in_row_order() {
+        let (ds, model, pairs) = setup();
+        // A built store over an unsorted list maps `pairs[i]` to row `i`.
+        let mut sub: Vec<UserPair> = pairs[..300].to_vec();
+        sub.reverse();
+        let built = FeatureStore::build(model, ds, &sub);
+        assert_eq!(built.index(), &PairIndex::new(&sub));
+        assert!(built.covers(&sub));
+        assert!(!built.covers(&sub[1..]));
+        // A merged store holds the sorted union, row `i` its `i`-th pair.
+        let merged = FeatureStore::build(model, ds, &sub[..120]).merged(&built);
+        sub.sort_unstable();
+        assert_eq!(merged.index(), &PairIndex::new(&sub));
+        assert!(merged.covers(&sub));
+    }
+
+    #[test]
+    fn stores_past_one_block_keep_every_row() {
+        let (_, model, _) = setup();
+        let mut world = SyntheticConfig::small(42);
+        world.n_users = 200;
+        let ds = &generate(&world).unwrap().dataset;
+        let n = ENCODE_BLOCK + 100;
+        let sub = &all_pairs(ds).unwrap()[..n];
+        let rows = model.features(ds, sub);
+        let built = FeatureStore::build(model, ds, sub);
+        let head = FeatureStore::build(model, ds, &sub[..n / 2]);
+        let merged = head.merged(&FeatureStore::build(model, ds, &sub[n / 3..]));
+        for store in [&built, &merged] {
+            assert_eq!(store.blocks.len(), 2);
+            assert!(store.covers(sub));
+            for (i, &p) in sub.iter().enumerate() {
+                assert_eq!(store.get(p), Some(rows.row(i)), "{p}");
+            }
+        }
+        let proba = model.predict_proba(ds, sub);
+        let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&built.predict_proba(model)), bits(&proba));
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //!    ([`seeker_spatial::CellIndex::apply`]) and surfaces the pairs that
 //!    newly co-locate — the only way the candidate universe can grow
 //!    (check-ins are only ever added, so co-location is monotone);
-//! 3. presence features and phase-1 probabilities are re-encoded for
-//!    exactly the pairs with a dirtied endpoint — per-pair purity of the
-//!    encoder makes the partial batch bitwise equal to a full re-encode —
-//!    and `G⁰` is re-thresholded from the cached probabilities;
+//! 3. presence features are re-encoded, once, for exactly the pairs with
+//!    a dirtied endpoint, and classifier `C` re-scores those rows from
+//!    their encoded features — per-pair purity of the encoder and of `C`
+//!    makes the partial batch bitwise equal to a full re-encode — and `G⁰`
+//!    is re-thresholded from the cached probabilities;
 //! 4. phase-2 refinement resumes the previous run iteration by iteration
 //!    (the [`crate::phase2`] warm-resume path): the session's last result
 //!    is the resume state, and iteration `t` starts from that run's
@@ -307,10 +308,10 @@ impl IncrementalAttack {
         Ok(())
     }
 
-    /// Re-encodes presence features and re-scores classifier `C` for the
-    /// given rows (indices into `pairs`), merging over the retained state.
-    /// Per-pair purity of both makes the result bitwise equal to a full
-    /// rebuild over the current dataset.
+    /// Re-encodes presence features for the given rows (indices into
+    /// `pairs`), re-scores classifier `C` from the encoded rows, and merges
+    /// both over the retained state. Per-pair purity of both makes the
+    /// result bitwise equal to a full rebuild over the current dataset.
     fn refresh_phase1(&mut self, dirty_rows: &[usize]) {
         if self.pairs.is_empty() {
             self.store = None;
@@ -322,11 +323,11 @@ impl IncrementalAttack {
         }
         let dirty_pairs: Vec<UserPair> = dirty_rows.iter().map(|&i| self.pairs[i]).collect();
         let fresh_store = FeatureStore::build(self.attack.phase1(), &self.dataset, &dirty_pairs);
+        let fresh_proba = fresh_store.predict_proba(self.attack.phase1());
         self.store = Some(match self.store.take() {
             Some(old) => fresh_store.merged(&old),
             None => fresh_store,
         });
-        let fresh_proba = self.attack.phase1().predict_proba(&self.dataset, &dirty_pairs);
         if self.p1_proba.len() != self.pairs.len() {
             self.p1_proba = vec![0.0; self.pairs.len()];
         }
@@ -351,9 +352,8 @@ impl IncrementalAttack {
         }
         let _span = seeker_obs::span!("attack.infer");
         seeker_obs::counter!("core.pairs_evaluated", self.pairs.len() as u64);
-        // G⁰ from the cached probabilities: `predict` is defined as
-        // `predict_proba(..) >= threshold`, so re-thresholding reproduces
-        // `predict_graph` bit-for-bit.
+        // G⁰ from the cached probabilities, thresholded as a cold
+        // inference thresholds its store's probabilities.
         let threshold = self.attack.phase1().threshold();
         let friends: Vec<bool> = self.p1_proba.iter().map(|&p| p >= threshold).collect();
         let g0 = graph_from_predictions(self.dataset.n_users(), &self.pairs, &friends);

@@ -17,12 +17,14 @@ use crate::config::{ClassifierKind, FriendSeekerConfig};
 use crate::error::{AttackError, Result};
 use crate::pairs::{labeled_pairs, LabeledPairs};
 
-/// Pairs whose sparse JOC rows and encoder activations are held at once.
-/// The encoder and classifier `C` are row-pure, so encoding block by block
-/// is bit-identical to one batch (the property sharded inference relies
-/// on). Each block pays its own pool hand-offs, so the block stays well
-/// above the per-shard chunks of a sharded 10k-user inference (~5k pairs).
-const ENCODE_BLOCK: usize = 16_384;
+/// Pairs whose sparse JOC rows and encoder activations are held at once,
+/// and the rows of one [`crate::features::FeatureStore`] block. The
+/// encoder and classifier `C` are row-pure, so encoding and classifying
+/// block by block is bit-identical to one batch (the property chunked
+/// inference relies on). Each block pays its own pool hand-offs, so the
+/// block stays well above the per-shard chunks of a sharded 10k-user
+/// inference (~5k pairs). A power of two, so a row's block is a shift.
+pub(crate) const ENCODE_BLOCK: usize = 16_384;
 
 /// The trained phase-1 model: STD + encoder + classifier `C`.
 #[derive(Debug, Clone)]
@@ -193,14 +195,29 @@ impl Phase1Model {
     ///
     /// Panics if `pairs` is empty.
     pub fn features(&self, ds: &Dataset, pairs: &[UserPair]) -> Matrix {
+        let mut data = Vec::with_capacity(pairs.len() * self.feature_dim());
+        for block in self.feature_blocks(ds, pairs) {
+            data.extend_from_slice(block.as_slice());
+        }
+        Matrix::from_vec(pairs.len(), self.feature_dim(), data)
+    }
+
+    /// [`Phase1Model::features`] as one matrix per [`ENCODE_BLOCK`] pairs,
+    /// the layout a [`crate::features::FeatureStore`] keeps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pairs` is empty.
+    pub(crate) fn feature_blocks(&self, ds: &Dataset, pairs: &[UserPair]) -> Vec<Matrix> {
         assert!(!pairs.is_empty(), "no pairs to featurize");
         let _span = seeker_obs::span!("phase1.joc");
         seeker_obs::counter!("core.pairs_evaluated", pairs.len() as u64);
-        let mut data = Vec::with_capacity(pairs.len() * self.feature_dim());
-        for block in pairs.chunks(ENCODE_BLOCK) {
-            data.extend_from_slice(self.autoencoder.encode(&self.joc_rows(ds, block)).as_slice());
-        }
-        Matrix::from_vec(pairs.len(), self.feature_dim(), data)
+        pairs.chunks(ENCODE_BLOCK).map(|block| self.encode_block(ds, block)).collect()
+    }
+
+    /// The presence features of one block of pairs.
+    fn encode_block(&self, ds: &Dataset, pairs: &[UserPair]) -> Matrix {
+        self.autoencoder.encode(&self.joc_rows(ds, pairs))
     }
 
     /// The presence feature of a single pair.
@@ -214,18 +231,25 @@ impl Phase1Model {
         seeker_obs::counter!("core.pairs_evaluated", pairs.len() as u64);
         let mut out = Vec::with_capacity(pairs.len());
         for block in pairs.chunks(ENCODE_BLOCK) {
-            let xs = self.joc_rows(ds, block);
-            if let Some(knn) = &self.knn {
-                let encoded = self.autoencoder.encode(&xs);
-                out.extend((0..encoded.rows()).map(|r| knn.predict_proba_one(encoded.row(r))));
-            } else if let Some(forest) = &self.forest {
-                let encoded = self.autoencoder.encode(&xs);
-                out.extend((0..encoded.rows()).map(|r| forest.predict_proba_one(encoded.row(r))));
-            } else {
-                out.extend(self.autoencoder.predict_proba(&xs).into_iter().map(f64::from));
-            }
+            out.extend(self.predict_proba_encoded(&self.encode_block(ds, block)));
         }
         out
+    }
+
+    /// Friend probability classifier `C` assigns to each row of `h`,
+    /// presence features this model already encoded (a
+    /// [`Phase1Model::features`] matrix or a block of one): the MLP head,
+    /// or the KNN or forest classifier the model was trained with. Row-pure,
+    /// so any split of the rows gives the same bits.
+    pub fn predict_proba_encoded(&self, h: &Matrix) -> Vec<f64> {
+        let rows = 0..h.rows();
+        if let Some(knn) = &self.knn {
+            rows.map(|r| knn.predict_proba_one(h.row(r))).collect()
+        } else if let Some(forest) = &self.forest {
+            rows.map(|r| forest.predict_proba_one(h.row(r))).collect()
+        } else {
+            self.autoencoder.predict_proba_encoded(h).into_iter().map(f64::from).collect()
+        }
     }
 
     /// The sparse JOC rows of `pairs`. Per-pair JOC construction is the
@@ -250,18 +274,8 @@ impl Phase1Model {
     /// whichever classifier variant the model carries.
     pub fn zero_joc_proba(&self) -> f64 {
         let zero: SparseRow = Vec::new();
-        if let Some(knn) = &self.knn {
-            return knn.predict_proba_one(&self.autoencoder.encode_one(&zero));
-        }
-        if let Some(forest) = &self.forest {
-            return forest.predict_proba_one(&self.autoencoder.encode_one(&zero));
-        }
-        self.autoencoder
-            .predict_proba(std::slice::from_ref(&zero))
-            .first()
-            .copied()
-            .map(f64::from)
-            .unwrap_or(0.0)
+        let h = self.autoencoder.encode(std::slice::from_ref(&zero));
+        self.predict_proba_encoded(&h).first().copied().unwrap_or(0.0)
     }
 
     /// The calibrated decision threshold of classifier `C`.

@@ -222,17 +222,9 @@ pub(crate) enum Rows<'a> {
 /// per-shard chunks of a sharded 10k-user inference (~5k rows).
 const SCORE_BLOCK: usize = 16_384;
 
-/// Where the frozen scorer reads presence rows from.
-#[derive(Clone, Copy)]
-enum Presence<'a> {
-    /// One store over the whole pair universe, encoded once per run.
-    Universe(&'a FeatureStore),
-    /// Encoded per chunk: the scoring graph's edge rows joined with the
-    /// chunk's own rows, the only rows the chunk's features read.
-    PerChunk { phase1: &'a Phase1Model, target: &'a Dataset },
-}
-
-/// Turns a graph and its dirty rows into per-pair predictions.
+/// Turns a graph and its dirty rows into per-pair predictions. Both
+/// scorers read presence rows from one store over the run's pairs, row `i`
+/// being `pairs[i]`.
 #[allow(clippy::large_enum_variant)] // one value per refinement run
 enum Scorer<'a> {
     /// Training: recompute the dirty cache rows, refit the scaler and SVM
@@ -249,10 +241,17 @@ enum Scorer<'a> {
     /// Inference: `C'` is frozen, so only the dirty rows are re-extracted
     /// and re-scored, in at least `n_chunks` batches of at most
     /// [`SCORE_BLOCK`] rows; every clean row keeps its prediction.
-    Frozen { model: &'a Phase2Model, presence: Presence<'a>, n_chunks: usize },
+    Frozen { model: &'a Phase2Model, store: &'a FeatureStore, n_chunks: usize },
 }
 
-impl Scorer<'_> {
+impl<'a> Scorer<'a> {
+    /// The presence store the scorer reads.
+    fn store(&self) -> &'a FeatureStore {
+        match *self {
+            Scorer::Refit { store, .. } | Scorer::Frozen { store, .. } => store,
+        }
+    }
+
     /// Scores `graph`: afterwards `preds[i]` is `C'`'s decision for
     /// `pairs[i]` on `graph`, provided every row outside `dirty` already
     /// was before.
@@ -287,38 +286,13 @@ impl Scorer<'_> {
                 *preds = svm.predict(&scaler.transform(features));
                 *fitted = Some((scaler, svm));
             }
-            Scorer::Frozen { model, presence, n_chunks } => {
-                if dirty.is_empty() {
-                    return;
-                }
-                let edge_store = match *presence {
-                    Presence::Universe(_) => None,
-                    Presence::PerChunk { phase1, target } => {
-                        let edges: Vec<UserPair> = graph.edges().collect();
-                        (!edges.is_empty()).then(|| FeatureStore::build(phase1, target, &edges))
-                    }
-                };
+            Scorer::Frozen { model, store, n_chunks } => {
                 let n_chunks = (*n_chunks).max(dirty.len().div_ceil(SCORE_BLOCK));
                 for range in seeker_spatial::shard_ranges(dirty.len(), n_chunks) {
                     let rows = &dirty[range];
                     if rows.is_empty() {
                         continue;
                     }
-                    let chunk_store;
-                    let store = match *presence {
-                        Presence::Universe(store) => store,
-                        Presence::PerChunk { phase1, target } => {
-                            // One presence batch per chunk is the point of
-                            // chunking. lint:allow(hot-alloc)
-                            let chunk: Vec<UserPair> = rows.iter().map(|&i| pairs[i]).collect();
-                            let own = FeatureStore::build(phase1, target, &chunk);
-                            chunk_store = match &edge_store {
-                                Some(edges) => edges.merged(&own),
-                                None => own,
-                            };
-                            &chunk_store
-                        }
-                    };
                     let features = {
                         let _span = seeker_obs::span!("phase2.refine.features");
                         seeker_par::par_map_cost(rows, seeker_par::Cost::Heavy, |&i| {
@@ -363,10 +337,12 @@ fn refine(
             )
         }
     };
+    // The pair → row index of `dirty_rows` is the store's own.
+    let store = scorer.store();
+    debug_assert!(store.covers(pairs), "the scorer's store holds exactly the run's pairs");
+    let index = store.index();
     let mut preds = vec![false; pairs.len()];
     let mut trace = IterationTrace { graphs: vec![g0], change_ratios: Vec::new(), converged: idle };
-    // The pair → row index of `dirty_rows`, built on its first call.
-    let mut index = None;
     for t in 0..budget {
         let _iter_span = seeker_obs::span!(iter_span);
         let graph = &trace.graphs[t];
@@ -385,7 +361,6 @@ fn refine(
             match since {
                 None => (0..pairs.len()).collect(),
                 Some((prev, users, force)) => {
-                    let index = index.get_or_insert_with(|| PairIndex::new(pairs));
                     dirty_rows(prev, graph, index, cfg.k_hop, users, force, REACH_WORK_PER_PAIR)
                 }
             }
@@ -442,7 +417,7 @@ pub fn train_phase2(
     let cal_idx: Vec<usize> = if holdout.len() >= 20 { holdout.to_vec() } else { all_idx };
     let cal_labels: Vec<bool> = cal_idx.iter().map(|&i| train_pairs.labels[i]).collect();
     let store = FeatureStore::build(phase1, train, &train_pairs.pairs);
-    let g0 = phase1.predict_graph(train, &train_pairs.pairs);
+    let g0 = phase1_graph(phase1, &store, train.n_users(), &train_pairs.pairs);
 
     // Model selection for C' on the attacker's own labeled data: run the
     // full refinement for each candidate (γ, C) and keep the configuration
@@ -522,10 +497,12 @@ impl Phase2Model {
     /// features and graph, then repeated `C'` refinement with the *trained*
     /// scaler and SVM (no further fitting), until convergence or the cap.
     ///
-    /// Iterations after the first recompute features — and, since `C'` is
-    /// frozen here, predictions — only for dirty pairs. The result is
-    /// bit-identical to a full per-iteration recompute
-    /// ([`crate::TrainedAttack::infer_pairs_full`]).
+    /// Each pair's presence row is encoded once, into one store over
+    /// `pairs`; `G⁰` is classified from the store's rows and every
+    /// iteration reads them. Iterations after the first recompute
+    /// features — and, since `C'` is frozen here, predictions — only for
+    /// dirty pairs. The result is bit-identical to a full per-iteration
+    /// recompute ([`crate::TrainedAttack::infer_pairs_full`]).
     pub fn infer(
         &self,
         cfg: &FriendSeekerConfig,
@@ -533,10 +510,11 @@ impl Phase2Model {
         target: &Dataset,
         pairs: &[UserPair],
     ) -> IterationTrace {
-        self.infer_impl(cfg, phase1, target, pairs, Rows::Delta)
+        self.infer_impl(cfg, phase1, target, pairs, Rows::Delta, 1)
     }
 
-    /// [`Phase2Model::infer`] rescoring the given `rows` each iteration.
+    /// [`Phase2Model::infer`] rescoring the given `rows` each iteration in
+    /// at least `n_chunks` batches.
     pub(crate) fn infer_impl(
         &self,
         cfg: &FriendSeekerConfig,
@@ -544,30 +522,26 @@ impl Phase2Model {
         target: &Dataset,
         pairs: &[UserPair],
         rows: Rows<'_>,
+        n_chunks: usize,
     ) -> IterationTrace {
         let _span = seeker_obs::span!("phase2.infer");
         let store = FeatureStore::build(phase1, target, pairs);
-        let g0 = phase1.predict_graph(target, pairs);
-        let presence = Presence::Universe(&store);
-        let mut scorer = Scorer::Frozen { model: self, presence, n_chunks: 1 };
+        let g0 = phase1_graph(phase1, &store, target.n_users(), pairs);
+        let mut scorer = Scorer::Frozen { model: self, store: &store, n_chunks };
         refine(cfg, pairs, g0, rows, &mut scorer)
     }
 
-    /// Shard-by-shard variant of [`Phase2Model::infer`]: no full-universe
-    /// intermediate — neither the whole-universe presence-feature store,
-    /// nor a composite-feature matrix, nor one giant SVM batch — is ever
-    /// materialized. Per-iteration state is `O(pairs)` booleans plus one
-    /// chunk of features at a time.
+    /// [`Phase2Model::infer`] scoring each iteration's dirty rows in at
+    /// least `n_shards` chunks (and chunks of at most 16,384 rows either
+    /// way). The presence store is the same single store over `pairs`,
+    /// `O(pairs)` rows of `d` floats; per iteration the run holds one
+    /// chunk's composite features and SVM batch at a time.
     ///
     /// Output is bit-identical to [`Phase2Model::infer`] (pinned by the
-    /// shard contract tests for shard counts {1, 2, 7, 64}): presence
-    /// encoding, scaling, SVM decisions, and composite features are all
-    /// per-row pure, so chunked batches produce the reference rows, and the
-    /// same dirty-row rule picks the rows to rescore. Each chunk's
-    /// composite features read a store joining the chunk's own presence
-    /// rows with the current graph's edge rows — besides its own pair, a
-    /// k-hop path embedding can only ever look up edges of the graph it
-    /// walks, and every such edge is a member of the candidate universe.
+    /// shard contract tests for shard counts {1, 2, 7, 64}): composite
+    /// features, scaling and SVM decisions are per-row pure, so chunked
+    /// batches produce the reference rows, and the same dirty-row rule
+    /// picks the rows to rescore.
     pub fn infer_sharded(
         &self,
         cfg: &FriendSeekerConfig,
@@ -576,19 +550,8 @@ impl Phase2Model {
         pairs: &[UserPair],
         n_shards: usize,
     ) -> IterationTrace {
-        let _span = seeker_obs::span!("phase2.infer");
         seeker_obs::gauge!("phase2.infer.shards", n_shards);
-        // G⁰ chunk-by-chunk: classifier C is per-row pure, so concatenating
-        // chunk predictions reproduces the batched reference graph.
-        let g0_preds: Vec<bool> = seeker_spatial::shard_ranges(pairs.len(), n_shards)
-            .into_iter()
-            .filter(|range| !range.is_empty())
-            .flat_map(|range| phase1.predict(target, &pairs[range]))
-            .collect();
-        let g0 = graph_from_predictions(target.n_users(), pairs, &g0_preds);
-        let presence = Presence::PerChunk { phase1, target };
-        let mut scorer = Scorer::Frozen { model: self, presence, n_chunks: n_shards };
-        refine(cfg, pairs, g0, Rows::Delta, &mut scorer)
+        self.infer_impl(cfg, phase1, target, pairs, Rows::Delta, n_shards)
     }
 
     /// Warm-resume variant of [`Phase2Model::infer`] for the incremental
@@ -627,8 +590,7 @@ impl Phase2Model {
     ) -> IterationTrace {
         let _span = seeker_obs::span!("phase2.infer");
         let rows = Rows::Warm { prev, seed_users: dirty_users, force_rows };
-        let mut scorer =
-            Scorer::Frozen { model: self, presence: Presence::Universe(store), n_chunks: 1 };
+        let mut scorer = Scorer::Frozen { model: self, store, n_chunks: 1 };
         refine(cfg, pairs, g0, rows, &mut scorer)
     }
 
@@ -672,6 +634,20 @@ impl Phase2Model {
     ) -> Phase2Model {
         Phase2Model { scaler, svm, svm_config, n_iterations }
     }
+}
+
+/// Phase 1's graph `G⁰` over `pairs`, classified from the rows of `store`,
+/// a store built over `pairs`: [`Phase1Model::predict_graph`] without
+/// encoding any pair again.
+fn phase1_graph(
+    phase1: &Phase1Model,
+    store: &FeatureStore,
+    n_users: usize,
+    pairs: &[UserPair],
+) -> SocialGraph {
+    let threshold = phase1.threshold();
+    let friends: Vec<bool> = store.predict_proba(phase1).iter().map(|&p| p >= threshold).collect();
+    graph_from_predictions(n_users, pairs, &friends)
 }
 
 /// Builds the graph implied by per-pair predictions. If a pair is predicted
@@ -864,7 +840,7 @@ mod tests {
             cfg.max_iterations,
         );
         let pairs = &labeled_pairs(&target, 1.0, 4242).pairs;
-        let reference = model.infer_impl(cfg, p1, &target, pairs, Rows::All);
+        let reference = model.infer_impl(cfg, p1, &target, pairs, Rows::All, 1);
         assert!(reference.n_iterations() >= 2, "{} iterations", reference.n_iterations());
         let bits = |t: &IterationTrace| -> Vec<u64> {
             t.change_ratios.iter().map(|r| r.to_bits()).collect()

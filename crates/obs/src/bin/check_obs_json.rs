@@ -5,8 +5,8 @@
 //! tag, has well-formed `events` / `spans` / `counters` sections, and
 //! contains the per-stage span names and counters the instrumented attack
 //! pipeline is contractually required to emit (quadtree build, JOC
-//! batching, encoder fit, SVM fit, each refinement iteration and its four
-//! steps).
+//! batching, the `G⁰` head pass, encoder fit, SVM fit, each refinement
+//! iteration and its four steps).
 //!
 //! Usage: `check_obs_json [path]` (default `results/OBS_run.json`).
 //! Exits 0 when valid, 1 with a diagnostic on stderr otherwise.
@@ -23,6 +23,7 @@ const REQUIRED_SPANS: &[&str] = &[
     "attack.infer",
     "spatial.quadtree.build",
     "phase1.joc",
+    "phase1.classify",
     "nn.autoencoder.fit",
     "ml.svm.fit",
     "phase2.infer.iter",

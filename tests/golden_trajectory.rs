@@ -72,9 +72,9 @@ fn refinement_trajectory_matches_golden() {
     assert_eq!(sink.span_closes("phase2.infer.iter"), edges.len());
     assert_eq!(sink.span_closes("attack.infer"), 1);
 
-    // Exact counter deltas: every candidate pair passes through phase 1
-    // twice (training-side holdout + inference) plus the infer_pairs entry
-    // counter, so assert the precise recorded values via the golden file
+    // Exact counter deltas: inference encodes every candidate pair once and
+    // the infer_pairs entry counter counts it again (training adds its own
+    // pairs), so assert the precise recorded values via the golden file
     // and the structural invariants here.
     let pairs_delta = seeker_obs::counter_value("core.pairs_evaluated") - pairs_before;
     let joc_cells_delta = seeker_obs::counter_value("spatial.joc.cells") - joc_cells_before;

@@ -2,7 +2,7 @@
 //!
 //! The sharded construction paths — range-built [`seeker_spatial::CellIndex`]
 //! shards, range-accumulated [`seeker_spatial::Joc`] shards, ownership-rule
-//! candidate enumeration, and the chunked phase-1/phase-2 inference of
+//! candidate enumeration, and the chunked phase-2 scoring of
 //! `TrainedAttack::infer_sharded` — must be **bit identical** to their
 //! unsharded references on a fixed seed, for every shard count and thread
 //! count. Sharding is a memory-layout decision, never a numerics decision.
@@ -161,8 +161,9 @@ fn assert_traces_identical(
 }
 
 /// The headline contract: the end-to-end sharded attack — sharded candidate
-/// enumeration, chunked G⁰, per-chunk composite features over the
-/// edge-store ∪ chunk-store union — against the default `infer`.
+/// enumeration, then chunked scoring of per-chunk composite features that
+/// all read one presence store over the universe — against the default
+/// `infer`.
 #[test]
 fn sharded_inference_matches_reference_on_240_user_world() {
     let (target, attack) = small_fixture();
