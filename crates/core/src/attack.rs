@@ -218,7 +218,6 @@ impl TrainedAttack {
         refine: impl FnOnce(&[UserPair]) -> IterationTrace,
     ) -> InferenceResult {
         let _span = seeker_obs::span!("attack.infer");
-        seeker_obs::counter!("core.pairs_evaluated", pairs.len() as u64);
         let trace = refine(&pairs);
         InferenceResult { pairs, trace, candidates: None }
     }

@@ -351,7 +351,6 @@ impl IncrementalAttack {
             return;
         }
         let _span = seeker_obs::span!("attack.infer");
-        seeker_obs::counter!("core.pairs_evaluated", self.pairs.len() as u64);
         // G⁰ from the cached probabilities, thresholded as a cold
         // inference thresholds its store's probabilities.
         let threshold = self.attack.phase1().threshold();

@@ -19,9 +19,10 @@
 //!
 //! Encoding is counted by JOC builds (`spatial.joc.builds`) and encoded
 //! pairs (`core.pairs_evaluated`). Opening the session builds one JOC per
-//! classified pair, each frame one per pair it re-encodes
-//! (`incremental.ingest.dirty_pairs`), and a cold `Phase2Model::infer` or
-//! `infer_sharded` adds exactly the pair count to both. `G⁰` is classified
+//! classified pair, each frame one JOC and one evaluated pair per pair it
+//! re-encodes (`incremental.ingest.dirty_pairs`), and a cold
+//! `Phase2Model::infer` or `infer_sharded` adds exactly the pair count to
+//! both. `G⁰` is classified
 //! from the encoded rows, and chunked scoring reads the same store. When
 //! `G⁰` and each scoring chunk encoded their own rows, a session open and
 //! each frame built twice these JOCs, and sharded inference ~2.75 times.
@@ -84,13 +85,18 @@ fn one_frame_rescores_a_small_share_of_the_universe() {
     let (mut total_dirty, mut total_rows) = (0u64, 0usize);
     for (i, frame) in withheld[mid..mid + FRAMES * 20].chunks(20).enumerate() {
         let before = counter_value("phase2.refine.dirty_pairs");
-        let (encoded_before, builds_before) =
-            (counter_value("incremental.ingest.dirty_pairs"), joc_builds());
+        let (encoded_before, builds_before, evaluated_before) = (
+            counter_value("incremental.ingest.dirty_pairs"),
+            joc_builds(),
+            counter_value("core.pairs_evaluated"),
+        );
         session.ingest(frame).unwrap();
         let dirty = counter_value("phase2.refine.dirty_pairs") - before;
         let encoded = counter_value("incremental.ingest.dirty_pairs") - encoded_before;
         assert!(encoded > 0, "frame {i} re-encoded no pair");
         assert_eq!(joc_builds() - builds_before, encoded, "JOCs built by frame {i}");
+        let evaluated = counter_value("core.pairs_evaluated") - evaluated_before;
+        assert_eq!(evaluated, encoded, "pairs counted as evaluated by frame {i}");
         let universe = session.result().pairs.len();
         let iterations = session.result().trace.n_iterations();
         if i == 0 {

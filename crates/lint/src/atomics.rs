@@ -18,15 +18,11 @@
 //! `Ordering::Relaxed` in full, which the `undocumented-pub`-style review
 //! culture upholds.
 
-use crate::lexer::lex;
-use crate::rules::{self, FileClass, Rule};
-use crate::tokens::TokenStream;
-use crate::walk::workspace_sources;
+use crate::rules::Rule;
+use crate::walk::{Index, SourceFile};
+use crate::Finding;
 
-use std::fmt;
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// The memory-ordering variants (`std::sync::atomic::Ordering`).
 const ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
@@ -44,64 +40,27 @@ pub struct AtomicSite {
     pub justified: bool,
 }
 
-/// An unjustified-`Relaxed` violation.
-#[derive(Debug, Clone)]
-pub struct AtomicViolation {
-    /// Source file, relative to the workspace root.
-    pub file: PathBuf,
-    /// 1-based line of the offending site.
-    pub line: usize,
-}
-
-impl fmt::Display for AtomicViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{}: [atomic-ordering] `Ordering::Relaxed` without an adjacent \
-             `// ordering:` justification — explain why relaxed is sufficient, use \
-             Acquire/Release, or `lint:allow(atomic-ordering)` with a reason",
-            self.file.display(),
-            self.line
-        )
-    }
-}
-
 /// Collects every `Ordering::<variant>` site in non-test library code and
-/// the unjustified-`Relaxed` violations among them. Sites are ordered by
-/// file then line.
-///
-/// # Errors
-///
-/// Propagates I/O errors from source reads.
-pub fn atomic_sites(root: &Path) -> io::Result<(Vec<AtomicSite>, Vec<AtomicViolation>)> {
-    let sources = workspace_sources(root)?;
+/// the unjustified-`Relaxed` findings among them, both ordered by file then
+/// line.
+#[must_use]
+pub fn atomic_sites(index: &Index<'_>) -> (Vec<AtomicSite>, Vec<Finding>) {
     let mut sites = Vec::new();
-    let mut violations = Vec::new();
-    for file in &sources {
-        if !matches!(file.class, FileClass::Library | FileClass::LibraryRoot) {
-            continue;
-        }
-        let source = fs::read_to_string(root.join(&file.path))?;
-        collect_file(&file.path, &source, &mut sites, &mut violations);
+    let mut findings = Vec::new();
+    for file in index.library_files() {
+        collect_file(file, &mut sites, &mut findings);
     }
     sites.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    violations.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    Ok((sites, violations))
+    findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+    (sites, findings)
 }
 
 /// Scans one file's token stream for `Ordering::<variant>` mentions.
-fn collect_file(
-    rel_path: &Path,
-    source: &str,
-    sites: &mut Vec<AtomicSite>,
-    violations: &mut Vec<AtomicViolation>,
-) {
-    let stream = TokenStream::new(lex(source));
-    let test_lines = rules::test_region_lines(&stream);
-    let allows = rules::collect_allows(&stream);
-    let lines: Vec<&str> = source.lines().collect();
+fn collect_file(file: &SourceFile<'_>, sites: &mut Vec<AtomicSite>, findings: &mut Vec<Finding>) {
+    let stream = &file.stream;
+    let lines: Vec<&str> = file.source.lines().collect();
     for (i, t) in stream.code_iter() {
-        if !t.is_ident("Ordering") || test_lines.contains(&t.line) {
+        if !t.is_ident("Ordering") || file.is_test(t.line) {
             continue;
         }
         if !stream.code(i + 1).is_some_and(|u| u.is_punct("::")) {
@@ -112,12 +71,18 @@ fn collect_file(
             continue;
         };
         let justified = has_ordering_comment(&lines, t.line);
-        sites.push(AtomicSite { file: rel_path.to_path_buf(), line: t.line, ordering, justified });
-        let allowed = allows
-            .iter()
-            .any(|(l, r)| *r == Rule::AtomicOrdering && (*l == t.line || *l + 1 == t.line));
-        if ordering == "Relaxed" && !justified && !allowed {
-            violations.push(AtomicViolation { file: rel_path.to_path_buf(), line: t.line });
+        let path = file.path.to_path_buf();
+        sites.push(AtomicSite { file: path.clone(), line: t.line, ordering, justified });
+        if ordering == "Relaxed" && !justified && !file.allowed(Rule::AtomicOrdering, t.line) {
+            findings.push(Finding {
+                file: path,
+                line: t.line,
+                tag: Rule::AtomicOrdering.id(),
+                message: "`Ordering::Relaxed` without an adjacent `// ordering:` justification \
+                          — explain why relaxed is sufficient, use Acquire/Release, or \
+                          `lint:allow(atomic-ordering)` with a reason"
+                    .to_string(),
+            });
         }
     }
 }
@@ -165,6 +130,12 @@ pub fn render_inventory(sites: &[AtomicSite]) -> String {
 mod tests {
     use super::*;
     use crate::scratch::workspace;
+    use crate::walk::Workspace;
+    use std::path::Path;
+
+    fn atomic_sites_at(root: &Path) -> (Vec<AtomicSite>, Vec<Finding>) {
+        atomic_sites(&Index::new(&Workspace::read(root).expect("walk")))
+    }
 
     const HEADER: &str = "//! A.\n#![deny(missing_docs)]\nuse std::sync::atomic::{AtomicU64, Ordering};\nstatic N: AtomicU64 = AtomicU64::new(0);\n";
 
@@ -173,7 +144,7 @@ mod tests {
         let root = workspace(&format!(
             "{HEADER}/// Bump.\npub fn bump() {{ N.fetch_add(1, Ordering::Relaxed); }}\n"
         ));
-        let (sites, violations) = atomic_sites(&root).expect("scan");
+        let (sites, violations) = atomic_sites_at(&root);
         assert_eq!(sites.len(), 1);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].to_string().contains("atomic-ordering"));
@@ -184,7 +155,7 @@ mod tests {
         let root = workspace(&format!(
             "{HEADER}/// Bump.\npub fn bump() {{\n    // ordering: monotonic counter, no ordering dependency.\n    N.fetch_add(1, Ordering::Relaxed);\n}}\n"
         ));
-        let (sites, violations) = atomic_sites(&root).expect("scan");
+        let (sites, violations) = atomic_sites_at(&root);
         assert_eq!(sites.len(), 1);
         assert!(sites[0].justified);
         assert!(violations.is_empty(), "{violations:?}");
@@ -195,7 +166,7 @@ mod tests {
         let root = workspace(&format!(
             "{HEADER}/// Bump.\npub fn bump() {{ N.fetch_add(1, Ordering::Relaxed); // ordering: counter\n}}\n"
         ));
-        let (_, violations) = atomic_sites(&root).expect("scan");
+        let (_, violations) = atomic_sites_at(&root);
         assert!(violations.is_empty(), "{violations:?}");
     }
 
@@ -204,7 +175,7 @@ mod tests {
         let root = workspace(&format!(
             "{HEADER}/// Get.\npub fn get() -> u64 {{ N.load(Ordering::Acquire) }}\n/// Set.\npub fn set(v: u64) {{ N.store(v, Ordering::SeqCst); }}\n"
         ));
-        let (sites, violations) = atomic_sites(&root).expect("scan");
+        let (sites, violations) = atomic_sites_at(&root);
         assert_eq!(sites.len(), 2);
         assert!(violations.is_empty(), "{violations:?}");
     }
@@ -214,7 +185,7 @@ mod tests {
         let root = workspace(&format!(
             "{HEADER}#[cfg(test)]\nmod tests {{\n    #[test]\n    fn t() {{ super::N.load(super::Ordering::Relaxed); }}\n}}\n"
         ));
-        let (sites, violations) = atomic_sites(&root).expect("scan");
+        let (sites, violations) = atomic_sites_at(&root);
         assert!(sites.is_empty());
         assert!(violations.is_empty());
     }
@@ -224,7 +195,7 @@ mod tests {
         let root = workspace(&format!(
             "{HEADER}/// Bump.\npub fn bump() {{\n    // lint:allow(atomic-ordering) -- measured: fence cost dominates here\n    N.fetch_add(1, Ordering::Relaxed);\n}}\n"
         ));
-        let (sites, violations) = atomic_sites(&root).expect("scan");
+        let (sites, violations) = atomic_sites_at(&root);
         assert_eq!(sites.len(), 1);
         assert!(!sites[0].justified);
         assert!(violations.is_empty(), "{violations:?}");
@@ -235,7 +206,7 @@ mod tests {
         let root = workspace(&format!(
             "{HEADER}/// Get.\npub fn get() -> u64 {{ N.load(Ordering::Acquire) }}\n"
         ));
-        let (sites, _) = atomic_sites(&root).expect("scan");
+        let (sites, _) = atomic_sites_at(&root);
         let report = render_inventory(&sites);
         assert!(report.contains("Ordering::Acquire"));
         assert!(report.contains("1 site(s) total"));

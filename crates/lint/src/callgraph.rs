@@ -25,15 +25,13 @@
 //! named function; tokens inside macro invocation arguments are scanned as
 //! ordinary code; method resolution ignores the receiver type entirely.
 
-use crate::rules::{collect_allows, test_region_lines, FileClass, Rule};
-use crate::syntax::{parse_stream, Item, ItemKind, Vis, STMT_KEYWORDS};
+use crate::rules::Rule;
+use crate::syntax::{Item, ItemKind, Vis, STMT_KEYWORDS};
 use crate::tokens::{TokenKind, TokenStream};
-use crate::walk::{workspace_crates, workspace_sources, CrateInfo};
+use crate::walk::{Index, SourceFile};
 
 use std::collections::BTreeMap;
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Where a call edge leads.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,27 +175,15 @@ struct FileCtx {
     imports: BTreeMap<String, Vec<String>>,
 }
 
-/// Builds the call graph for the workspace rooted at `root`.
-///
-/// # Errors
-///
-/// Propagates I/O errors from traversal or file reads.
-pub fn build_call_graph(root: &Path) -> io::Result<CallGraph> {
-    let crates = workspace_crates(root)?;
-    let files: Vec<_> = workspace_sources(root)?
-        .into_iter()
-        .filter(|f| matches!(f.class, FileClass::Library | FileClass::LibraryRoot))
-        .collect();
-    let sources: Vec<(PathBuf, String)> = files
-        .iter()
-        .map(|f| fs::read_to_string(root.join(&f.path)).map(|s| (f.path.clone(), s)))
-        .collect::<io::Result<_>>()?;
-    // Parsing and body scanning are per-file independent: fan out over the
-    // pool (coarse file-sized units, same shape as the rule driver).
+/// Builds the call graph over the library files of the index; the index
+/// keeps the one graph a process builds ([`Index::graph`]).
+pub(crate) fn build_call_graph(index: &Index<'_>) -> CallGraph {
+    let files: Vec<&SourceFile<'_>> = index.library_files().collect();
+    // Body scanning is per-file independent: fan out over the pool (coarse
+    // file-sized units, same shape as the rule driver).
     let parsed: Vec<(FileCtx, Vec<ProtoNode>)> =
-        seeker_par::par_map_indexed_cost(sources.len(), seeker_par::Cost::Heavy, |i| {
-            let (path, source) = &sources[i];
-            collect_file(&crates, path, source, i)
+        seeker_par::par_map_indexed_cost(files.len(), seeker_par::Cost::Heavy, |i| {
+            collect_file(index, files[i], i)
         });
 
     let mut protos: Vec<ProtoNode> = Vec::new();
@@ -208,7 +194,8 @@ pub fn build_call_graph(root: &Path) -> io::Result<CallGraph> {
     }
     protos.sort_by(|a, b| a.node.file.cmp(&b.node.file).then(a.node.line.cmp(&b.node.line)));
 
-    let resolver = Resolver::index(&protos, &crates);
+    let lib_names = index.crates.iter().map(|c| c.lib_name.clone()).collect();
+    let resolver = Resolver::index(&protos, lib_names);
     let mut nodes: Vec<FnNode> = Vec::with_capacity(protos.len());
     for proto in &protos {
         let ctx = &contexts[proto.file_index];
@@ -220,24 +207,18 @@ pub fn build_call_graph(root: &Path) -> io::Result<CallGraph> {
             .collect();
         nodes.push(node);
     }
-    Ok(CallGraph { nodes })
+    CallGraph { nodes }
 }
 
-/// Parses one file and extracts its proto-nodes (no resolution yet).
+/// Extracts one file's proto-nodes (no resolution yet).
 fn collect_file(
-    crates: &[CrateInfo],
-    path: &Path,
-    source: &str,
+    index: &Index<'_>,
+    file: &SourceFile<'_>,
     file_index: usize,
 ) -> (FileCtx, Vec<ProtoNode>) {
-    let stream = TokenStream::new(crate::lexer::lex(source));
-    let tree = parse_stream(&stream, source.len());
-    let (crate_lib, module_path) = locate(crates, path);
-    let test_lines = test_region_lines(&stream);
-    let allows = collect_allows(&stream);
-
+    let crate_lib = index.crate_of(file).map_or("unknown", |c| c.lib_name.as_str()).to_string();
     let mut imports = BTreeMap::new();
-    for item in tree.walk() {
+    for item in file.tree.walk() {
         if matches!(item.kind, ItemKind::Use | ItemKind::ExternCrate) {
             for (alias, segs) in &item.imports {
                 if alias != "*" {
@@ -248,64 +229,23 @@ fn collect_file(
     }
 
     let mut protos = Vec::new();
-    let mut scope = module_path.clone();
-    collect_items(
-        &tree.items,
-        &stream,
-        &crate_lib,
-        path,
-        &mut scope,
-        None,
-        &test_lines,
-        &allows,
-        file_index,
-        &mut protos,
-    );
-    (FileCtx { crate_lib, module_path, imports }, protos)
-}
-
-/// Maps a source path to `(lib_name, module path)`.
-fn locate(crates: &[CrateInfo], path: &Path) -> (String, Vec<String>) {
-    let owner = crates
-        .iter()
-        .filter(|c| {
-            path.starts_with(c.dir.join("src"))
-                || (c.dir.as_os_str().is_empty() && path.starts_with("src"))
-        })
-        .max_by_key(|c| c.dir.as_os_str().len());
-    let (lib, src_dir) = match owner {
-        Some(c) => (c.lib_name.clone(), c.dir.join("src")),
-        None => (String::from("unknown"), PathBuf::from("src")),
-    };
-    let rel = path.strip_prefix(&src_dir).unwrap_or(path);
-    let mut module = Vec::new();
-    for comp in rel.components() {
-        let seg = comp.as_os_str().to_string_lossy();
-        let seg = seg.trim_end_matches(".rs");
-        if matches!(seg, "lib" | "main" | "mod") {
-            continue;
-        }
-        module.push(seg.to_string());
-    }
-    (lib, module)
+    let mut scope = file.module.clone();
+    collect_items(&file.tree.items, file, &crate_lib, &mut scope, None, file_index, &mut protos);
+    (FileCtx { crate_lib, module_path: file.module.clone(), imports }, protos)
 }
 
 /// Recursively turns `fn` items into proto-nodes.
-#[allow(clippy::too_many_arguments)]
 fn collect_items(
     items: &[Item],
-    stream: &TokenStream<'_>,
+    file: &SourceFile<'_>,
     crate_lib: &str,
-    path: &Path,
     scope: &mut Vec<String>,
     self_type: Option<&str>,
-    test_lines: &std::collections::BTreeSet<usize>,
-    allows: &[(usize, Rule)],
     file_index: usize,
     out: &mut Vec<ProtoNode>,
 ) {
     for item in items {
-        if item.cfg_test || test_lines.contains(&item.line) {
+        if item.cfg_test || file.is_test(item.line) {
             continue;
         }
         match item.kind {
@@ -319,18 +259,16 @@ fn collect_items(
                     .chain(segs.iter().copied())
                     .collect::<Vec<_>>()
                     .join("::");
-                let allow_panic = allows
-                    .iter()
-                    .any(|&(l, r)| r == Rule::PanicReach && l + 1 >= item.line && l <= item.line);
+                let allow_panic = file.allowed(Rule::PanicReach, item.line);
                 let (raw_calls, panics, loop_allocs) = match item.body_code {
-                    Some((bs, be)) => scan_body(stream, bs, be, allows),
+                    Some((bs, be)) => scan_body(file, bs, be),
                     None => (Vec::new(), Vec::new(), Vec::new()),
                 };
                 out.push(ProtoNode {
                     node: FnNode {
                         id,
                         crate_name: crate_lib.to_string(),
-                        file: path.to_path_buf(),
+                        file: file.path.to_path_buf(),
                         line: item.line,
                         name: item.name.clone(),
                         self_type: self_type.map(str::to_string),
@@ -346,33 +284,12 @@ fn collect_items(
             }
             ItemKind::Mod => {
                 scope.push(item.name.clone());
-                collect_items(
-                    &item.children,
-                    stream,
-                    crate_lib,
-                    path,
-                    scope,
-                    None,
-                    test_lines,
-                    allows,
-                    file_index,
-                    out,
-                );
+                collect_items(&item.children, file, crate_lib, scope, None, file_index, out);
                 scope.pop();
             }
             ItemKind::Impl | ItemKind::Trait => {
-                collect_items(
-                    &item.children,
-                    stream,
-                    crate_lib,
-                    path,
-                    scope,
-                    Some(&item.name),
-                    test_lines,
-                    allows,
-                    file_index,
-                    out,
-                );
+                let self_type = Some(item.name.as_str());
+                collect_items(&item.children, file, crate_lib, scope, self_type, file_index, out);
             }
             _ => {}
         }
@@ -391,19 +308,17 @@ const ALLOC_PATHS: &[(&str, &str)] = &[("Vec", "new"), ("Box", "new"), ("String"
 /// Scans one function body's code-token range for calls, panic sites and
 /// loop allocations, in a single pass.
 fn scan_body(
-    stream: &TokenStream<'_>,
+    file: &SourceFile<'_>,
     start: usize,
     end: usize,
-    allows: &[(usize, Rule)],
 ) -> (Vec<RawCall>, Vec<PanicSite>, Vec<LoopAlloc>) {
+    let stream = &file.stream;
     let mut calls = Vec::new();
     let mut panics = Vec::new();
     let mut allocs = Vec::new();
     let loops = loop_ranges(stream, start, end);
     let in_loop = |i: usize| loops.iter().any(|&(s, e)| i >= s && i < e);
-    let alloc_allowed = |line: usize| {
-        allows.iter().any(|&(l, r)| r == Rule::HotAlloc && (l == line || l + 1 == line))
-    };
+    let alloc_allowed = |line: usize| file.allowed(Rule::HotAlloc, line);
 
     let mut i = start;
     while i < end {
@@ -639,7 +554,7 @@ struct Resolver<'p> {
 }
 
 impl<'p> Resolver<'p> {
-    fn index(protos: &'p [ProtoNode], crates: &[CrateInfo]) -> Self {
+    fn index(protos: &'p [ProtoNode], lib_names: Vec<String>) -> Self {
         let mut by_id = BTreeMap::new();
         let mut by_method: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         let mut free_by_name: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
@@ -659,14 +574,7 @@ impl<'p> Resolver<'p> {
                 }
             }
         }
-        Self {
-            protos,
-            by_id,
-            by_method,
-            free_by_name,
-            by_typefn,
-            lib_names: crates.iter().map(|c| c.lib_name.clone()).collect(),
-        }
+        Self { protos, by_id, by_method, free_by_name, by_typefn, lib_names }
     }
 
     fn resolve(&self, raw: &RawCall, ctx: &FileCtx, self_type: Option<&str>) -> CallEdge {
@@ -793,14 +701,14 @@ fn narrowed(hits: &[usize]) -> CallTarget {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scratch::{workspace, write};
+    use crate::scratch::{graph, workspace, write};
 
     fn graph_of(files: &[(&str, &str)]) -> CallGraph {
         let root = workspace("");
         for (rel, content) in files {
             write(&root, rel, content);
         }
-        build_call_graph(&root).expect("graph")
+        graph(&root)
     }
 
     #[test]

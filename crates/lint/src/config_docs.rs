@@ -11,8 +11,6 @@
 
 use crate::lockfile::Rendered;
 
-use std::io;
-
 /// Renders the full generated document (prose header + registry table).
 #[must_use]
 pub fn render_config_doc() -> String {
@@ -32,26 +30,26 @@ pub fn render_config_doc() -> String {
 }
 
 /// Renders `docs/CONFIGURATION.md`, one row per line.
-pub(crate) fn render_lock() -> io::Result<Rendered> {
-    Ok(Rendered::one("", render_config_doc().lines().map(|line| (line.to_string(), None))))
+pub(crate) fn render_lock() -> Rendered {
+    Rendered::one("", render_config_doc().lines().map(|line| (line.to_string(), None)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lockfile::{bless, check, Drift, DriftKind, Lock};
-    use crate::scratch::Scratch;
+    use crate::lockfile::{Drift, DriftKind, Lock};
+    use crate::scratch::{bless, check, Scratch};
     use std::fs;
     use std::path::PathBuf;
 
     #[test]
     fn bless_then_check_roundtrip_and_drift() {
         let root = Scratch::new();
-        let check_config = || check(Lock::Config, &root).expect("check").1;
+        let check_config = || check(Lock::Config, &root).1;
         // Missing doc is drift.
         assert!(matches!(check_config().as_slice(), [Drift { kind: DriftKind::Missing, .. }]));
         // Bless → clean.
-        let written = bless(Lock::Config, &root).expect("bless");
+        let written = bless(Lock::Config, &root);
         assert_eq!(written, vec![PathBuf::from("docs/CONFIGURATION.md")]);
         let path = root.join("docs/CONFIGURATION.md");
         assert_eq!(fs::read_to_string(&path).expect("read"), render_config_doc());

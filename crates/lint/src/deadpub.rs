@@ -20,7 +20,8 @@
 use crate::api_lock::extract_workspace_api;
 use crate::lexer::lex;
 use crate::lockfile::Rendered;
-use crate::tokens::TokenKind;
+use crate::tokens::{Token, TokenKind};
+use crate::walk::Index;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -87,28 +88,35 @@ fn signature_name(signature: &str) -> Option<String> {
     None
 }
 
-/// Computes the dead-`pub` candidates for the workspace rooted at `root`.
+/// Computes the dead-`pub` candidates of the indexed workspace.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from traversal or file reads.
-pub fn dead_pub_items(root: &Path) -> io::Result<Vec<DeadPub>> {
+/// Propagates I/O errors from traversal or from reading the `.rs` files the
+/// index does not hold.
+pub fn dead_pub_items(index: &Index<'_>) -> io::Result<Vec<DeadPub>> {
     // The API snapshots give (crate, file, signature) for every pub item.
-    let api = extract_workspace_api(root)?;
+    let api = extract_workspace_api(index);
 
     // Count identifier mentions per (name, file) across every Rust source
     // in the workspace — src, tests, benches, examples — excluding
-    // generated/vendored trees.
+    // generated/vendored trees. The index holds the sources' tokens; only
+    // the files outside it are read and lexed here.
     let mut files: Vec<PathBuf> = Vec::new();
-    collect_rs_files(root, Path::new(""), &mut files)?;
+    collect_rs_files(index.root, Path::new(""), &mut files)?;
+    let indexed: BTreeMap<&Path, &[Token<'_>]> =
+        index.files.iter().map(|f| (f.path, f.stream.all())).collect();
     let mut mentions: BTreeMap<String, BTreeMap<PathBuf, usize>> = BTreeMap::new();
+    let mut count = |rel: &Path, tokens: &[Token<'_>]| {
+        for t in tokens.iter().filter(|t| t.kind == TokenKind::Ident) {
+            let by_file = mentions.entry(t.text.to_string()).or_default();
+            *by_file.entry(rel.to_path_buf()).or_insert(0) += 1;
+        }
+    };
     for rel in &files {
-        let source = fs::read_to_string(root.join(rel))?;
-        for t in lex(&source) {
-            if t.kind == TokenKind::Ident {
-                *mentions.entry(t.text.to_string()).or_default().entry(rel.clone()).or_insert(0) +=
-                    1;
-            }
+        match indexed.get(rel.as_path()) {
+            Some(tokens) => count(rel, tokens),
+            None => count(rel, &lex(&fs::read_to_string(index.root.join(rel))?)),
         }
     }
 
@@ -171,9 +179,9 @@ fn collect_rs_files(root: &Path, rel: &Path, out: &mut Vec<PathBuf>) -> io::Resu
 /// # Errors
 ///
 /// Propagates I/O errors from analysis or the report write.
-pub fn write_dead_pub_report(root: &Path) -> io::Result<(PathBuf, usize)> {
-    let items = dead_pub_items(root)?;
-    let path = root.join(DEADPUB_REPORT);
+pub fn write_dead_pub_report(index: &Index<'_>) -> io::Result<(PathBuf, usize)> {
+    let items = dead_pub_items(index)?;
+    let path = index.root.join(DEADPUB_REPORT);
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent)?;
     }
@@ -204,9 +212,9 @@ pub fn write_dead_pub_report(root: &Path) -> io::Result<(PathBuf, usize)> {
 }
 
 /// Renders `api/deadpub.lock`: each crate's candidate count.
-pub(crate) fn render_lock(root: &Path) -> io::Result<Rendered> {
+pub(crate) fn render_lock(index: &Index<'_>) -> io::Result<Rendered> {
     let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-    for item in dead_pub_items(root)? {
+    for item in dead_pub_items(index)? {
         *counts.entry(item.crate_name).or_insert(0) += 1;
     }
     let rows = counts.into_iter().map(|(name, count)| (format!("{name}\t{count}"), None));
@@ -221,8 +229,9 @@ pub(crate) fn render_lock(root: &Path) -> io::Result<Rendered> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lockfile::{bless, check, Lock};
-    use crate::scratch::workspace;
+    use crate::lockfile::Lock;
+    use crate::scratch::{bless, check, workspace};
+    use crate::walk::Workspace;
 
     #[test]
     fn signature_names_are_extracted() {
@@ -241,22 +250,24 @@ mod tests {
         fs::create_dir_all(root.join("tests")).expect("mkdir");
         fs::write(root.join("tests/it.rs"), "#[test]\nfn t() { alpha::live(1); }\n")
             .expect("write");
-        let items = dead_pub_items(&root).expect("deadpub");
+        let workspace = Workspace::read(&root).expect("walk");
+        let index = Index::new(&workspace);
+        let items = dead_pub_items(&index).expect("deadpub");
         let names: Vec<&str> = items.iter().map(|i| i.name.as_str()).collect();
         assert_eq!(names, vec!["semi", "corpse"]);
         // `semi` is used in its own file → pub(crate) candidate; `corpse`
         // is untouched → delete candidate.
         assert!(items[0].own_file_mentions > 0);
         assert_eq!(items[1].own_file_mentions, 0);
-        let (path, count) = write_dead_pub_report(&root).expect("report");
+        let (path, count) = write_dead_pub_report(&index).expect("report");
         assert_eq!(count, 2);
         assert!(fs::read_to_string(path).expect("read").contains("corpse"));
 
         // Ratchet lifecycle: missing lock → bless → clean → growth fails,
         // shrinkage passes.
-        let check_deadpub = || check(Lock::DeadPub, &root).expect("check").1;
+        let check_deadpub = || check(Lock::DeadPub, &root).1;
         assert_eq!(check_deadpub().len(), 1, "missing lock must fail");
-        let written = bless(Lock::DeadPub, &root).expect("bless");
+        let written = bless(Lock::DeadPub, &root);
         assert_eq!(written, vec![PathBuf::from("api/deadpub.lock")]);
         let lock = fs::read_to_string(root.join("api/deadpub.lock")).expect("read");
         assert!(lock.ends_with("\nalpha\t2\n"), "{lock}");

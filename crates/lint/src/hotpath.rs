@@ -18,11 +18,9 @@
 //! closures that the loop detector cannot see (`.map(|x| x.clone())` on a
 //! single chained expression) are a documented false-negative class.
 
-use crate::callgraph::{build_call_graph, CallGraph};
-
-use std::fmt;
-use std::io;
-use std::path::{Path, PathBuf};
+use crate::callgraph::CallGraph;
+use crate::rules::Rule;
+use crate::Finding;
 
 /// Declared hot roots, matched against node ids by `::`-suffix: an entry
 /// `X::y` matches `seeker_foo::mod::X::y` and `X::y` alike. Keep this table
@@ -52,35 +50,6 @@ pub const HOT_PATHS: &[&str] = &[
     "seeker_par::par_map_chunked",
 ];
 
-/// One unsanctioned allocation inside a loop body on a hot path.
-#[derive(Debug, Clone)]
-pub struct HotFinding {
-    /// Source file, relative to the workspace root.
-    pub file: PathBuf,
-    /// 1-based line of the allocation.
-    pub line: usize,
-    /// The allocating construct (`Vec::new`, `.clone`, `format!`).
-    pub what: String,
-    /// The containing function's call-graph id.
-    pub in_fn: String,
-    /// The declared hot root through which the function became hot.
-    pub root: String,
-}
-
-impl fmt::Display for HotFinding {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{}: [hot-alloc] {} in loop body of {} (hot via {})",
-            self.file.display(),
-            self.line,
-            self.what,
-            self.in_fn,
-            self.root
-        )
-    }
-}
-
 /// Whether a node id matches a [`HOT_PATHS`] entry (exact or `::`-suffix).
 #[must_use]
 pub fn is_hot_root(id: &str) -> bool {
@@ -88,9 +57,10 @@ pub fn is_hot_root(id: &str) -> bool {
 }
 
 /// Computes the hot-path allocation findings for a call graph, ordered by
-/// file then line.
+/// file then line: one per unsanctioned allocation inside a loop body of a
+/// hot function, naming the function and the root that made it hot.
 #[must_use]
-pub fn hot_findings(graph: &CallGraph) -> Vec<HotFinding> {
+pub fn hot_findings(graph: &CallGraph) -> Vec<Finding> {
     let n = graph.nodes.len();
     // `hot_via[i]` is the declared root id that made node i hot.
     let mut hot_via: Vec<Option<usize>> = vec![None; n];
@@ -114,49 +84,41 @@ pub fn hot_findings(graph: &CallGraph) -> Vec<HotFinding> {
         }
     }
 
-    let mut findings: Vec<HotFinding> = Vec::new();
+    let mut findings: Vec<Finding> = Vec::new();
     for (i, node) in graph.nodes.iter().enumerate() {
         let Some(root) = hot_via[i] else { continue };
-        for alloc in &node.loop_allocs {
-            if !alloc.allowed {
-                findings.push(HotFinding {
-                    file: node.file.clone(),
-                    line: alloc.line,
-                    what: alloc.what.clone(),
-                    in_fn: node.id.clone(),
-                    root: graph.nodes[root].id.clone(),
-                });
-            }
+        for alloc in node.loop_allocs.iter().filter(|alloc| !alloc.allowed) {
+            findings.push(Finding {
+                file: node.file.clone(),
+                line: alloc.line,
+                tag: Rule::HotAlloc.id(),
+                message: format!(
+                    "{} in loop body of {} (hot via {})",
+                    alloc.what, node.id, graph.nodes[root].id
+                ),
+            });
         }
     }
     findings.sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)));
     findings
 }
 
-/// Builds the call graph for `root` and returns its hot-path findings.
-///
-/// # Errors
-///
-/// Propagates I/O errors from graph construction.
-pub fn check_hotpath(root: &Path) -> io::Result<Vec<HotFinding>> {
-    Ok(hot_findings(&build_call_graph(root)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scratch::workspace;
+    use crate::scratch::{graph, workspace};
 
     #[test]
     fn allocation_in_hot_loop_is_flagged_transitively() {
         let root = workspace(
             "//! A.\n#![deny(missing_docs)]\n\nfn helper(v: &[u32]) -> Vec<String> {\n    let mut out = Vec::new();\n    for x in v {\n        out.push(format!(\"{x}\"));\n    }\n    out\n}\n\n/// Hot root by suffix.\npub fn path_count_profile(v: &[u32]) -> Vec<String> { helper(v) }\n",
         );
-        let findings = check_hotpath(&root).expect("hotpath");
+        let findings = hot_findings(&graph(&root));
         assert_eq!(findings.len(), 1, "findings: {findings:?}");
-        assert_eq!(findings[0].what, "format!");
-        assert_eq!(findings[0].in_fn, "alpha::helper");
-        assert_eq!(findings[0].root, "alpha::path_count_profile");
+        assert_eq!(
+            findings[0].message,
+            "format! in loop body of alpha::helper (hot via alpha::path_count_profile)"
+        );
     }
 
     #[test]
@@ -164,7 +126,7 @@ mod tests {
         let root = workspace(
             "//! A.\n#![deny(missing_docs)]\n\n/// Cold: allocates freely.\npub fn cold(v: &[u32]) -> Vec<String> {\n    let mut out = Vec::new();\n    for x in v {\n        out.push(format!(\"{x}\"));\n    }\n    out\n}\n\n/// Hot, but sanctioned.\npub fn path_count_profile(v: &[u32]) -> Vec<Vec<u32>> {\n    let mut out = Vec::new();\n    for _ in v {\n        // Amortized by the arena below. lint:allow(hot-alloc)\n        out.push(v.to_vec());\n    }\n    out\n}\n",
         );
-        let findings = check_hotpath(&root).expect("hotpath");
+        let findings = hot_findings(&graph(&root));
         assert!(findings.is_empty(), "findings: {findings:?}");
     }
 

@@ -28,16 +28,13 @@
 //! crate must appear in it — adding a crate without declaring its layer is
 //! itself a violation.
 
-use crate::lexer::lex;
-use crate::rules::{self, FileClass};
-use crate::tokens::{TokenKind, TokenStream};
-use crate::walk::{workspace_crates, workspace_sources, CrateInfo};
+use crate::rules::FileClass;
+use crate::tokens::TokenKind;
+use crate::walk::Index;
+use crate::Finding;
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// The declared dependency DAG: `(crate, allowed direct seeker deps)`.
 ///
@@ -120,117 +117,110 @@ pub const LAYER_DAG: &[(&str, &[&str])] = &[
     ),
 ];
 
-/// One layering violation.
-#[derive(Debug, Clone)]
-pub struct LayerViolation {
-    /// The offending crate (package name).
-    pub crate_name: String,
-    /// Where the violation was observed (`Cargo.toml` or a source file),
-    /// relative to the workspace root.
-    pub file: PathBuf,
-    /// 1-based line (0 when the location is the whole file).
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
+/// A layering finding about `file` at `line` (0: the whole file).
+fn finding(file: &Path, line: usize, message: String) -> Finding {
+    Finding { file: file.to_path_buf(), line, tag: "layering", message }
 }
 
-impl fmt::Display for LayerViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line == 0 {
-            write!(f, "{}: [layering] {}", self.file.display(), self.message)
-        } else {
-            write!(f, "{}:{}: [layering] {}", self.file.display(), self.line, self.message)
+/// Validates the index's crates against [`LAYER_DAG`]: the DAG itself, each
+/// crate's membership, its `[dependencies]` table, and its non-test
+/// sources, which one scan per crate reads for both the path mentions the
+/// DAG forbids and the identifiers the `unused-dep` rule needs. Findings
+/// are ordered by file then line.
+#[must_use]
+pub fn check_layering(index: &Index<'_>) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    let dag: BTreeMap<&str, BTreeSet<&str>> =
+        LAYER_DAG.iter().map(|(name, deps)| (*name, deps.iter().copied().collect())).collect();
+
+    if let Some(cycle) = find_cycle(LAYER_DAG) {
+        let message = format!("declared layer DAG contains a cycle through `{cycle}`");
+        findings.push(finding(Path::new("crates/lint/src/layers.rs"), 0, message));
+    }
+
+    let by_lib_name: BTreeMap<&str, &str> =
+        index.crates.iter().map(|c| (c.lib_name.as_str(), c.name.as_str())).collect();
+    for (k, info) in index.crates.iter().enumerate() {
+        let layer = dag.get(info.name.as_str());
+        let mut idents: BTreeSet<&str> = BTreeSet::new();
+        let mut mentions = Vec::new();
+        let files = index.files.iter().filter(|f| f.krate == Some(k));
+        for file in files.filter(|f| f.class != FileClass::TestCode) {
+            let stream = &file.stream;
+            let mut reported: BTreeSet<&str> = BTreeSet::new();
+            for (i, t) in stream.code_iter() {
+                if t.kind != TokenKind::Ident || file.is_test(t.line) {
+                    continue;
+                }
+                idents.insert(t.text);
+                let (Some(allowed), Some(&dep_name)) = (layer, by_lib_name.get(t.text)) else {
+                    continue;
+                };
+                // Only path-position mentions of another crate count: `use
+                // seeker_x…` or `seeker_x::…`, not a doc link to the crate
+                // itself or a variable named like a crate.
+                let is_path = stream.code(i + 1).is_some_and(|n| n.is_punct("::"))
+                    || (i > 0 && stream.code(i - 1).is_some_and(|p| p.is_ident("use")));
+                if dep_name != info.name
+                    && is_path
+                    && !allowed.contains(dep_name)
+                    && reported.insert(t.text)
+                {
+                    let message = format!(
+                        "`{}` must not use `{dep_name}` (allowed: {})",
+                        info.name,
+                        format_allowed(allowed),
+                    );
+                    mentions.push(finding(file.path, t.line, message));
+                }
+            }
         }
-    }
-}
 
-/// Validates the workspace rooted at `root` against [`LAYER_DAG`].
-///
-/// # Errors
-///
-/// Propagates I/O errors from manifest/source reads.
-pub fn check_layering(root: &Path) -> io::Result<Vec<LayerViolation>> {
-    check_layering_with(root, LAYER_DAG)
-}
-
-/// [`check_layering`] against an explicit DAG (used by tests).
-///
-/// # Errors
-///
-/// Propagates I/O errors from manifest/source reads.
-pub fn check_layering_with(
-    root: &Path,
-    dag: &[(&str, &[&str])],
-) -> io::Result<Vec<LayerViolation>> {
-    let mut violations = Vec::new();
-    let allowed: BTreeMap<&str, BTreeSet<&str>> =
-        dag.iter().map(|(name, deps)| (*name, deps.iter().copied().collect())).collect();
-    let known: BTreeSet<&str> = allowed.keys().copied().collect();
-
-    if let Some(cycle) = find_cycle(dag) {
-        violations.push(LayerViolation {
-            crate_name: cycle.clone(),
-            file: PathBuf::from("crates/lint/src/layers.rs"),
-            line: 0,
-            message: format!("declared layer DAG contains a cycle through `{cycle}`"),
-        });
-    }
-
-    let crates = workspace_crates(root)?;
-    let sources = workspace_sources(root)?;
-    let by_lib_name: BTreeMap<String, String> =
-        crates.iter().map(|c| (c.lib_name.clone(), c.name.clone())).collect();
-
-    for info in &crates {
-        // Independent of DAG membership: a declared-but-unreferenced
-        // dependency is dead weight whether or not the crate is layered.
-        check_unused_deps(root, info, &sources, &mut violations)?;
-        let Some(allowed_deps) = allowed.get(info.name.as_str()) else {
-            violations.push(LayerViolation {
-                crate_name: info.name.clone(),
-                file: info.manifest.clone(),
-                line: 0,
-                message: format!(
-                    "crate `{}` is not declared in the layering DAG (add it to LAYER_DAG in crates/lint/src/layers.rs)",
+        // A declared but unreferenced dependency is dead weight whether or
+        // not the crate is layered. A `# lint:allow(unused-dep)` comment on
+        // the entry's line or the line above sanctions a deliberate keep
+        // (e.g. a dependency used only behind a feature the lint cannot see).
+        let deps = manifest_dependencies(&info.manifest_text);
+        let manifest_lines: Vec<&str> = info.manifest_text.lines().collect();
+        for (line_no, dep) in &deps {
+            let lib = dep.replace('-', "_");
+            let sanctioned = manifest_lines[line_no.saturating_sub(2)..*line_no]
+                .iter()
+                .any(|l| l.contains("lint:allow(unused-dep)"));
+            if !idents.contains(lib.as_str()) && !sanctioned {
+                let message = format!(
+                    "[unused-dep] `{dep}` is declared in [dependencies] but `{lib}` never \
+                     appears in `{}`'s non-test sources (remove it, or sanction with \
+                     `# lint:allow(unused-dep)`)",
                     info.name
-                ),
-            });
+                );
+                findings.push(finding(&info.manifest, *line_no, message));
+            }
+        }
+
+        let Some(allowed_deps) = layer else {
+            let message = format!(
+                "crate `{}` is not declared in the layering DAG (add it to LAYER_DAG in crates/lint/src/layers.rs)",
+                info.name
+            );
+            findings.push(finding(&info.manifest, 0, message));
             continue;
         };
-        check_manifest(root, info, allowed_deps, &known, &mut violations)?;
-        check_sources(root, info, &sources, allowed_deps, &by_lib_name, &mut violations)?;
-    }
-    violations.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    Ok(violations)
-}
-
-/// Checks the `[dependencies]` table of one crate against its allowed set.
-fn check_manifest(
-    root: &Path,
-    info: &CrateInfo,
-    allowed: &BTreeSet<&str>,
-    known: &BTreeSet<&str>,
-    violations: &mut Vec<LayerViolation>,
-) -> io::Result<()> {
-    let manifest = fs::read_to_string(root.join(&info.manifest))?;
-    for (line_no, dep) in manifest_dependencies(&manifest) {
-        if !known.contains(dep.as_str()) {
-            continue; // external (vendored) dependency; not layered
-        }
-        if !allowed.contains(dep.as_str()) {
-            violations.push(LayerViolation {
-                crate_name: info.name.clone(),
-                file: info.manifest.clone(),
-                line: line_no,
-                message: format!(
+        // External (vendored) dependencies are not layered.
+        for (line_no, dep) in deps {
+            if dag.contains_key(dep.as_str()) && !allowed_deps.contains(dep.as_str()) {
+                let message = format!(
                     "`{}` must not depend on `{dep}` (allowed: {})",
                     info.name,
-                    format_allowed(allowed),
-                ),
-            });
+                    format_allowed(allowed_deps),
+                );
+                findings.push(finding(&info.manifest, line_no, message));
+            }
         }
+        findings.extend(mentions);
     }
-    Ok(())
+    findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+    findings
 }
 
 /// Extracts `(line, package-name)` pairs from a manifest's `[dependencies]`
@@ -255,121 +245,6 @@ fn manifest_dependencies(manifest: &str) -> Vec<(usize, String)> {
         }
     }
     deps
-}
-
-/// Scans one crate's non-test sources for `seeker_*`/`friendseeker` path
-/// mentions that escape the allowed dependency set.
-fn check_sources(
-    root: &Path,
-    info: &CrateInfo,
-    sources: &[crate::walk::SourceFile],
-    allowed: &BTreeSet<&str>,
-    by_lib_name: &BTreeMap<String, String>,
-    violations: &mut Vec<LayerViolation>,
-) -> io::Result<()> {
-    let src_prefix = info.dir.join("src");
-    for file in sources {
-        if !file.path.starts_with(&src_prefix) || file.class == FileClass::TestCode {
-            continue;
-        }
-        let source = fs::read_to_string(root.join(&file.path))?;
-        let stream = TokenStream::new(lex(&source));
-        let test_lines = rules::test_region_lines(&stream);
-        let mut reported: BTreeSet<&str> = BTreeSet::new();
-        for (i, t) in stream.code_iter() {
-            if t.kind != TokenKind::Ident || test_lines.contains(&t.line) {
-                continue;
-            }
-            let Some(dep_name) = by_lib_name.get(t.text) else { continue };
-            if dep_name == &info.name {
-                continue; // the crate's own name (e.g. in a doc link)
-            }
-            // Only path-position mentions count: `use seeker_x…` or
-            // `seeker_x::…`. A bare ident (variable named like a crate)
-            // does not.
-            let is_path = stream.code(i + 1).is_some_and(|n| n.is_punct("::"))
-                || (i > 0 && stream.code(i - 1).is_some_and(|p| p.is_ident("use")));
-            if !is_path {
-                continue;
-            }
-            if !allowed.contains(dep_name.as_str()) && reported.insert(t.text) {
-                violations.push(LayerViolation {
-                    crate_name: info.name.clone(),
-                    file: file.path.clone(),
-                    line: t.line,
-                    message: format!(
-                        "`{}` must not use `{dep_name}` (allowed: {})",
-                        info.name,
-                        format_allowed(allowed),
-                    ),
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Flags `[dependencies]` entries whose library name never appears as an
-/// identifier in the crate's non-test sources (the `unused-dep` rule). A
-/// `# lint:allow(unused-dep)` comment on the entry's line or the line above
-/// sanctions a deliberate keep (e.g. a dependency used only behind a
-/// feature the lint cannot see).
-fn check_unused_deps(
-    root: &Path,
-    info: &CrateInfo,
-    sources: &[crate::walk::SourceFile],
-    violations: &mut Vec<LayerViolation>,
-) -> io::Result<()> {
-    let manifest = fs::read_to_string(root.join(&info.manifest))?;
-    let deps = manifest_dependencies(&manifest);
-    if deps.is_empty() {
-        return Ok(());
-    }
-    // One scan over the crate's non-test sources collects every identifier;
-    // each dependency's lib name is then a set lookup.
-    let src_prefix = info.dir.join("src");
-    let mut idents: BTreeSet<String> = BTreeSet::new();
-    for file in sources {
-        if !file.path.starts_with(&src_prefix) || file.class == FileClass::TestCode {
-            continue;
-        }
-        let source = fs::read_to_string(root.join(&file.path))?;
-        let stream = TokenStream::new(lex(&source));
-        let test_lines = rules::test_region_lines(&stream);
-        for (_, t) in stream.code_iter() {
-            if t.kind == TokenKind::Ident && !test_lines.contains(&t.line) {
-                idents.insert(t.text.to_string());
-            }
-        }
-    }
-    let manifest_lines: Vec<&str> = manifest.lines().collect();
-    for (line_no, dep) in deps {
-        let lib = dep.replace('-', "_");
-        if idents.contains(&lib) {
-            continue;
-        }
-        let allowed = manifest_lines
-            .get(line_no.saturating_sub(1))
-            .is_some_and(|l| l.contains("lint:allow(unused-dep)"))
-            || (line_no >= 2
-                && manifest_lines
-                    .get(line_no - 2)
-                    .is_some_and(|l| l.contains("lint:allow(unused-dep)")));
-        if !allowed {
-            violations.push(LayerViolation {
-                crate_name: info.name.clone(),
-                file: info.manifest.clone(),
-                line: line_no,
-                message: format!(
-                    "[unused-dep] `{dep}` is declared in [dependencies] but `{lib}` never \
-                     appears in `{}`'s non-test sources (remove it, or sanction with \
-                     `# lint:allow(unused-dep)`)",
-                    info.name
-                ),
-            });
-        }
-    }
-    Ok(())
 }
 
 fn format_allowed(allowed: &BTreeSet<&str>) -> String {
@@ -456,7 +331,8 @@ mod tests {
             .and_then(Path::parent)
             .expect("workspace root");
         let declared: BTreeSet<&str> = LAYER_DAG.iter().map(|(n, _)| *n).collect();
-        for info in workspace_crates(root).expect("crates") {
+        let workspace = crate::walk::Workspace::read(root).expect("walk");
+        for info in Index::new(&workspace).crates {
             assert!(
                 declared.contains(info.name.as_str()),
                 "crate `{}` missing from LAYER_DAG",

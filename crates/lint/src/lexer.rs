@@ -4,8 +4,7 @@
 //! every input byte belongs to exactly one token and the concatenation of
 //! token texts reproduces the source (the lossless-lexing property is
 //! enforced by a `debug_assert!` here and by a proptest in
-//! `tests/lexer_props.rs`). The lexer understands the constructs the old
-//! masker (see [`crate::mask`]) special-cased and more:
+//! `tests/lexer_props.rs`). The lexer understands:
 //!
 //! - line comments and **nested** block comments (`/* /* */ */`);
 //! - plain and byte strings with escapes (`"a\"b"`, `b"\x00"`), including

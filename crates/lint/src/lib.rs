@@ -1,9 +1,18 @@
 //! `seeker-lint` — the FriendSeeker workspace's custom static-analysis pass.
 //!
 //! The repository enforces repo-specific correctness rules that `rustc` and
-//! Clippy cannot express (see `docs/LINTING.md`). The pass runs on a
-//! lossless token stream from a small hand-rolled [`lexer`] (no syntax
-//! tree, std-only, milliseconds over the whole workspace):
+//! Clippy cannot express (see `docs/LINTING.md`). Every pass reads one
+//! workspace index ([`walk`]): one walk reads each manifest and in-scope
+//! source, each file is lexed into a lossless token stream by a small
+//! hand-rolled [`lexer`] and parsed into an item tree ([`syntax`]) once, in
+//! parallel, and the [`callgraph`] is built at most once, when a pass first
+//! asks for it. Every pass reports through one [`Finding`] type, printed
+//! `file:line: [tag] message`.
+//!
+//! Test code is exempt from every pass under one rule: code is test-only
+//! when it sits under `cfg(P)` and `P` requires `test` (`P` is `test`, or an
+//! `all(…)` with a conjunct that requires it); `not(test)`, `any(test, …)`
+//! and `cfg_attr(test, …)` guard production code.
 //!
 //! **Lexical rules** ([`rules`]), per source file:
 //!
@@ -61,7 +70,7 @@ pub mod config_docs;
 pub mod deadpub;
 /// Hot-path allocation analysis (call-graph pass).
 pub mod hotpath;
-/// The crate-layering DAG and its validation passes.
+/// The crate-layering DAG and its validation pass.
 pub mod layers;
 /// The hand-rolled lossless Rust lexer.
 pub mod lexer;
@@ -69,9 +78,6 @@ pub mod lexer;
 pub mod lockfile;
 /// Lock-order and condvar-protocol analysis (call-graph pass).
 pub mod locks;
-/// Legacy comment/string masking (v1 engine), retained as the reference
-/// implementation for the token-vs-line rule-agreement tests.
-pub mod mask;
 /// Panic-reachability analysis (call-graph pass).
 pub mod panics;
 /// The rule matchers and per-file driver.
@@ -82,77 +88,63 @@ pub mod syntax;
 pub mod tokens;
 /// The unsafe ledger and its `SAFETY:`-comment check.
 pub mod unsafe_audit;
-/// Workspace traversal and file classification.
+/// The workspace index every pass reads.
 pub mod walk;
 
 /// Atomics-audit entry points.
-pub use atomics::{atomic_sites, render_inventory, AtomicSite, AtomicViolation};
-/// Call-graph construction and core types.
-pub use callgraph::{build_call_graph, CallGraph, CallTarget};
+pub use atomics::{atomic_sites, render_inventory, AtomicSite};
+/// Call-graph core types.
+pub use callgraph::{CallGraph, CallTarget};
 /// Configuration-doc entry point.
 pub use config_docs::render_config_doc;
 /// Dead-`pub` report entry points.
 pub use deadpub::{dead_pub_items, write_dead_pub_report, DeadPub};
 /// Hot-path analysis entry points.
-pub use hotpath::{check_hotpath, hot_findings, HotFinding, HOT_PATHS};
+pub use hotpath::{hot_findings, HOT_PATHS};
 /// Layering-pass entry points.
-pub use layers::{check_layering, LayerViolation, LAYER_DAG};
+pub use layers::{check_layering, LAYER_DAG};
 /// The lexer entry point.
 pub use lexer::lex;
 /// Lock-order analysis entry points.
-pub use locks::{
-    acquire_closure, lock_order, render_lock_graph, LockEdge, LockFinding, LockOrderReport,
-};
+pub use locks::{acquire_closure, lock_order, render_lock_graph, LockEdge, LockOrderReport};
 /// Panic-reachability entry point.
 pub use panics::panic_entries;
-/// Core rule types and the per-file entry points.
-pub use rules::{lint_source, lint_source_with, Config, FileClass, Rule, Violation};
+/// Core rule types and the rules-pass entry points.
+pub use rules::{lint_source, lint_workspace, FileClass, Rule};
 /// Item-tree parser entry points.
-pub use syntax::{parse_source, Item, ItemKind, ItemTree};
+pub use syntax::{parse_stream, Item, ItemKind, ItemTree};
 /// Token types.
 pub use tokens::{Token, TokenKind, TokenStream};
 /// Unsafe-ledger entry points.
-pub use unsafe_audit::{unsafe_sites, UnsafeKind, UnsafeSite, UnsafeViolation};
-/// Workspace traversal entry points.
-pub use walk::{workspace_crates, workspace_sources, CrateInfo, SourceFile};
+pub use unsafe_audit::{unsafe_sites, UnsafeKind, UnsafeSite};
+/// The workspace index.
+pub use walk::{Index, Workspace};
 
-use std::fs;
-use std::io;
-use std::path::Path;
+use std::fmt;
+use std::path::PathBuf;
 
-/// Lints every in-scope source file of the workspace rooted at `root` and
-/// returns all violations, ordered by file then line.
-///
-/// # Errors
-///
-/// Propagates I/O errors from traversal or file reads.
-pub fn lint_workspace(root: &Path) -> io::Result<Vec<Violation>> {
-    lint_workspace_with(root, &Config::default())
+/// One finding of any pass, printed as `file:line: [tag] message`, or
+/// `file: [tag] message` when it concerns the whole file.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Finding {
+    /// The file, relative to the workspace root.
+    pub file: PathBuf,
+    /// 1-based line; 0 when the finding concerns the whole file.
+    pub line: usize,
+    /// The rule id, or the pass for findings no rule names (`layering`).
+    pub tag: &'static str,
+    /// What is wrong and how to fix it.
+    pub message: String,
 }
 
-/// [`lint_workspace`] with an explicit rule configuration.
-///
-/// # Errors
-///
-/// Propagates I/O errors from traversal or file reads.
-pub fn lint_workspace_with(root: &Path, config: &Config) -> io::Result<Vec<Violation>> {
-    // Reads stay serial (I/O-bound, ordering matters for error reporting);
-    // the per-file lex+match work fans out over the pool on coarse
-    // file-sized units. Output order is restored by the final sort either
-    // way, so serial and parallel runs report identically.
-    let sources: Vec<(walk::SourceFile, String)> = workspace_sources(root)?
-        .into_iter()
-        .map(|file| fs::read_to_string(root.join(&file.path)).map(|s| (file, s)))
-        .collect::<io::Result<_>>()?;
-    let mut violations: Vec<Violation> =
-        seeker_par::par_map_cost(&sources, seeker_par::Cost::Heavy, |(file, source)| {
-            rules::lint_source_with(&file.path, file.class, source, config)
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    violations.sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)));
-    Ok(violations)
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}:", self.file.display())?;
+        if self.line != 0 {
+            write!(f, "{}:", self.line)?;
+        }
+        write!(f, " [{}] {}", self.tag, self.message)
+    }
 }
 
 /// Scratch workspaces for the unit tests: each call gets a directory of its
@@ -199,6 +191,27 @@ pub(crate) mod scratch {
         fs::write(path, content).expect("write");
     }
 
+    /// The call graph of the workspace at `root`.
+    pub(crate) fn graph(root: &Path) -> crate::CallGraph {
+        let workspace = crate::Workspace::read(root).expect("walk");
+        crate::Index::new(&workspace).graph().clone()
+    }
+
+    /// Checks `lock` against the workspace at `root`, as read now.
+    pub(crate) fn check(
+        lock: crate::lockfile::Lock,
+        root: &Path,
+    ) -> (Vec<crate::Finding>, Vec<crate::lockfile::Drift>) {
+        let workspace = crate::Workspace::read(root).expect("walk");
+        crate::lockfile::check(lock, &crate::Index::new(&workspace)).expect("check")
+    }
+
+    /// Blesses `lock` from the workspace at `root`, as read now.
+    pub(crate) fn bless(lock: crate::lockfile::Lock, root: &Path) -> Vec<PathBuf> {
+        let workspace = crate::Workspace::read(root).expect("walk");
+        crate::lockfile::bless(lock, &crate::Index::new(&workspace)).expect("bless")
+    }
+
     /// A workspace of one crate, `alpha`, whose `src/lib.rs` is `lib`.
     pub(crate) fn workspace(lib: &str) -> Scratch {
         let root = Scratch::new();
@@ -216,6 +229,8 @@ pub(crate) mod scratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
+    use std::path::Path;
 
     #[test]
     fn lints_a_synthetic_workspace_end_to_end() {
@@ -233,8 +248,9 @@ mod tests {
             "crates/bad/src/lib.rs",
             "//! Bad crate.\n\npub fn boom(x: Option<u32>) -> u32 { x.unwrap() }\n",
         );
-        let violations = lint_workspace(&root).expect("lint");
-        let ids: Vec<&str> = violations.iter().map(|v| v.rule.id()).collect();
+        let workspace = Workspace::read(&root).expect("walk");
+        let violations = lint_workspace(&Index::new(&workspace));
+        let ids: Vec<&str> = violations.iter().map(|v| v.tag).collect();
         assert_eq!(ids, vec!["deny-header", "no-panic", "undocumented-pub"]);
         assert!(violations.iter().all(|v| v.file.starts_with("crates/bad")));
     }
@@ -251,7 +267,8 @@ mod tests {
     #[test]
     fn the_real_workspace_is_clean() {
         // The crate's own CI gate, exercised as a unit test.
-        let violations = lint_workspace(real_workspace_root()).expect("lint");
+        let workspace = Workspace::read(real_workspace_root()).expect("walk");
+        let violations = lint_workspace(&Index::new(&workspace));
         assert!(
             violations.is_empty(),
             "workspace has lint violations:\n{}",
@@ -261,7 +278,8 @@ mod tests {
 
     #[test]
     fn the_real_workspace_layering_is_clean() {
-        let violations = check_layering(real_workspace_root()).expect("layering");
+        let workspace = Workspace::read(real_workspace_root()).expect("walk");
+        let violations = check_layering(&Index::new(&workspace));
         assert!(
             violations.is_empty(),
             "workspace has layering violations:\n{}",
@@ -271,8 +289,7 @@ mod tests {
 
     #[test]
     fn the_real_workspace_api_snapshots_are_current() {
-        let (_, drifts) =
-            lockfile::check(lockfile::Lock::Api, real_workspace_root()).expect("api check");
+        let (_, drifts) = scratch::check(lockfile::Lock::Api, real_workspace_root());
         assert!(
             drifts.is_empty(),
             "public-API snapshots drifted (run `cargo run -p seeker-lint -- --bless-api`):\n{}",

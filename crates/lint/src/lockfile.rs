@@ -10,7 +10,8 @@
 //! a multi-file lock that nothing renders any more, which
 //! [`bless`](crate::lockfile::bless) deletes as it writes the rendering.
 
-use crate::{api_lock, config_docs, deadpub, panics, unsafe_audit};
+use crate::walk::Index;
+use crate::{api_lock, config_docs, deadpub, panics, unsafe_audit, Finding};
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -75,14 +76,14 @@ impl Lock {
     }
 
     /// Renders the files the workspace should have.
-    fn rendering(self, root: &Path) -> io::Result<Rendered> {
-        match self {
-            Lock::Api => api_lock::render_lock(root),
-            Lock::Panics => panics::render_lock(root),
-            Lock::Unsafe => unsafe_audit::render_lock(root),
+    fn rendering(self, index: &Index<'_>) -> io::Result<Rendered> {
+        Ok(match self {
+            Lock::Api => api_lock::render_lock(index),
+            Lock::Panics => panics::render_lock(index),
+            Lock::Unsafe => unsafe_audit::render_lock(index),
             Lock::Config => config_docs::render_lock(),
-            Lock::DeadPub => deadpub::render_lock(root),
-        }
+            Lock::DeadPub => deadpub::render_lock(index)?,
+        })
     }
 }
 
@@ -91,7 +92,7 @@ impl Lock {
 /// [`check`] reports beside the drift.
 pub(crate) struct Rendered {
     pub(crate) files: Vec<LockFile>,
-    pub(crate) findings: Vec<String>,
+    pub(crate) findings: Vec<Finding>,
 }
 
 /// One rendered file: the stem that replaces the `*` of a multi-file lock's
@@ -160,17 +161,18 @@ impl fmt::Display for Drift {
     }
 }
 
-/// Compares `lock`'s files with what the workspace renders. Returns the
-/// findings the rendering made and the drift; both empty means the lock
-/// holds.
+/// Compares `lock`'s files with what the indexed workspace renders.
+/// Returns the findings the rendering made and the drift; both empty means
+/// the lock holds.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the analysis and from reading the lock,
 /// except a missing file, which is drift.
-pub fn check(lock: Lock, root: &Path) -> io::Result<(Vec<String>, Vec<Drift>)> {
+pub fn check(lock: Lock, index: &Index<'_>) -> io::Result<(Vec<Finding>, Vec<Drift>)> {
     let (.., row_noun, rule) = lock.spec();
-    let rendered = lock.rendering(root)?;
+    let root = index.root;
+    let rendered = lock.rendering(index)?;
     let mut drift = Vec::new();
     let mut push = |path: &Path, key: Option<&str>, kind| {
         let key = key.map_or_else(|| path.display().to_string(), str::to_string);
@@ -224,15 +226,16 @@ pub fn check(lock: Lock, root: &Path) -> io::Result<(Vec<String>, Vec<Drift>)> {
     Ok((rendered.findings, drift))
 }
 
-/// Writes `lock`'s files from what the workspace renders and deletes the
-/// files of a multi-file lock that nothing renders any more. Returns the
-/// written paths, relative to the workspace root.
+/// Writes `lock`'s files from what the indexed workspace renders and
+/// deletes the files of a multi-file lock that nothing renders any more.
+/// Returns the written paths, relative to the workspace root.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the analysis, the writes and the deletions.
-pub fn bless(lock: Lock, root: &Path) -> io::Result<Vec<PathBuf>> {
-    let rendered = lock.rendering(root)?;
+pub fn bless(lock: Lock, index: &Index<'_>) -> io::Result<Vec<PathBuf>> {
+    let root = index.root;
+    let rendered = lock.rendering(index)?;
     for orphan in orphans(lock, root, &rendered)? {
         fs::remove_file(root.join(orphan))?;
     }
@@ -297,7 +300,8 @@ fn orphans(lock: Lock, root: &Path, rendered: &Rendered) -> io::Result<Vec<PathB
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scratch::{workspace, write};
+    use crate::scratch::{bless, check, workspace, write};
+    use crate::walk::Workspace;
 
     const LIB: &str = "//! A.\n\n/// One.\npub fn one() -> u32 { 1 }\n";
 
@@ -305,14 +309,14 @@ mod tests {
     fn an_orphaned_snapshot_is_removed_drift_and_bless_deletes_it() {
         let root = workspace(LIB);
         let api = Lock::Api;
-        assert_eq!(bless(api, &root).expect("bless"), vec![PathBuf::from("api/alpha.api")]);
-        assert!(check(api, &root).expect("check").1.is_empty());
+        assert_eq!(bless(api, &root), vec![PathBuf::from("api/alpha.api")]);
+        assert!(check(api, &root).1.is_empty());
         write(
             &root,
             "api/ghost.api",
             "# Public-API snapshot of `ghost`.\nsrc/lib.rs: pub fn boo()\n",
         );
-        let (_, drift) = check(api, &root).expect("check");
+        let (_, drift) = check(api, &root);
         assert!(
             matches!(
                 drift.as_slice(),
@@ -321,17 +325,18 @@ mod tests {
             ),
             "{drift:?}"
         );
-        bless(api, &root).expect("bless");
+        bless(api, &root);
         assert!(!root.join("api/ghost.api").exists());
         assert!(root.join("api/alpha.api").is_file());
-        assert!(check(api, &root).expect("check").1.is_empty());
+        assert!(check(api, &root).1.is_empty());
     }
 
     #[test]
     fn an_unreadable_lock_is_an_error_not_drift() {
         let root = workspace(LIB);
         fs::create_dir_all(root.join("docs/CONFIGURATION.md")).expect("mkdir");
-        assert!(check(Lock::Config, &root).is_err());
+        let workspace = Workspace::read(&root).expect("walk");
+        assert!(super::check(Lock::Config, &Index::new(&workspace)).is_err());
     }
 
     #[test]

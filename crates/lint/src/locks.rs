@@ -37,17 +37,14 @@
 //! acquisition (or dispatch) line removes that site from the graph.
 
 use crate::callgraph::{self, CallGraph};
-use crate::lexer::lex;
-use crate::rules::{self, FileClass, Rule};
-use crate::syntax::{parse_stream, Item, ItemKind};
+use crate::rules::Rule;
+use crate::syntax::{Item, ItemKind};
 use crate::tokens::{TokenKind, TokenStream};
-use crate::walk::{workspace_crates, workspace_sources};
+use crate::walk::Index;
+use crate::Finding;
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Lock-free `lock()`-named receivers that are IO handle locks, not
 /// mutexes.
@@ -76,67 +73,6 @@ pub struct LockEdge {
     pub line: usize,
 }
 
-/// A finding of the lock/condvar analysis.
-#[derive(Debug, Clone)]
-pub enum LockFinding {
-    /// A cycle in the acquisition-order graph.
-    Cycle {
-        /// The locks on the cycle, sorted.
-        locks: Vec<String>,
-        /// An example edge site inside the cycle.
-        file: PathBuf,
-        /// 1-based line of the example site.
-        line: usize,
-    },
-    /// A `Condvar::wait`/`wait_while` call outside any loop.
-    WaitOutsideLoop {
-        /// Source file.
-        file: PathBuf,
-        /// 1-based line of the wait call.
-        line: usize,
-    },
-    /// A lock held across a `par_map`-family dispatch.
-    HeldAcrossPar {
-        /// The held lock.
-        lock: String,
-        /// The dispatch callee as written.
-        callee: String,
-        /// Source file.
-        file: PathBuf,
-        /// 1-based line of the dispatch.
-        line: usize,
-    },
-}
-
-impl fmt::Display for LockFinding {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LockFinding::Cycle { locks, file, line } => write!(
-                f,
-                "{}:{}: [lock-order] acquisition-order cycle between {{{}}} — two threads \
-                 interleaving these orders deadlock; impose one global order",
-                file.display(),
-                line,
-                locks.join(", ")
-            ),
-            LockFinding::WaitOutsideLoop { file, line } => write!(
-                f,
-                "{}:{}: [lock-order] `Condvar::wait` outside a predicate loop — spurious \
-                 wakeups make a bare wait incorrect; use `while !cond {{ wait }}` or `wait_while`",
-                file.display(),
-                line
-            ),
-            LockFinding::HeldAcrossPar { lock, callee, file, line } => write!(
-                f,
-                "{}:{}: [lock-order] lock `{lock}` held across `{callee}` — release it before \
-                 dispatching to the pool",
-                file.display(),
-                line
-            ),
-        }
-    }
-}
-
 /// The lock-order analysis result: the graph plus the findings.
 #[derive(Debug, Clone, Default)]
 pub struct LockOrderReport {
@@ -145,7 +81,7 @@ pub struct LockOrderReport {
     /// The acquired-before edges, deduplicated, sorted by (from, to).
     pub edges: Vec<LockEdge>,
     /// Cycles, bare waits, and held-across-dispatch findings.
-    pub findings: Vec<LockFinding>,
+    pub findings: Vec<Finding>,
 }
 
 /// One acquisition inside a function body.
@@ -164,16 +100,11 @@ struct Acquire {
     allowed: bool,
 }
 
-/// Runs the lock-order and condvar-protocol analysis over the workspace
-/// rooted at `root`, reusing an already-built call `graph`.
-///
-/// # Errors
-///
-/// Propagates I/O errors from source reads.
-pub fn lock_order(root: &Path, graph: &CallGraph) -> io::Result<LockOrderReport> {
-    let crates = workspace_crates(root)?;
-    let sources = workspace_sources(root)?;
-
+/// Runs the lock-order and condvar-protocol analysis over the index and its
+/// call graph.
+#[must_use]
+pub fn lock_order(index: &Index<'_>) -> LockOrderReport {
+    let graph = index.graph();
     let mut lock_names: Vec<String> = Vec::new();
     let intern = |name: String, names: &mut Vec<String>| -> usize {
         names.iter().position(|n| n == &name).unwrap_or_else(|| {
@@ -187,29 +118,25 @@ pub fn lock_order(root: &Path, graph: &CallGraph) -> io::Result<LockOrderReport>
     // (caller node, call index within the node, held locks).
     let mut held_at: Vec<(usize, usize, BTreeSet<usize>)> = Vec::new();
     let mut edge_sites: BTreeMap<(usize, usize), (PathBuf, usize)> = BTreeMap::new();
-    let mut findings: Vec<LockFinding> = Vec::new();
+    let mut findings: Vec<Finding> = Vec::new();
+    let finding = |file: &PathBuf, line: usize, message: String| Finding {
+        file: file.clone(),
+        line,
+        tag: Rule::LockOrder.id(),
+        message,
+    };
 
-    for file in &sources {
-        if !matches!(file.class, FileClass::Library | FileClass::LibraryRoot) {
-            continue;
-        }
-        let Some(info) = crates.iter().find(|c| file.path.starts_with(c.dir.join("src"))) else {
-            continue;
-        };
-        let source = fs::read_to_string(root.join(&file.path))?;
-        let stream = TokenStream::new(lex(&source));
-        let tree = parse_stream(&stream, source.len());
-        let test_lines = rules::test_region_lines(&stream);
-        let allows = rules::collect_allows(&stream);
-        let allowed = |line: usize| {
-            allows.iter().any(|(l, r)| *r == Rule::LockOrder && (*l == line || *l + 1 == line))
-        };
+    for file in index.library_files() {
+        let Some(info) = index.crate_of(file) else { continue };
+        let stream = &file.stream;
+        let path = file.path.to_path_buf();
+        let allowed = |line: usize| file.allowed(Rule::LockOrder, line);
 
         let mut fns: Vec<&Item> = Vec::new();
-        collect_fns(&tree.items, &mut fns);
+        collect_fns(&file.tree.items, &mut fns);
         for item in fns {
             let Some((bs, be)) = item.body_code else { continue };
-            if test_lines.contains(&item.line) {
+            if file.is_test(item.line) {
                 continue;
             }
             // Lock-helper bodies acquire through their parameter; indexing
@@ -219,12 +146,12 @@ pub fn lock_order(root: &Path, graph: &CallGraph) -> io::Result<LockOrderReport>
             {
                 continue;
             }
-            let acquires = scan_acquires(&stream, bs, be, &info.name, &mut |name| {
+            let acquires = scan_acquires(stream, bs, be, &info.name, &mut |name| {
                 intern(name, &mut lock_names)
             });
             let acquires: Vec<Acquire> = acquires
                 .into_iter()
-                .filter(|a| !test_lines.contains(&a.line))
+                .filter(|a| !file.is_test(a.line))
                 .map(|mut a| {
                     a.allowed = allowed(a.line);
                     a
@@ -232,13 +159,19 @@ pub fn lock_order(root: &Path, graph: &CallGraph) -> io::Result<LockOrderReport>
                 .collect();
 
             // (2) Condvar waits must sit inside a loop.
-            let loops = callgraph::loop_ranges(&stream, bs, be);
-            for (idx, line) in condvar_waits(&stream, bs, be) {
-                if test_lines.contains(&line) || allowed(line) {
+            let loops = callgraph::loop_ranges(stream, bs, be);
+            for (idx, line) in condvar_waits(stream, bs, be) {
+                if file.is_test(line) || allowed(line) {
                     continue;
                 }
                 if !loops.iter().any(|&(lo, hi)| lo <= idx && idx < hi) {
-                    findings.push(LockFinding::WaitOutsideLoop { file: file.path.clone(), line });
+                    findings.push(finding(
+                        &path,
+                        line,
+                        "`Condvar::wait` outside a predicate loop — spurious wakeups make a bare \
+                         wait incorrect; use `while !cond { wait }` or `wait_while`"
+                            .to_string(),
+                    ));
                 }
             }
 
@@ -249,7 +182,7 @@ pub fn lock_order(root: &Path, graph: &CallGraph) -> io::Result<LockOrderReport>
                     if b.idx > a.idx && b.idx < a.release_idx && !b.allowed {
                         edge_sites
                             .entry((a.lock, b.lock))
-                            .or_insert_with(|| (file.path.clone(), b.line));
+                            .or_insert_with(|| (path.clone(), b.line));
                     }
                 }
             }
@@ -257,7 +190,7 @@ pub fn lock_order(root: &Path, graph: &CallGraph) -> io::Result<LockOrderReport>
             // Map this body to its call-graph node for the
             // inter-procedural part.
             let Some(node_idx) =
-                graph.nodes.iter().position(|n| n.file == file.path && n.line == item.line)
+                graph.nodes.iter().position(|n| n.file == path && n.line == item.line)
             else {
                 continue;
             };
@@ -280,12 +213,11 @@ pub fn lock_order(root: &Path, graph: &CallGraph) -> io::Result<LockOrderReport>
                 let tail = edge.callee.rsplit("::").next().unwrap_or(&edge.callee);
                 if PAR_FAMILY.contains(&tail) {
                     for &l in &held {
-                        findings.push(LockFinding::HeldAcrossPar {
-                            lock: lock_names[l].clone(),
-                            callee: edge.callee.clone(),
-                            file: file.path.clone(),
-                            line: edge.line,
-                        });
+                        let message = format!(
+                            "lock `{}` held across `{}` — release it before dispatching to the pool",
+                            lock_names[l], edge.callee
+                        );
+                        findings.push(finding(&path, edge.line, message));
                     }
                 }
                 held_at.push((node_idx, call_idx, held));
@@ -351,7 +283,12 @@ pub fn lock_order(root: &Path, graph: &CallGraph) -> io::Result<LockOrderReport>
             })
             .map(|(_, site)| site.clone())
             .unwrap_or_default();
-        findings.push(LockFinding::Cycle { locks, file, line });
+        let message = format!(
+            "acquisition-order cycle between {{{}}} — two threads interleaving these orders \
+             deadlock; impose one global order",
+            locks.join(", ")
+        );
+        findings.push(finding(&file, line, message));
     }
 
     let mut locks = lock_names.clone();
@@ -366,12 +303,8 @@ pub fn lock_order(root: &Path, graph: &CallGraph) -> io::Result<LockOrderReport>
         })
         .collect();
     edges.sort_by(|a, b| (&a.from, &a.to).cmp(&(&b.from, &b.to)));
-    findings.sort_by_key(|f| match f {
-        LockFinding::Cycle { line, .. }
-        | LockFinding::WaitOutsideLoop { line, .. }
-        | LockFinding::HeldAcrossPar { line, .. } => *line,
-    });
-    Ok(LockOrderReport { locks, edges, findings })
+    findings.sort_by_key(|f| f.line);
+    LockOrderReport { locks, edges, findings }
 }
 
 /// The transitive acquire-closure: `closure[i]` is everything function `i`
@@ -642,14 +575,18 @@ pub fn render_lock_graph(report: &LockOrderReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::callgraph::build_call_graph;
     use crate::scratch::workspace;
+    use crate::walk::Workspace;
     use proptest::prelude::*;
 
     fn run(lib: &str) -> LockOrderReport {
         let root = workspace(lib);
-        let graph = build_call_graph(&root).expect("call graph");
-        lock_order(&root, &graph).expect("lock order")
+        let workspace = Workspace::read(&root).expect("walk");
+        lock_order(&Index::new(&workspace))
+    }
+
+    fn messages(report: &LockOrderReport) -> Vec<&str> {
+        report.findings.iter().map(|f| f.message.as_str()).collect()
     }
 
     const HEADER: &str = "//! A.\n#![deny(missing_docs)]\nuse std::sync::{Condvar, Mutex};\nstatic A: Mutex<u32> = Mutex::new(0);\nstatic B: Mutex<u32> = Mutex::new(0);\n";
@@ -661,8 +598,10 @@ mod tests {
         ));
         assert_eq!(report.locks, vec!["alpha::A", "alpha::B"]);
         assert_eq!(report.edges.len(), 2, "{report:?}");
-        assert!(
-            matches!(&report.findings[..], [LockFinding::Cycle { locks, .. }] if locks == &["alpha::A", "alpha::B"]),
+        assert_eq!(
+            messages(&report),
+            ["acquisition-order cycle between {alpha::A, alpha::B} — two threads interleaving \
+              these orders deadlock; impose one global order"],
             "{:?}",
             report.findings
         );
@@ -694,7 +633,7 @@ mod tests {
             "{HEADER}/// outer.\npub fn outer() {{\n    let a = A.lock().expect(\"a\");\n    inner();\n    drop(a);\n}}\n/// inner.\npub fn inner() {{\n    let b = B.lock().expect(\"b\");\n    drop(b);\n}}\n/// other.\npub fn other() {{\n    let b = B.lock().expect(\"b\");\n    leaf();\n    drop(b);\n}}\n/// leaf.\npub fn leaf() {{\n    let a = A.lock().expect(\"a\");\n    drop(a);\n}}\n"
         ));
         assert!(
-            report.findings.iter().any(|f| matches!(f, LockFinding::Cycle { .. })),
+            messages(&report).iter().any(|m| m.starts_with("acquisition-order cycle between")),
             "{:?}",
             report.findings
         );
@@ -708,10 +647,8 @@ mod tests {
         let waits: Vec<usize> = report
             .findings
             .iter()
-            .filter_map(|f| match f {
-                LockFinding::WaitOutsideLoop { line, .. } => Some(*line),
-                _ => None,
-            })
+            .filter(|f| f.message.starts_with("`Condvar::wait` outside a predicate loop"))
+            .map(|f| f.line)
             .collect();
         assert_eq!(waits.len(), 1, "{:?}", report.findings);
     }
@@ -721,8 +658,10 @@ mod tests {
         let report = run(&format!(
             "{HEADER}/// held.\npub fn held(items: &[u32]) -> Vec<u32> {{\n    let g = A.lock().expect(\"a\");\n    let out = seeker_par::par_map(items, |x| *x + *g);\n    drop(g);\n    out\n}}\n"
         ));
-        assert!(
-            matches!(&report.findings[..], [LockFinding::HeldAcrossPar { lock, .. }] if lock == "alpha::A"),
+        assert_eq!(
+            messages(&report),
+            ["lock `alpha::A` held across `seeker_par::par_map` — release it before dispatching \
+              to the pool"],
             "{:?}",
             report.findings
         );

@@ -28,11 +28,10 @@
 
 use seeker_lint::lockfile::{self, Lock};
 use seeker_lint::{
-    atomic_sites, build_call_graph, check_layering, hot_findings, lint_workspace, lock_order,
-    render_inventory, render_lock_graph, write_dead_pub_report, CallGraph,
+    atomic_sites, check_layering, hot_findings, lint_workspace, lock_order, render_inventory,
+    render_lock_graph, write_dead_pub_report, Index, Workspace,
 };
 
-use std::cell::OnceCell;
 use std::env;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -129,11 +128,23 @@ fn main() -> ExitCode {
         eprintln!("seeker-lint: {} is not a workspace root (no Cargo.toml)", root.display());
         return ExitCode::from(2);
     }
+    // One walk reads every source the passes need. The configuration doc
+    // renders from the env registry alone, so its lock reads none.
+    let workspace = match mode {
+        Some(Mode::Only(Pass::Check(Lock::Config)) | Mode::Bless(Lock::Config)) => {
+            Workspace::at(&root)
+        }
+        _ => match Workspace::read(&root) {
+            Ok(workspace) => workspace,
+            Err(err) => return io_error("reading", &root, &err),
+        },
+    };
+    let index = Index::new(&workspace);
     let (passes, alone) = match mode {
         None => (FULL_GATE.to_vec(), false),
         Some(Mode::Only(pass)) => (vec![pass], true),
         Some(Mode::Bless(lock)) => {
-            return match lockfile::bless(lock, &root) {
+            return match lockfile::bless(lock, &index) {
                 Ok(written) => {
                     for path in &written {
                         println!("seeker-lint: blessed {}", path.display());
@@ -144,7 +155,7 @@ fn main() -> ExitCode {
             };
         }
         Some(Mode::Report) => {
-            return match write_dead_pub_report(&root) {
+            return match write_dead_pub_report(&index) {
                 Ok((path, count)) => {
                     println!(
                         "seeker-lint: wrote {} ({count} dead-pub candidate(s))",
@@ -157,9 +168,9 @@ fn main() -> ExitCode {
         }
     };
 
-    let (graph, mut reported) = (OnceCell::new(), 0usize);
+    let mut reported = 0usize;
     for pass in passes {
-        match run(pass, &root, &graph, alone) {
+        match run(pass, &index, alone) {
             Ok(lines) => {
                 for line in &lines {
                     println!("{line}");
@@ -181,41 +192,32 @@ fn main() -> ExitCode {
     }
 }
 
-/// Runs one check pass and returns its report lines. The hot-path and
-/// lock-order passes share the call graph `graph` caches. Run `alone`, the
-/// atomics and lock-order passes also print their inventories.
-fn run(
-    pass: Pass,
-    root: &Path,
-    graph: &OnceCell<CallGraph>,
-    alone: bool,
-) -> io::Result<Vec<String>> {
-    let graph = || match graph.get() {
-        Some(graph) => Ok(graph),
-        None => build_call_graph(root).map(|built| graph.get_or_init(|| built)),
-    };
+/// Runs one check pass over the index and returns its report lines. Run
+/// `alone`, the atomics and lock-order passes also print their inventories.
+fn run(pass: Pass, index: &Index<'_>, alone: bool) -> io::Result<Vec<String>> {
     Ok(match pass {
-        Pass::Rules => lines(&lint_workspace(root)?),
-        Pass::Layering => lines(&check_layering(root)?),
+        Pass::Rules => lines(&lint_workspace(index)),
+        Pass::Layering => lines(&check_layering(index)),
         Pass::Atomics => {
-            let (sites, violations) = atomic_sites(root)?;
+            let (sites, findings) = atomic_sites(index);
             if alone {
                 print!("{}", render_inventory(&sites));
             }
-            lines(&violations)
+            lines(&findings)
         }
-        Pass::Hotpath => lines(&hot_findings(graph()?)),
+        Pass::Hotpath => lines(&hot_findings(index.graph())),
         Pass::LockOrder => {
-            let report = lock_order(root, graph()?)?;
+            let report = lock_order(index);
             if alone {
                 print!("{}", render_lock_graph(&report));
             }
             lines(&report.findings)
         }
         Pass::Check(lock) => {
-            let (mut findings, drift) = lockfile::check(lock, root)?;
-            findings.extend(lines(&drift));
-            findings
+            let (findings, drift) = lockfile::check(lock, index)?;
+            let mut out = lines(&findings);
+            out.extend(lines(&drift));
+            out
         }
     })
 }

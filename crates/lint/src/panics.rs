@@ -20,11 +20,9 @@
 //! there), documenting at the definition site that the panic is a contract
 //! violation by the caller.
 
-use crate::callgraph::{build_call_graph, CallGraph};
+use crate::callgraph::CallGraph;
 use crate::lockfile::Rendered;
-
-use std::io;
-use std::path::Path;
+use crate::walk::Index;
 
 /// One panicky `pub` function, with the evidence chain.
 #[derive(Debug, Clone)]
@@ -95,23 +93,23 @@ pub fn panic_entries(graph: &CallGraph) -> Vec<PanicEntry> {
 
 /// Renders `api/panics.lock`: one row per panicky `pub` function, witnessed
 /// by its chain to the panic site.
-pub(crate) fn render_lock(root: &Path) -> io::Result<Rendered> {
-    let entries = panic_entries(&build_call_graph(root)?);
+pub(crate) fn render_lock(index: &Index<'_>) -> Rendered {
+    let entries = panic_entries(index.graph());
     let rows =
         entries.into_iter().map(|e| (e.id, Some(format!("{}: {}", e.chain.join(" → "), e.site))));
-    Ok(Rendered::one(
+    Rendered::one(
         "Panic-reachability lock — `pub` functions that transitively reach a\n\
          panic site (blessed output of `cargo run -p seeker-lint -- --bless-panics`).\n\
          `--check-panics` fails when the computed set differs from this file.",
         rows,
-    ))
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lockfile::{bless, check, Drift, DriftKind, Lock};
-    use crate::scratch::workspace;
+    use crate::lockfile::{Drift, DriftKind, Lock};
+    use crate::scratch::{bless, check, graph, workspace};
     use std::fs;
 
     #[test]
@@ -119,8 +117,7 @@ mod tests {
         let root = workspace(
             "//! A.\n#![deny(missing_docs)]\n\nfn deep(x: Option<u32>) -> u32 { x.unwrap() }\nfn middle(x: Option<u32>) -> u32 { deep(x) }\n\n/// E.\npub fn entry(x: Option<u32>) -> u32 { middle(x) }\n\n/// Safe.\npub fn safe() -> u32 { 7 }\n",
         );
-        let graph = build_call_graph(&root).expect("graph");
-        let entries = panic_entries(&graph);
+        let entries = panic_entries(&graph(&root));
         let ids: Vec<&str> = entries.iter().map(|e| e.id.as_str()).collect();
         assert_eq!(ids, vec!["alpha::entry"]);
         assert_eq!(entries[0].chain, vec!["alpha::entry", "alpha::middle", "alpha::deep"]);
@@ -132,8 +129,7 @@ mod tests {
         let root = workspace(
             "//! A.\n#![deny(missing_docs)]\n\n// Caller guarantees non-empty input. lint:allow(panic-reach)\nfn checked(x: Option<u32>) -> u32 { x.unwrap() }\n\n/// E.\npub fn entry(x: Option<u32>) -> u32 { checked(x) }\n",
         );
-        let graph = build_call_graph(&root).expect("graph");
-        assert!(panic_entries(&graph).is_empty());
+        assert!(panic_entries(&graph(&root)).is_empty());
     }
 
     #[test]
@@ -141,8 +137,8 @@ mod tests {
         let root = workspace(
             "//! A.\n#![deny(missing_docs)]\n\n/// E.\npub fn entry(x: Option<u32>) -> u32 { x.unwrap() }\n",
         );
-        let check_panics = || check(Lock::Panics, &root).expect("check").1;
-        let bless_panics = || bless(Lock::Panics, &root).expect("bless");
+        let check_panics = || check(Lock::Panics, &root).1;
+        let bless_panics = || bless(Lock::Panics, &root);
         // Missing lock is drift.
         let drifts = check_panics();
         assert!(matches!(drifts.as_slice(), [Drift { kind: DriftKind::Missing, .. }]));

@@ -7,12 +7,12 @@
 //! multi-line constructs (a call split across lines by rustfmt) match the
 //! same as single-line ones.
 
-use crate::lexer::lex;
 use crate::tokens::{TokenKind, TokenStream};
+use crate::walk::{Index, SourceFile};
+use crate::Finding;
 
-use std::collections::BTreeSet;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Identifier of a lint rule, usable in `// lint:allow(<rule>)` comments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -142,27 +142,8 @@ impl fmt::Display for Rule {
     }
 }
 
-/// One rule violation at a specific source location.
-#[derive(Debug, Clone)]
-pub struct Violation {
-    /// File the violation is in (as passed to the analysis).
-    pub file: PathBuf,
-    /// 1-based line number.
-    pub line: usize,
-    /// The violated rule.
-    pub rule: Rule,
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl fmt::Display for Violation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}: [{}] {}", self.file.display(), self.line, self.rule, self.message)
-    }
-}
-
-/// How a file participates in the lint pass (derived from its path by
-/// [`crate::walk`], or set explicitly in tests).
+/// How a file participates in the gate (derived from its path and its
+/// declaring `mod` by [`crate::walk`], or set explicitly in tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileClass {
     /// `crates/*/src/lib.rs` or the workspace-root `src/lib.rs`.
@@ -171,37 +152,24 @@ pub enum FileClass {
     BinaryRoot,
     /// Any other library source under a `src/` tree.
     Library,
-    /// Test-only code: under `tests/`, or a file-level `#[cfg(test)]`
-    /// module. Exempt from every rule.
+    /// Test-only code: a file declared by a test-only `mod x;`. Exempt from
+    /// every rule.
     TestCode,
 }
 
-/// Tunable rule scoping.
-#[derive(Debug, Clone)]
-pub struct Config {
-    /// Lints every crate root must `#![deny(...)]`.
-    pub required_deny: Vec<String>,
-    /// Additional lints required in experiment stub binaries
-    /// (`crates/bench/src/bin/*.rs`).
-    pub bench_bin_required_deny: Vec<String>,
-    /// File-name suffixes marking feature/metric code where `float-cast`
-    /// applies.
-    pub float_cast_files: Vec<String>,
-    /// Path prefixes exempt from `no-system-time` (the observability layer
-    /// measures wall time by design; the bench harness times experiments).
-    pub time_exempt_paths: Vec<String>,
-}
+/// Lints every crate root must `#![deny(...)]`.
+const REQUIRED_DENY: &[&str] = &["missing_docs"];
 
-impl Default for Config {
-    fn default() -> Config {
-        Config {
-            required_deny: vec!["missing_docs".to_string()],
-            bench_bin_required_deny: vec!["dead_code".to_string()],
-            float_cast_files: vec!["features.rs".to_string(), "metrics.rs".to_string()],
-            time_exempt_paths: vec!["crates/obs/".to_string(), "crates/bench/".to_string()],
-        }
-    }
-}
+/// Lints the experiment stub binaries (`crates/bench/src/bin/*.rs`) must
+/// deny as well.
+const BENCH_BIN_REQUIRED_DENY: &[&str] = &["dead_code"];
+
+/// File names marking the feature/metric code where `float-cast` applies.
+const FLOAT_CAST_FILES: &[&str] = &["features.rs", "metrics.rs"];
+
+/// Path prefixes exempt from `no-system-time`: the observability layer
+/// measures wall time by design, and the bench harness times experiments.
+const TIME_EXEMPT_PATHS: &[&str] = &["crates/obs/", "crates/bench/"];
 
 const INT_TYPES: &[&str] =
     &["u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize"];
@@ -214,157 +182,68 @@ const PRINT_MACROS: &[&str] = &["println", "eprintln", "print", "eprint"];
 /// explicit seed. `StdRng::seed_from_u64(seed)` is the sanctioned pattern.
 const UNSEEDED_RNG_FNS: &[&str] = &["thread_rng", "from_entropy", "from_os_rng"];
 
-/// Analyzes one source file and returns its violations.
-///
-/// `path` is used for reporting and for path-scoped rules; `class` controls
-/// which rules run.
+/// Lints every file of the index and returns the findings, ordered by file
+/// then line.
 #[must_use]
-pub fn lint_source(path: &Path, class: FileClass, source: &str) -> Vec<Violation> {
-    lint_source_with(path, class, source, &Config::default())
+pub fn lint_workspace(index: &Index<'_>) -> Vec<Finding> {
+    // Matching fans out over the pool on file-sized units; the final sort
+    // makes serial and parallel runs report identically.
+    let mut findings: Vec<Finding> =
+        seeker_par::par_map_cost(&index.files, seeker_par::Cost::Heavy, lint_file)
+            .into_iter()
+            .flatten()
+            .collect();
+    findings.sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)));
+    findings
 }
 
-/// [`lint_source`] with an explicit configuration.
+/// Lints one source as a file of class `class` at `path`; `path` also
+/// scopes the path-dependent rules.
 #[must_use]
-pub fn lint_source_with(
-    path: &Path,
-    class: FileClass,
-    source: &str,
-    config: &Config,
-) -> Vec<Violation> {
-    if class == FileClass::TestCode {
+pub fn lint_source(path: &Path, class: FileClass, source: &str) -> Vec<Finding> {
+    lint_file(&SourceFile::new(path, class, source))
+}
+
+/// Lints one indexed file: its class selects the rules, its path scopes the
+/// path-dependent ones.
+fn lint_file(file: &SourceFile<'_>) -> Vec<Finding> {
+    if file.class == FileClass::TestCode {
         return Vec::new();
     }
-    let stream = TokenStream::new(lex(source));
-    let allows = collect_allows(&stream);
-    let test_lines = test_region_lines(&stream);
-
+    let stream = &file.stream;
     let mut out = Vec::new();
-    let allowed = |rule: Rule, line: usize| -> bool {
-        allows.iter().any(|(l, r)| *r == rule && (*l == line || *l + 1 == line))
-    };
     let mut push = |rule: Rule, line: usize, message: String| {
-        if !allowed(rule, line) && !test_lines.contains(&line) {
-            out.push(Violation { file: path.to_path_buf(), line, rule, message });
+        if !file.allowed(rule, line) && !file.is_test(line) {
+            out.push(Finding { file: file.path.to_path_buf(), line, tag: rule.id(), message });
         }
     };
 
-    let is_library = matches!(class, FileClass::Library | FileClass::LibraryRoot);
+    let path = file.path.to_string_lossy().replace('\\', "/");
+    let is_library = matches!(file.class, FileClass::Library | FileClass::LibraryRoot);
     if is_library {
-        no_panic(&stream, &mut push);
-        thread_spawn(&stream, &mut push);
-        no_print(&stream, &mut push);
-        float_eq(&stream, &mut push);
-        no_hash_iter(&stream, &mut push);
-        no_unseeded_rng(&stream, &mut push);
-        env_read(&stream, &mut push);
-        if !is_time_exempt(path, config) {
-            no_system_time(&stream, &mut push);
+        no_panic(stream, &mut push);
+        thread_spawn(stream, &mut push);
+        no_print(stream, &mut push);
+        float_eq(stream, &mut push);
+        no_hash_iter(stream, &mut push);
+        no_unseeded_rng(stream, &mut push);
+        env_read(stream, &mut push);
+        if !TIME_EXEMPT_PATHS.iter().any(|p| path.starts_with(p)) {
+            no_system_time(stream, &mut push);
         }
     }
-    if is_float_cast_scope(path, config) {
-        float_cast(&stream, &mut push);
+    let name = file.path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+    if FLOAT_CAST_FILES.contains(&name) {
+        float_cast(stream, &mut push);
     }
-    if class == FileClass::LibraryRoot {
-        undocumented_pub(&stream, &test_lines, &mut push);
+    if file.class == FileClass::LibraryRoot {
+        undocumented_pub(file, &mut push);
     }
-    if matches!(class, FileClass::LibraryRoot | FileClass::BinaryRoot) {
-        deny_header(path, &stream, config, &mut push);
+    if matches!(file.class, FileClass::LibraryRoot | FileClass::BinaryRoot) {
+        deny_header(&path, stream, &mut push);
     }
-    out.sort_by(|a, b| a.line.cmp(&b.line).then_with(|| a.rule.id().cmp(b.rule.id())));
+    out.sort_by(|a, b| a.line.cmp(&b.line).then_with(|| a.tag.cmp(b.tag)));
     out
-}
-
-/// Collects `(line, rule)` pairs from `// lint:allow(rule, …)` comments
-/// (line or block); the allow applies to its own line and the next.
-pub(crate) fn collect_allows(stream: &TokenStream<'_>) -> Vec<(usize, Rule)> {
-    let mut allows = Vec::new();
-    for token in stream.all() {
-        if !matches!(token.kind, TokenKind::LineComment | TokenKind::BlockComment) {
-            continue;
-        }
-        let Some(pos) = token.text.find("lint:allow(") else { continue };
-        let rest = &token.text[pos + "lint:allow(".len()..];
-        let Some(end) = rest.find(')') else { continue };
-        for id in rest[..end].split(',') {
-            if let Some(rule) = Rule::from_id(id.trim()) {
-                allows.push((token.line, rule));
-            }
-        }
-    }
-    allows
-}
-
-/// Returns the set of 1-based line numbers inside `#[cfg(test)] mod … { }`
-/// blocks (token-level brace matching).
-pub(crate) fn test_region_lines(stream: &TokenStream<'_>) -> BTreeSet<usize> {
-    let mut result = BTreeSet::new();
-    let mut i = 0usize;
-    while i < stream.code_len() {
-        let Some(end_attr) = match_cfg_test_attr(stream, i) else {
-            i += 1;
-            continue;
-        };
-        // Scan forward for the attributed item's opening brace; a `;` first
-        // means this is a module *declaration* (handled at the file level by
-        // the walker), not an inline block.
-        let start_line = stream.code(i).map_or(1, |t| t.line);
-        let mut depth = 0usize;
-        let mut opened = false;
-        let mut j = end_attr;
-        while let Some(t) = stream.code(j) {
-            match t.text {
-                "{" if t.kind == TokenKind::Punct => {
-                    depth += 1;
-                    opened = true;
-                }
-                "}" if t.kind == TokenKind::Punct => {
-                    depth = depth.saturating_sub(1);
-                    if opened && depth == 0 {
-                        break;
-                    }
-                }
-                ";" if !opened => break,
-                _ => {}
-            }
-            j += 1;
-        }
-        let end_line =
-            stream.code(j.min(stream.code_len().saturating_sub(1))).map_or(start_line, |t| t.line);
-        for line in start_line..=end_line {
-            result.insert(line);
-        }
-        i = j + 1;
-    }
-    result
-}
-
-/// If code position `i` starts a `#[cfg(…test…)]` attribute, returns the
-/// code position just past its closing `]`.
-fn match_cfg_test_attr(stream: &TokenStream<'_>, i: usize) -> Option<usize> {
-    if !stream.code(i)?.is_punct("#") || !stream.code(i + 1)?.is_punct("[") {
-        return None;
-    }
-    if !stream.code(i + 2)?.is_ident("cfg") {
-        return None;
-    }
-    let mut depth = 1usize; // the `[`
-    let mut saw_test = false;
-    let mut j = i + 2;
-    while let Some(t) = stream.code(j) {
-        match t.text {
-            "[" | "(" if t.kind == TokenKind::Punct => depth += 1,
-            "]" | ")" if t.kind == TokenKind::Punct => {
-                depth -= 1;
-                if depth == 0 {
-                    return if saw_test { Some(j + 1) } else { None };
-                }
-            }
-            "test" if t.kind == TokenKind::Ident => saw_test = true,
-            _ => {}
-        }
-        j += 1;
-    }
-    None
 }
 
 fn no_panic(stream: &TokenStream<'_>, push: &mut impl FnMut(Rule, usize, String)) {
@@ -590,11 +469,8 @@ const PUB_ITEM_KEYWORDS: &[&str] = &[
     "extern", "union", "macro",
 ];
 
-fn undocumented_pub(
-    stream: &TokenStream<'_>,
-    test_lines: &BTreeSet<usize>,
-    push: &mut impl FnMut(Rule, usize, String),
-) {
+fn undocumented_pub(file: &SourceFile<'_>, push: &mut impl FnMut(Rule, usize, String)) {
+    let stream = &file.stream;
     let mut depth = 0usize;
     for (i, t) in stream.code_iter() {
         if t.kind == TokenKind::Punct {
@@ -605,7 +481,7 @@ fn undocumented_pub(
             }
             continue;
         }
-        if depth != 0 || !t.is_ident("pub") || test_lines.contains(&t.line) {
+        if depth != 0 || !t.is_ident("pub") || file.is_test(t.line) {
             continue;
         }
         let Some(next) = stream.code(i + 1) else { continue };
@@ -702,12 +578,7 @@ fn item_signature_preview(stream: &TokenStream<'_>, i: usize) -> String {
     parts.join(" ")
 }
 
-fn deny_header(
-    path: &Path,
-    stream: &TokenStream<'_>,
-    config: &Config,
-    push: &mut impl FnMut(Rule, usize, String),
-) {
+fn deny_header(path: &str, stream: &TokenStream<'_>, push: &mut impl FnMut(Rule, usize, String)) {
     // Collect every lint named in an inner `#![deny(...)]` / `#![forbid(...)]`.
     let mut denied: Vec<&str> = Vec::new();
     for (i, t) in stream.code_iter() {
@@ -732,13 +603,12 @@ fn deny_header(
             j += 1;
         }
     }
-    let path_str = path.to_string_lossy().replace('\\', "/");
-    let mut required: Vec<&String> = config.required_deny.iter().collect();
-    if path_str.contains("crates/bench/src/bin/") {
-        required.extend(config.bench_bin_required_deny.iter());
+    let mut required = REQUIRED_DENY.to_vec();
+    if path.contains("crates/bench/src/bin/") {
+        required.extend(BENCH_BIN_REQUIRED_DENY);
     }
     for need in required {
-        if !denied.iter().any(|d| d == need) {
+        if !denied.contains(&need) {
             push(
                 Rule::DenyHeader,
                 1,
@@ -748,28 +618,16 @@ fn deny_header(
     }
 }
 
-/// Whether `path` is feature/metric code in scope for `float-cast`.
-fn is_float_cast_scope(path: &Path, config: &Config) -> bool {
-    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-    config.float_cast_files.iter().any(|f| name == f)
-}
-
-/// Whether `path` is under a `no-system-time` exempt prefix.
-fn is_time_exempt(path: &Path, config: &Config) -> bool {
-    let path_str = path.to_string_lossy().replace('\\', "/");
-    config.time_exempt_paths.iter().any(|p| path_str.starts_with(p.as_str()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn lint(class: FileClass, src: &str) -> Vec<Violation> {
+    fn lint(class: FileClass, src: &str) -> Vec<Finding> {
         lint_source(Path::new("crates/x/src/code.rs"), class, src)
     }
 
-    fn rules_of(v: &[Violation]) -> Vec<Rule> {
-        v.iter().map(|v| v.rule).collect()
+    fn rules_of(v: &[Finding]) -> Vec<Rule> {
+        v.iter().map(|v| Rule::from_id(v.tag).expect("a rule id")).collect()
     }
 
     #[test]

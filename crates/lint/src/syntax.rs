@@ -3,8 +3,10 @@
 //!
 //! The parser brace-matches the token stream of one source file into a tree
 //! of spanned [`Item`]s — `mod`, `fn`, `impl`, `trait`, `struct`, `enum`,
-//! `use`, and the rest — with nesting, visibility, and `#[cfg(test)]`
-//! attribution. It is *not* a full Rust parser: it recovers the item
+//! `use`, and the rest — with nesting, visibility, and test-only
+//! attribution. The test-only rule lives here too, and the index's
+//! test-only lines use it: code is test-only under `cfg(P)` when `P`
+//! requires `test`. It is *not* a full Rust parser: it recovers the item
 //! skeleton (who contains whom, where bodies start and end, what is public)
 //! that the call-graph ([`crate::callgraph`]) and the semantic passes
 //! ([`crate::panics`], [`crate::hotpath`]) need, and nothing more.
@@ -24,7 +26,6 @@
 //! [`ItemKind::Other`] items and malformed input degrades to coarser spans,
 //! but progress and the tiling invariant hold for arbitrary byte soup.
 
-use crate::lexer::lex;
 use crate::tokens::{TokenKind, TokenStream};
 
 /// The syntactic class of an [`Item`].
@@ -85,8 +86,8 @@ pub struct Item {
     pub name: String,
     /// The declared visibility.
     pub vis: Vis,
-    /// Whether this item (or an ancestor) carries a `#[cfg(test)]`-style
-    /// attribute — test-only code the semantic passes skip.
+    /// Whether this item (or an ancestor) carries a `cfg(P)` attribute
+    /// whose `P` requires `test` — test-only code the semantic passes skip.
     pub cfg_test: bool,
     /// 1-based line of the item's declaration: the first code token after
     /// its attributes (where the visibility or item keyword sits), so
@@ -140,14 +141,7 @@ impl ItemTree {
     }
 }
 
-/// Parses one source file into its item tree.
-#[must_use]
-pub fn parse_source(source: &str) -> ItemTree {
-    let stream = TokenStream::new(lex(source));
-    parse_stream(&stream, source.len())
-}
-
-/// [`parse_source`] over an already-lexed stream.
+/// Parses one lexed source file into its item tree.
 #[must_use]
 pub fn parse_stream(stream: &TokenStream<'_>, source_len: usize) -> ItemTree {
     let parser = Parser { stream };
@@ -174,6 +168,62 @@ fn assign_spans(stream: &TokenStream<'_>, items: &mut [Item], prev_end: usize) -
         }
     }
     prev
+}
+
+/// The workspace's one test-only rule. If code position `i` starts an outer
+/// attribute `#[cfg(P)]` whose predicate `P` requires `test` — `P` is
+/// `test`, or an `all(…)` with a conjunct that requires it — returns the
+/// code position just past its closing `]`. `not(test)`, `any(test, …)` and
+/// `cfg_attr(test, …)` guard code that production builds compile: not
+/// test-only.
+pub(crate) fn test_attr_end(stream: &TokenStream<'_>, i: usize) -> Option<usize> {
+    let is = |k: usize, text: &str| stream.code(k).is_some_and(|t| t.text == text);
+    if !(is(i, "#") && is(i + 1, "[") && stream.code(i + 2)?.is_ident("cfg") && is(i + 3, "(")) {
+        return None;
+    }
+    let mut depth = 0usize;
+    for close in i + 3..stream.code_len() {
+        match stream.code(close)?.text {
+            "(" => depth += 1,
+            ")" => {
+                depth -= 1;
+                if depth == 0 {
+                    let test_only = requires_test(stream, i + 4, close) && is(close + 1, "]");
+                    return test_only.then_some(close + 2);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
+/// Whether the `cfg` predicate in code positions `[start, end)` requires
+/// `test`: it is `test`, or `all(…)` with a conjunct that does.
+fn requires_test(stream: &TokenStream<'_>, start: usize, end: usize) -> bool {
+    let text = |k: usize| stream.code(k).map_or("", |t| t.text);
+    if end == start + 1 {
+        return stream.code(start).is_some_and(|t| t.is_ident("test"));
+    }
+    let is_all = stream.code(start).is_some_and(|t| t.is_ident("all"));
+    if !(is_all && text(start + 1) == "(" && end > start + 2 && text(end - 1) == ")") {
+        return false;
+    }
+    let (mut depth, mut from) = (0usize, start + 2);
+    for k in start + 2..end - 1 {
+        match text(k) {
+            "(" => depth += 1,
+            ")" => depth = depth.saturating_sub(1),
+            "," if depth == 0 => {
+                if requires_test(stream, from, k) {
+                    return true;
+                }
+                from = k + 1;
+            }
+            _ => {}
+        }
+    }
+    requires_test(stream, from, end - 1)
 }
 
 /// Item keywords the dispatcher recognises directly.
@@ -259,7 +309,7 @@ impl Parser<'_, '_> {
                 break;
             }
             let close = self.match_delim(open, end);
-            if self.attr_is_cfg_test(j, close) {
+            if test_attr_end(self.stream, j).is_some() {
                 cfg_test = true;
             }
             j = close + 1;
@@ -434,24 +484,6 @@ impl Parser<'_, '_> {
                 (make(ItemKind::Other, String::new(), code_end, None), code_end)
             }
         }
-    }
-
-    /// Whether the attribute tokens in `[start, close]` are `#[cfg(…test…)]`
-    /// (covers `cfg(test)`, `cfg(any(test, …))`, `cfg_attr(test, …)`).
-    fn attr_is_cfg_test(&self, start: usize, close: usize) -> bool {
-        let mut saw_cfg = false;
-        let mut saw_test = false;
-        for k in start..=close {
-            let Some(t) = self.stream.code(k) else { continue };
-            if t.kind == TokenKind::Ident {
-                match t.text {
-                    "cfg" | "cfg_attr" => saw_cfg = true,
-                    "test" => saw_test = true,
-                    _ => {}
-                }
-            }
-        }
-        saw_cfg && saw_test
     }
 
     /// The first identifier after code index `i` (skipping one non-ident
@@ -676,6 +708,11 @@ impl Parser<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex;
+
+    fn parse_source(source: &str) -> ItemTree {
+        parse_stream(&TokenStream::new(lex(source)), source.len())
+    }
 
     fn names(items: &[Item]) -> Vec<(&ItemKind, &str)> {
         items.iter().map(|i| (&i.kind, i.name.as_str())).collect()

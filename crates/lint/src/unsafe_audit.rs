@@ -16,17 +16,15 @@
 //! churns the ledger but any semantic edit inside an `unsafe` region —
 //! however small — forces a conscious re-bless of its entry.
 
-use crate::lexer::lex;
 use crate::lockfile::Rendered;
-use crate::rules::{self, FileClass, Rule};
-use crate::syntax::{parse_stream, Item};
+use crate::rules::Rule;
+use crate::syntax::Item;
 use crate::tokens::{TokenKind, TokenStream};
-use crate::walk::{workspace_crates, workspace_sources};
+use crate::walk::{Index, SourceFile};
+use crate::Finding;
 
-use std::fmt;
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
+use std::collections::BTreeMap;
+use std::path::PathBuf;
 
 /// The syntactic class of an `unsafe` construct.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,23 +74,6 @@ pub struct UnsafeSite {
     pub obligation: Option<String>,
 }
 
-/// A `SAFETY:`-comment violation (reported independently of ledger drift).
-#[derive(Debug, Clone)]
-pub struct UnsafeViolation {
-    /// Source file, relative to the workspace root.
-    pub file: PathBuf,
-    /// 1-based line of the `unsafe` keyword.
-    pub line: usize,
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl fmt::Display for UnsafeViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}: [unsafe-ledger] {}", self.file.display(), self.line, self.message)
-    }
-}
-
 /// FNV-1a 64-bit over `bytes` folded into `hash` (stable across platforms
 /// and toolchains, unlike `DefaultHasher`).
 fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
@@ -105,75 +86,34 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
-/// Collects every `unsafe` construct in non-test library code, plus the
-/// missing-`SAFETY:` violations. Sites are sorted by id.
-///
-/// # Errors
-///
-/// Propagates I/O errors from source reads.
-pub fn unsafe_sites(root: &Path) -> io::Result<(Vec<UnsafeSite>, Vec<UnsafeViolation>)> {
-    let crates = workspace_crates(root)?;
-    let sources = workspace_sources(root)?;
+/// Collects every `unsafe` construct in non-test library code, sorted by
+/// id, plus the missing-`SAFETY:` findings, sorted by file then line.
+#[must_use]
+pub fn unsafe_sites(index: &Index<'_>) -> (Vec<UnsafeSite>, Vec<Finding>) {
     let mut sites = Vec::new();
-    let mut violations = Vec::new();
-    for file in &sources {
-        if !matches!(file.class, FileClass::Library | FileClass::LibraryRoot) {
-            continue;
-        }
-        let Some(info) = crates.iter().find(|c| file.path.starts_with(c.dir.join("src"))) else {
-            continue;
-        };
-        let source = fs::read_to_string(root.join(&file.path))?;
-        collect_file(
-            &info.name,
-            &module_path(&info.dir, &file.path),
-            &file.path,
-            &source,
-            |site| {
-                sites.push(site);
-            },
-            |v| violations.push(v),
-        );
+    let mut findings = Vec::new();
+    for file in index.library_files() {
+        let Some(info) = index.crate_of(file) else { continue };
+        collect_file(&info.name, file, &mut sites, &mut findings);
     }
     sites.sort_by(|a, b| a.id.cmp(&b.id));
-    violations.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    Ok((sites, violations))
-}
-
-/// The `::`-joined module path of `file` inside crate dir `crate_dir`
-/// (`src/pool.rs` → `pool`, `src/lib.rs` → empty, `src/a/mod.rs` → `a`).
-fn module_path(crate_dir: &Path, file: &Path) -> String {
-    let rel = file.strip_prefix(crate_dir.join("src")).unwrap_or(file);
-    let mut segments: Vec<String> = rel
-        .with_extension("")
-        .components()
-        .map(|c| c.as_os_str().to_string_lossy().to_string())
-        .collect();
-    if segments.last().is_some_and(|s| s == "lib" || s == "mod") {
-        segments.pop();
-    }
-    segments.join("::")
+    findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+    (sites, findings)
 }
 
 /// Scans one file's token stream for `unsafe` constructs.
 fn collect_file(
     crate_name: &str,
-    module: &str,
-    rel_path: &Path,
-    source: &str,
-    mut on_site: impl FnMut(UnsafeSite),
-    mut on_violation: impl FnMut(UnsafeViolation),
+    file: &SourceFile<'_>,
+    sites: &mut Vec<UnsafeSite>,
+    findings: &mut Vec<Finding>,
 ) {
-    let stream = TokenStream::new(lex(source));
-    let tree = parse_stream(&stream, source.len());
-    let test_lines = rules::test_region_lines(&stream);
-    let allows = rules::collect_allows(&stream);
-    let lines: Vec<&str> = source.lines().collect();
-    let mut per_item_ordinal: std::collections::BTreeMap<String, usize> =
-        std::collections::BTreeMap::new();
+    let stream = &file.stream;
+    let lines: Vec<&str> = file.source.lines().collect();
+    let mut per_item_ordinal: BTreeMap<String, usize> = BTreeMap::new();
 
     for (i, t) in stream.code_iter() {
-        if !t.is_ident("unsafe") || test_lines.contains(&t.line) {
+        if !t.is_ident("unsafe") || file.is_test(t.line) {
             continue;
         }
         let kind = match stream.code(i + 1) {
@@ -183,7 +123,7 @@ fn collect_file(
             Some(n) if n.is_ident("trait") => UnsafeKind::Trait,
             _ => UnsafeKind::Other,
         };
-        let end = construct_end(&stream, i);
+        let end = construct_end(stream, i);
         let mut hash = FNV_OFFSET;
         for j in i..end {
             if let Some(u) = stream.code(j) {
@@ -191,29 +131,20 @@ fn collect_file(
                 hash = fnv1a(hash, &[0x1F]);
             }
         }
-        let item_chain = enclosing_chain(&tree.items, i);
-        let mut id = String::from(crate_name);
-        if !module.is_empty() {
-            id.push_str("::");
-            id.push_str(module);
-        }
-        for name in &item_chain {
-            id.push_str("::");
-            id.push_str(name);
-        }
+        let names = file.module.iter().cloned().chain(enclosing_chain(&file.tree.items, i));
+        let mut id =
+            std::iter::once(crate_name.to_string()).chain(names).collect::<Vec<_>>().join("::");
         let ordinal = per_item_ordinal.entry(id.clone()).or_insert(0);
         id.push('#');
         id.push_str(&ordinal.to_string());
         *ordinal += 1;
 
         let obligation = safety_obligation(&lines, t.line);
-        let allowed = allows
-            .iter()
-            .any(|(l, r)| *r == Rule::UnsafeLedger && (*l == t.line || *l + 1 == t.line));
-        if obligation.is_none() && !allowed {
-            on_violation(UnsafeViolation {
-                file: rel_path.to_path_buf(),
+        if obligation.is_none() && !file.allowed(Rule::UnsafeLedger, t.line) {
+            findings.push(Finding {
+                file: file.path.to_path_buf(),
                 line: t.line,
+                tag: Rule::UnsafeLedger.id(),
                 message: format!(
                     "`unsafe` {} without a `// SAFETY:` comment on the preceding lines — \
                      write the obligation down (or `lint:allow(unsafe-ledger)` with a reason)",
@@ -221,10 +152,10 @@ fn collect_file(
                 ),
             });
         }
-        on_site(UnsafeSite {
+        sites.push(UnsafeSite {
             id,
             kind,
-            file: rel_path.to_path_buf(),
+            file: file.path.to_path_buf(),
             line: t.line,
             hash,
             obligation,
@@ -328,8 +259,8 @@ fn safety_obligation(lines: &[&str], line: usize) -> Option<String> {
 
 /// Renders `api/unsafe.lock`, each row witnessed by its `file:line`; the
 /// missing-`SAFETY:` violations are the rendering's findings.
-pub(crate) fn render_lock(root: &Path) -> io::Result<Rendered> {
-    let (sites, violations) = unsafe_sites(root)?;
+pub(crate) fn render_lock(index: &Index<'_>) -> Rendered {
+    let (sites, findings) = unsafe_sites(index);
     let rows = sites.into_iter().map(|site| {
         let obligation = site.obligation.unwrap_or_default();
         let row = format!("{}\t{}\t{:016x}\t{obligation}", site.id, site.kind.as_str(), site.hash);
@@ -339,22 +270,28 @@ pub(crate) fn render_lock(root: &Path) -> io::Result<Rendered> {
         `cargo run -p seeker-lint -- --bless-unsafe`.\n\
         One tab-separated row per construct: id, kind, span-normalized body hash,\n\
         one-line SAFETY obligation. CI fails on any drift in either direction.";
-    let findings = violations.iter().map(ToString::to_string).collect();
-    Ok(Rendered { findings, ..Rendered::one(header, rows) })
+    Rendered { findings, ..Rendered::one(header, rows) }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lockfile::{bless, check, Drift, DriftKind, Lock};
-    use crate::scratch::workspace;
+    use crate::lockfile::{Drift, DriftKind, Lock};
+    use crate::scratch::{bless, check, workspace};
+    use crate::walk::Workspace;
+    use std::fs;
+    use std::path::Path;
+
+    fn unsafe_sites_at(root: &Path) -> (Vec<UnsafeSite>, Vec<Finding>) {
+        unsafe_sites(&Index::new(&Workspace::read(root).expect("walk")))
+    }
 
     const ANNOTATED: &str = "//! A.\n#![deny(missing_docs)]\n\n/// Reads one byte.\npub fn peek(p: *const u8) -> u8 {\n    // SAFETY: caller guarantees p is valid for reads.\n    unsafe { *p }\n}\n";
 
     #[test]
     fn annotated_unsafe_block_is_recorded_without_violation() {
         let root = workspace(ANNOTATED);
-        let (sites, violations) = unsafe_sites(&root).expect("scan");
+        let (sites, violations) = unsafe_sites_at(&root);
         assert!(violations.is_empty(), "{violations:?}");
         assert_eq!(sites.len(), 1);
         assert_eq!(sites[0].id, "alpha::peek#0");
@@ -367,7 +304,7 @@ mod tests {
         let root = workspace(
             "//! A.\n#![deny(missing_docs)]\n\n/// Reads one byte.\npub fn peek(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n",
         );
-        let (sites, violations) = unsafe_sites(&root).expect("scan");
+        let (sites, violations) = unsafe_sites_at(&root);
         assert_eq!(sites.len(), 1);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].message.contains("SAFETY"), "{}", violations[0].message);
@@ -378,7 +315,7 @@ mod tests {
         let root = workspace(
             "//! A.\n#![deny(missing_docs)]\n\n#[cfg(test)]\nmod tests {\n    fn f(p: *const u8) -> u8 { unsafe { *p } }\n}\n",
         );
-        let (sites, violations) = unsafe_sites(&root).expect("scan");
+        let (sites, violations) = unsafe_sites_at(&root);
         assert!(sites.is_empty());
         assert!(violations.is_empty());
     }
@@ -386,8 +323,8 @@ mod tests {
     #[test]
     fn bless_then_check_roundtrip_added_changed_and_stale_drift() {
         let root = workspace(ANNOTATED);
-        let check_unsafe = || check(Lock::Unsafe, &root).expect("check");
-        let bless_unsafe = || bless(Lock::Unsafe, &root).expect("bless");
+        let check_unsafe = || check(Lock::Unsafe, &root);
+        let bless_unsafe = || bless(Lock::Unsafe, &root);
         let rows = || {
             fs::read_to_string(root.join("api/unsafe.lock"))
                 .expect("read")
@@ -442,10 +379,10 @@ mod tests {
     #[test]
     fn reformatting_does_not_change_the_hash() {
         let root = workspace(ANNOTATED);
-        let (a, _) = unsafe_sites(&root).expect("scan");
+        let (a, _) = unsafe_sites_at(&root);
         let reformatted = ANNOTATED.replace("unsafe { *p }", "unsafe {\n        *p\n    }");
         fs::write(root.join("crates/alpha/src/lib.rs"), reformatted).expect("write");
-        let (b, _) = unsafe_sites(&root).expect("scan");
+        let (b, _) = unsafe_sites_at(&root);
         assert_eq!(a[0].hash, b[0].hash, "whitespace must not churn the ledger");
     }
 
@@ -454,7 +391,7 @@ mod tests {
         let root = workspace(
             "//! A.\n#![deny(missing_docs)]\n\n/// Raw slot.\npub struct Slot(u8);\n\n// SAFETY: Slot is a plain byte, no shared mutation.\nunsafe impl Sync for Slot {}\n\n/// Unchecked read.\n///\n// SAFETY: caller upholds the index bound.\npub unsafe fn get(s: &[u8], i: usize) -> u8 {\n    // SAFETY: forwarded from the caller contract.\n    unsafe { *s.get_unchecked(i) }\n}\n",
         );
-        let (sites, violations) = unsafe_sites(&root).expect("scan");
+        let (sites, violations) = unsafe_sites_at(&root);
         assert!(violations.is_empty(), "{violations:?}");
         let kinds: Vec<(&str, UnsafeKind)> =
             sites.iter().map(|s| (s.id.as_str(), s.kind)).collect();

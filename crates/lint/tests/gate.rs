@@ -2,11 +2,22 @@
 //! synthetic workspace, runs the pass (library API and compiled binary),
 //! and asserts the seeded violations — and only those — are reported.
 
-use seeker_lint::{lint_workspace, Rule};
+use seeker_lint::{lint_workspace, Finding, Index, Rule, Workspace};
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+
+/// The rule a rules-pass finding names.
+fn rule_of(finding: &Finding) -> Rule {
+    Rule::from_id(finding.tag).expect("a rule id")
+}
+
+/// Lints the workspace at `root` with the rules pass.
+fn lint(root: &Path) -> Vec<Finding> {
+    let workspace = Workspace::read(root).expect("walk");
+    lint_workspace(&Index::new(&workspace))
+}
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
@@ -52,10 +63,10 @@ fn seeded_workspace(tag: &str) -> PathBuf {
 #[test]
 fn seeded_workspace_reports_exactly_the_planted_violations() {
     let root = seeded_workspace("api");
-    let violations = lint_workspace(&root).expect("lint");
+    let violations = lint(&root);
     let got: Vec<(String, usize, Rule)> = violations
         .iter()
-        .map(|v| (v.file.to_string_lossy().replace('\\', "/"), v.line, v.rule))
+        .map(|v| (v.file.to_string_lossy().replace('\\', "/"), v.line, rule_of(v)))
         .collect();
     let expected = vec![
         ("crates/dirty/src/features.rs".to_string(), 5, Rule::FloatCast),
@@ -92,11 +103,11 @@ fn determinism_rules_report_exactly_the_planted_violations() {
         "//! Determinism fixture crate.\n#![deny(missing_docs)]\nmod determinism;\n",
     );
     write("crates/clockwork/src/determinism.rs", &fixture("seeded_determinism.rs"));
-    let violations = lint_workspace(&root).expect("lint");
+    let violations = lint(&root);
     let got: Vec<(usize, Rule)> = violations
         .iter()
         .filter(|v| v.file.to_string_lossy().ends_with("determinism.rs"))
-        .map(|v| (v.line, v.rule))
+        .map(|v| (v.line, rule_of(v)))
         .collect();
     let expected = vec![
         (6, Rule::NoHashIter),

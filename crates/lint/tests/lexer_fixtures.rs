@@ -1,17 +1,15 @@
-//! Lexer regression tests over the fixture corpus, plus an agreement check
-//! between the token-based rule matchers and a reimplementation of the v1
-//! line-level engine (masked-substring search). The corpus deliberately
-//! contains every masker edge case — raw strings with hashes, nested block
-//! comments, `'\''` literals, `\`-newline continuations — so a lexer
-//! regression shows up as either a losslessness failure or a token/line
-//! disagreement.
+//! Lexer regression tests over the fixture corpus, plus every finding the
+//! rules report on it, pinned in `tests/golden/fixture_findings.txt`. The
+//! corpus deliberately contains the lexer's edge cases — raw strings with
+//! hashes, nested block comments, `'\''` literals, `\`-newline continuations
+//! — so a lexer regression shows up as either a losslessness failure or a
+//! moved finding.
 
 use seeker_lint::lex;
-use seeker_lint::mask::mask_source;
-use seeker_lint::rules::{lint_source, FileClass, Rule};
+use seeker_lint::rules::{lint_source, FileClass};
 use seeker_lint::tokens::TokenKind;
 
-use std::collections::BTreeSet;
+use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
@@ -98,60 +96,41 @@ fn lexer_edges_fixture_is_rule_clean() {
     );
 }
 
-/// The v1 engine, reconstructed: substring search over the masked source,
-/// line-based `lint:allow` escapes, and a trailing `#[cfg(test)]` region.
-/// Only rules whose v1 matcher was a plain substring test are modelled.
-fn legacy_rule_lines(source: &str, rule: Rule) -> BTreeSet<usize> {
-    let patterns: &[&str] = match rule {
-        Rule::NoPanic => &[".unwrap()", ".expect(", "panic!", "todo!", "unimplemented!"],
-        Rule::ThreadSpawn => &["thread::spawn", "thread::scope"],
-        Rule::NoPrint => &["println!", "eprintln!", "print!", "eprint!"],
-        _ => panic!("no legacy model for {rule:?}"),
-    };
-    let masked = mask_source(source);
-    let raw_lines: Vec<&str> = source.lines().collect();
-    let mut test_region_start = usize::MAX;
-    for (idx, line) in raw_lines.iter().enumerate() {
-        let t = line.trim();
-        if t.starts_with("#[cfg(") && t.contains("test") {
-            test_region_start = idx;
-            break;
+/// Renders every finding the rules report on each corpus fixture, planted
+/// as plain library code.
+fn corpus_findings() -> String {
+    let mut doc = String::from(
+        "# Every finding seeker-lint's rules report on each fixture of the corpus,\n\
+         # planted as crates/x/src/planted.rs (FileClass::Library).\n\
+         # Regenerate: SEEKER_BLESS=1 cargo test -p seeker-lint --test lexer_fixtures\n",
+    );
+    for name in CORPUS {
+        let _ = writeln!(doc, "== {name}");
+        let source = fixture(name);
+        for v in lint_source(Path::new("crates/x/src/planted.rs"), FileClass::Library, &source) {
+            let _ = writeln!(doc, "{v}");
         }
     }
-    let allow_marker = format!("lint:allow({})", rule.id());
-    let mut hits = BTreeSet::new();
-    for (idx, line) in masked.lines().enumerate() {
-        if idx >= test_region_start {
-            continue;
-        }
-        if !patterns.iter().any(|p| line.contains(p)) {
-            continue;
-        }
-        let allowed = raw_lines.get(idx).is_some_and(|l| l.contains(&allow_marker))
-            || (idx > 0 && raw_lines.get(idx - 1).is_some_and(|l| l.contains(&allow_marker)));
-        if !allowed {
-            hits.insert(idx + 1);
-        }
-    }
-    hits
+    doc
 }
 
 #[test]
-fn token_rules_agree_with_the_legacy_line_engine() {
-    for name in CORPUS {
-        let source = fixture(name);
-        let violations =
-            lint_source(Path::new("crates/x/src/planted.rs"), FileClass::Library, &source);
-        for rule in [Rule::NoPanic, Rule::ThreadSpawn, Rule::NoPrint] {
-            let token_lines: BTreeSet<usize> =
-                violations.iter().filter(|v| v.rule == rule).map(|v| v.line).collect();
-            let legacy_lines = legacy_rule_lines(&source, rule);
-            assert_eq!(
-                token_lines,
-                legacy_lines,
-                "{name}: token and legacy engines disagree on {}",
-                rule.id()
-            );
-        }
+fn corpus_findings_match_the_pinned_list() {
+    let doc = corpus_findings();
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fixture_findings.txt");
+    if std::env::var("SEEKER_BLESS").is_ok_and(|v| v == "1") {
+        fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
+        fs::write(&path, &doc).expect("write golden");
+        return;
     }
+    let golden = fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("cannot read {} ({e}); run with SEEKER_BLESS=1", path.display())
+    });
+    assert_eq!(
+        doc,
+        golden,
+        "the corpus findings drifted from {}; if the change is intentional, regenerate with \
+         SEEKER_BLESS=1 cargo test -p seeker-lint --test lexer_fixtures",
+        path.display()
+    );
 }

@@ -4,7 +4,7 @@
 //! layering rule, and cross-crate call resolution with pinned `Resolved` vs
 //! `Ambiguous` edges.
 
-use seeker_lint::{build_call_graph, CallTarget};
+use seeker_lint::{CallTarget, Index, Workspace};
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -198,7 +198,9 @@ fn cross_crate_calls_pin_resolved_and_ambiguous_edges() {
             ),
         ],
     );
-    let graph = build_call_graph(&root).expect("graph");
+    let workspace = Workspace::read(&root).expect("walk");
+    let index = Index::new(&workspace);
+    let graph = index.graph();
 
     let idx = |id: &str| graph.find(id).unwrap_or_else(|| panic!("missing node {id}"));
     let target_of = |caller: &str| {

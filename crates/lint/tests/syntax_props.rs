@@ -7,7 +7,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use seeker_lint::{parse_source, Item};
+use seeker_lint::{lex, parse_stream, Item, ItemTree, TokenStream};
 
 use std::fs;
 use std::path::Path;
@@ -52,6 +52,10 @@ const SNIPPETS: &[&str] = &[
     "r#\"raw \" body\"#",
     "/* unclosed comment",
 ];
+
+fn parse_source(source: &str) -> ItemTree {
+    parse_stream(&TokenStream::new(lex(source)), source.len())
+}
 
 const SEPARATORS: &[&str] = &["\n", "\n\n", " ", "", "\t\n"];
 
