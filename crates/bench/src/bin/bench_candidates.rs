@@ -29,29 +29,16 @@
 
 #![deny(missing_docs, dead_code)]
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
 use friendseeker::features::{composite_feature, FeatureStore};
 use friendseeker::pairs::all_pairs;
-use seeker_bench::report::results_dir;
+use seeker_bench::harness::time_stats;
+use seeker_bench::report;
 use seeker_graph::{reachable_rows, PairIndex, SocialGraph, REACH_WORK_PER_PAIR};
+use seeker_obs::json::JsonValue;
 use seeker_trace::synth::{generate, SyntheticConfig};
 
 /// Timing repetitions; the minimum is reported (least-noise statistic).
 const REPS: usize = 3;
-
-fn time_min<R>(mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        let r = f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-        out = Some(r);
-    }
-    (best, out.expect("REPS >= 1"))
-}
 
 fn main() {
     let _obs = seeker_obs::init_cli_sinks();
@@ -101,21 +88,22 @@ fn main() {
         next.remove_edge(toggle);
     }
 
-    let (full_ms, full_feats) =
-        time_min(|| seeker_par::par_map(&pairs, |&p| composite_feature(&next, p, k, &store)));
+    let (full_ms, _, full_feats) = time_stats(0, REPS, || {
+        seeker_par::par_map(&pairs, |&p| composite_feature(&next, p, k, &store))
+    });
 
-    let (incr_ms, incr_feats) = time_min(|| {
-        let mut feats = seeker_par::par_map(&pairs, |&p| composite_feature(&graph, p, k, &store));
-        let t0 = Instant::now();
+    // The refresh is timed alone: the features of `graph` it starts from
+    // are built once, outside the clock.
+    let mut incr_feats = seeker_par::par_map(&pairs, |&p| composite_feature(&graph, p, k, &store));
+    let (incr_refresh_ms, _, (dirty, fresh)) = time_stats(0, REPS, || {
         let dirty = reachable_rows(&graph, &next, &index, k, &[], REACH_WORK_PER_PAIR).rows;
         let fresh = seeker_par::par_map(&dirty, |&i| composite_feature(&next, pairs[i], k, &store));
-        for (&i, f) in dirty.iter().zip(fresh) {
-            feats[i] = f;
-        }
-        (t0.elapsed().as_secs_f64() * 1e3, dirty.len(), feats)
+        (dirty, fresh)
     });
-    let (incr_refresh_ms, n_dirty, incr_feats) = incr_feats;
-    let _ = incr_ms; // outer timing includes the baseline build; use the inner clock
+    let n_dirty = dirty.len();
+    for (&i, f) in dirty.iter().zip(fresh) {
+        incr_feats[i] = f;
+    }
     assert_eq!(full_feats, incr_feats, "dirty-pair refresh diverged from full recompute");
     let refresh_speedup = full_ms / incr_refresh_ms.max(1e-9);
     eprintln!(
@@ -137,60 +125,55 @@ fn main() {
     // -- 3. End-to-end infer vs infer_full (secondary, opt-in) ----------
     let run_e2e = seeker_obs::env::flag("SEEKER_BENCH_E2E");
     let e2e = if run_e2e {
-        let (e2e_fast_ms, fast) = time_min(|| trained.infer(&target).expect("infer"));
-        let (e2e_full_ms, full) = time_min(|| trained.infer_full(&target).expect("infer_full"));
+        let (e2e_fast_ms, _, fast) = time_stats(0, REPS, || trained.infer(&target).expect("infer"));
+        let (e2e_full_ms, _, full) =
+            time_stats(0, REPS, || trained.infer_full(&target).expect("infer_full"));
         assert_eq!(
             fast.final_graph(),
             full.final_graph(),
             "candidate + incremental inference diverged from the full reference"
         );
         eprintln!("  end-to-end: infer {e2e_fast_ms:.1} ms vs infer_full {e2e_full_ms:.1} ms");
-        Some((e2e_fast_ms, e2e_full_ms))
+        JsonValue::object([
+            ("infer_ms", JsonValue::rounded(e2e_fast_ms, 3)),
+            ("infer_full_ms", JsonValue::rounded(e2e_full_ms, 3)),
+        ])
     } else {
         eprintln!("  end-to-end: skipped (set SEEKER_BENCH_E2E=1 to run)");
-        None
+        JsonValue::Null
     };
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"candidate generation + incremental refinement\",");
-    let _ = writeln!(json, "  \"seed\": {seed},");
-    let _ = writeln!(json, "  \"target_users\": {},", target.n_users());
-    let _ = writeln!(json, "  \"reps\": {REPS},");
-    let _ = writeln!(json, "  \"universe\": {{");
-    let _ = writeln!(json, "    \"all_pairs\": {n_total},");
-    let _ = writeln!(json, "    \"candidates\": {n_candidates},");
-    let _ = writeln!(json, "    \"residue\": {},", universe.n_residue);
-    let _ = writeln!(json, "    \"retained_fraction\": {:.4},", universe.retained_fraction());
-    let _ = writeln!(json, "    \"zero_joc_probability\": {:.6},", universe.residue_probability);
-    let _ = writeln!(json, "    \"fallback_full\": {}", universe.residue_predicted_friend);
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"per_iteration_refresh\": {{");
-    let _ = writeln!(json, "    \"diff_edges\": 1,");
-    let _ = writeln!(json, "    \"dirty_pairs\": {n_dirty},");
-    let _ = writeln!(json, "    \"total_pairs\": {},", pairs.len());
-    let _ = writeln!(json, "    \"dense_g0_dirty_pairs\": {dense_dirty},");
-    let _ = writeln!(json, "    \"full_ms\": {full_ms:.3},");
-    let _ = writeln!(json, "    \"incremental_ms\": {incr_refresh_ms:.3},");
-    let _ = writeln!(json, "    \"speedup\": {refresh_speedup:.3}");
-    let _ = writeln!(json, "  }},");
-    match e2e {
-        Some((fast_ms, full_ms)) => {
-            let _ = writeln!(json, "  \"end_to_end\": {{");
-            let _ = writeln!(json, "    \"infer_ms\": {fast_ms:.3},");
-            let _ = writeln!(json, "    \"infer_full_ms\": {full_ms:.3}");
-            let _ = writeln!(json, "  }}");
-        }
-        None => {
-            let _ = writeln!(json, "  \"end_to_end\": null");
-        }
-    }
-    let _ = writeln!(json, "}}");
-
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    let path = dir.join("BENCH_candidates.json");
-    std::fs::write(&path, json).expect("write BENCH_candidates.json");
-    eprintln!("saved {}", path.display());
+    let doc = JsonValue::object([
+        ("bench", "candidate generation + incremental refinement".into()),
+        ("seed", seed.into()),
+        ("target_users", target.n_users().into()),
+        ("reps", REPS.into()),
+        (
+            "universe",
+            JsonValue::object([
+                ("all_pairs", n_total.into()),
+                ("candidates", n_candidates.into()),
+                ("residue", universe.n_residue.into()),
+                ("retained_fraction", JsonValue::rounded(universe.retained_fraction(), 4)),
+                ("zero_joc_probability", JsonValue::rounded(universe.residue_probability, 6)),
+                ("fallback_full", universe.residue_predicted_friend.into()),
+            ]),
+        ),
+        (
+            "per_iteration_refresh",
+            JsonValue::object([
+                ("diff_edges", 1u64.into()),
+                ("dirty_pairs", n_dirty.into()),
+                ("total_pairs", pairs.len().into()),
+                ("dense_g0_dirty_pairs", dense_dirty.into()),
+                ("full_ms", JsonValue::rounded(full_ms, 3)),
+                ("incremental_ms", JsonValue::rounded(incr_refresh_ms, 3)),
+                ("speedup", JsonValue::rounded(refresh_speedup, 3)),
+            ]),
+        ),
+        ("end_to_end", e2e),
+    ]);
+    report::save("BENCH_candidates.json", &doc.to_pretty_string())
+        .expect("write BENCH_candidates.json");
     seeker_obs::flush();
 }

@@ -23,14 +23,12 @@
 
 #![deny(missing_docs, dead_code)]
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
 use friendseeker::features::FeatureStore;
 use seeker_bench::datasets::{world, Preset};
-use seeker_bench::harness::{default_config, eval_pairs};
-use seeker_bench::report::results_dir;
+use seeker_bench::harness::{bench_gate, default_config, eval_pairs, time_stats};
+use seeker_bench::report;
 use seeker_nn::Matrix;
+use seeker_obs::json::JsonValue;
 use seeker_par::{max_threads, plan, with_threads, Cost};
 
 /// Untimed repetitions before measurement begins.
@@ -38,49 +36,13 @@ const WARMUP: usize = 2;
 /// Timed repetitions per stage; the minimum and median are reported.
 const REPS: usize = 5;
 
-/// Runs `f` `WARMUP + REPS` times and returns `(min_ms, median_ms, last)`.
-fn time_stats<R>(mut f: impl FnMut() -> R) -> (f64, f64, R) {
-    for _ in 0..WARMUP {
-        let _ = f();
-    }
-    let mut times = [0.0f64; REPS];
-    let mut out = None;
-    for t in &mut times {
-        let t0 = Instant::now();
-        let r = f();
-        *t = t0.elapsed().as_secs_f64() * 1e3;
-        out = Some(r);
-    }
-    times.sort_by(f64::total_cmp);
-    (times[0], times[REPS / 2], out.expect("REPS >= 1"))
-}
-
-/// One benchmarked stage with its dispatch geometry and timings.
-struct Stage {
-    name: &'static str,
-    /// Items handed to the dominant pool dispatch of this stage.
-    items: usize,
-    /// Declared cost class of that dispatch.
-    cost: Cost,
-    serial_min_ms: f64,
-    serial_median_ms: f64,
-    parallel_min_ms: f64,
-    parallel_median_ms: f64,
-}
-
-impl Stage {
-    fn speedup_min(&self) -> f64 {
-        self.serial_min_ms / self.parallel_min_ms.max(1e-9)
-    }
-}
-
 fn main() {
     let _obs = seeker_obs::init_cli_sinks();
     let seed = seeker_bench::seed_from_env();
     let threads = max_threads();
     let effective_cores =
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let gate: Option<f64> = seeker_obs::env::raw("SEEKER_BENCH_GATE").and_then(|g| g.parse().ok());
+    let gate = bench_gate();
     eprintln!(
         "bench_par: 1 vs {threads} worker(s) on {effective_cores} core(s), \
          seed {seed}, warmup {WARMUP}, reps {REPS}"
@@ -92,24 +54,37 @@ fn main() {
         friendseeker::FriendSeeker::new(cfg).train(&w.train).expect("experiment training");
     let (ep, _) = eval_pairs(&w.target);
 
-    let mut stages: Vec<Stage> = Vec::new();
+    // Each stage records the items handed to its dominant pool dispatch,
+    // that dispatch's declared cost class, and the worker/chunk decision
+    // the pool makes for it at the benchmarked worker count.
+    let mut records = Vec::new();
+    let mut speedups: Vec<(&str, f64)> = Vec::new();
     let mut bench = |name: &'static str, items: usize, cost: Cost, f: &dyn Fn() -> u64| {
-        let (serial_min_ms, serial_median_ms, a) = time_stats(|| with_threads(1, f));
-        let (parallel_min_ms, parallel_median_ms, b) = time_stats(|| with_threads(threads, f));
+        let (serial_min_ms, serial_median_ms, a) = time_stats(WARMUP, REPS, || with_threads(1, f));
+        let (parallel_min_ms, parallel_median_ms, b) =
+            time_stats(WARMUP, REPS, || with_threads(threads, f));
         assert_eq!(a, b, "{name}: serial and parallel outputs diverge");
         eprintln!(
             "  {name}: serial {serial_min_ms:.1}/{serial_median_ms:.1} ms, \
              parallel {parallel_min_ms:.1}/{parallel_median_ms:.1} ms (min/median)"
         );
-        stages.push(Stage {
-            name,
-            items,
-            cost,
-            serial_min_ms,
-            serial_median_ms,
-            parallel_min_ms,
-            parallel_median_ms,
-        });
+        let speedup_min = serial_min_ms / parallel_min_ms.max(1e-9);
+        speedups.push((name, speedup_min));
+        let p = with_threads(threads, || plan(items, cost));
+        let thousandths = |v: f64| JsonValue::rounded(v, 3);
+        records.push(JsonValue::object([
+            ("stage", name.into()),
+            ("items", items.into()),
+            ("cost", cost.name().into()),
+            ("workers", p.workers.into()),
+            ("chunk", p.chunk.into()),
+            ("serial_min_ms", thousandths(serial_min_ms)),
+            ("serial_median_ms", thousandths(serial_median_ms)),
+            ("parallel_min_ms", thousandths(parallel_min_ms)),
+            ("parallel_median_ms", thousandths(parallel_median_ms)),
+            ("speedup_min", thousandths(speedup_min)),
+            ("speedup_median", thousandths(serial_median_ms / parallel_median_ms.max(1e-9))),
+        ]));
     };
 
     // Stage outputs are reduced to a checksum-ish u64 so the closure stays
@@ -158,68 +133,29 @@ fn main() {
         c.as_slice().iter().map(|f| f.to_bits() as u64).sum()
     });
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"seeker-par serial vs parallel\",");
-    let _ = writeln!(json, "  \"preset\": \"{}\",", Preset::Gowalla.name());
-    let _ = writeln!(json, "  \"seed\": {seed},");
-    let _ = writeln!(json, "  \"threads\": {threads},");
-    let _ = writeln!(json, "  \"effective_cores\": {effective_cores},");
-    let _ = writeln!(json, "  \"warmup\": {WARMUP},");
-    let _ = writeln!(json, "  \"reps\": {REPS},");
-    let _ = writeln!(json, "  \"stages\": [");
-    for (i, s) in stages.iter().enumerate() {
-        // The worker/chunk decision the pool actually makes for this
-        // stage's dominant dispatch at the benchmarked worker count.
-        let p = with_threads(threads, || plan(s.items, s.cost));
-        let comma = if i + 1 == stages.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"stage\": \"{}\", \"items\": {}, \"cost\": \"{}\", \
-             \"workers\": {}, \"chunk\": {}, \
-             \"serial_min_ms\": {:.3}, \"serial_median_ms\": {:.3}, \
-             \"parallel_min_ms\": {:.3}, \"parallel_median_ms\": {:.3}, \
-             \"speedup_min\": {:.3}, \"speedup_median\": {:.3}}}{comma}",
-            s.name,
-            s.items,
-            s.cost.name(),
-            p.workers,
-            p.chunk,
-            s.serial_min_ms,
-            s.serial_median_ms,
-            s.parallel_min_ms,
-            s.parallel_median_ms,
-            s.speedup_min(),
-            s.serial_median_ms / s.parallel_median_ms.max(1e-9),
-        );
-    }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    let path = dir.join("BENCH_par.json");
-    std::fs::write(&path, json).expect("write BENCH_par.json");
-    eprintln!("saved {}", path.display());
+    let doc = JsonValue::object([
+        ("bench", "seeker-par serial vs parallel".into()),
+        ("preset", Preset::Gowalla.name().into()),
+        ("seed", seed.into()),
+        ("threads", threads.into()),
+        ("effective_cores", effective_cores.into()),
+        ("warmup", WARMUP.into()),
+        ("reps", REPS.into()),
+        ("stages", JsonValue::Array(records)),
+    ]);
+    report::save("BENCH_par.json", &doc.to_pretty_string()).expect("write BENCH_par.json");
     seeker_obs::flush();
 
     if let Some(gate) = gate {
-        let worst = stages
-            .iter()
-            .min_by(|a, b| a.speedup_min().total_cmp(&b.speedup_min()))
-            .expect("at least one stage");
-        if worst.speedup_min() < gate {
+        let (worst, speedup) =
+            speedups.iter().min_by(|a, b| a.1.total_cmp(&b.1)).expect("at least one stage");
+        if *speedup < gate {
             eprintln!(
-                "bench_par GATE FAILED: stage `{}` speedup {:.3} < {gate} \
-                 (parallel dispatch is costing wall-clock)",
-                worst.name,
-                worst.speedup_min()
+                "bench_par GATE FAILED: stage `{worst}` speedup {speedup:.3} < {gate} \
+                 (parallel dispatch is costing wall-clock)"
             );
             std::process::exit(1);
         }
-        eprintln!(
-            "bench_par gate passed: worst stage speedup {:.3} >= {gate}",
-            worst.speedup_min()
-        );
+        eprintln!("bench_par gate passed: worst stage speedup {speedup:.3} >= {gate}");
     }
 }

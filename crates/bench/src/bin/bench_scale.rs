@@ -24,15 +24,16 @@
 //! The 1M point is extrapolated from the measured sizes by a log-log fit
 //! unless `SEEKER_BENCH_1M=1` opts into measuring it. Gate mode: when
 //! `SEEKER_BENCH_GATE` is set to a float (MiB), the process exits non-zero
-//! if the final peak RSS exceeds it.
+//! if the final peak RSS exceeds it (`harness::rss_gate`).
 
 #![deny(missing_docs, dead_code)]
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use friendseeker::{candidate_universe_sharded, FriendSeeker, FriendSeekerConfig, TrainedAttack};
-use seeker_bench::report::results_dir;
+use friendseeker::{candidate_universe_sharded, TrainedAttack};
+use seeker_bench::harness::{peak_mib, rss_gate, train_scale};
+use seeker_bench::report;
+use seeker_obs::json::JsonValue;
 use seeker_trace::stream::StreamingWorld;
 use seeker_trace::synth::SyntheticConfig;
 use seeker_trace::Dataset;
@@ -47,32 +48,13 @@ fn shard_policy(n_users: usize) -> usize {
     (n_users / 500).max(4)
 }
 
-fn peak_mib() -> f64 {
-    seeker_obs::peak_rss_bytes().map_or(f64::NAN, |b| b as f64 / (1024.0 * 1024.0))
-}
-
-/// One measured size's record.
-struct SizeReport {
-    users: usize,
-    checkins: usize,
+/// Runs one size and returns its JSON record with its `(users, total wall
+/// ms)` and `(users, final peak RSS bytes)` points for the 1M projection.
+fn run_size(
+    attack: &TrainedAttack,
+    cfg: &SyntheticConfig,
     n_shards: usize,
-    build_ms: f64,
-    stream_ms: f64,
-    materialize_ms: f64,
-    candidates_ms: f64,
-    infer_ms: f64,
-    all_pairs: u64,
-    candidates: u64,
-    retained_fraction: f64,
-    fallback_full: bool,
-    edges_predicted: usize,
-    iterations: usize,
-    peak_after_world_bytes: u64,
-    peak_after_candidates_bytes: u64,
-    peak_after_infer_bytes: u64,
-}
-
-fn run_size(attack: &TrainedAttack, cfg: &SyntheticConfig, n_shards: usize) -> SizeReport {
+) -> (JsonValue, (f64, f64), (f64, f64)) {
     // Stage 1: the O(users) skeleton (no check-in is materialized yet).
     let t0 = Instant::now();
     let world = StreamingWorld::build(cfg).expect("world skeleton");
@@ -136,25 +118,44 @@ fn run_size(attack: &TrainedAttack, cfg: &SyntheticConfig, n_shards: usize) -> S
         peak_mib()
     );
 
-    SizeReport {
-        users: target.n_users(),
-        checkins,
-        n_shards,
-        build_ms,
-        stream_ms,
-        materialize_ms,
-        candidates_ms,
-        infer_ms,
-        all_pairs: universe.n_total,
-        candidates: universe.pairs.len() as u64,
-        retained_fraction: universe.retained_fraction(),
-        fallback_full: universe.residue_predicted_friend,
-        edges_predicted: trace.final_graph().n_edges(),
-        iterations: trace.n_iterations(),
-        peak_after_world_bytes,
-        peak_after_candidates_bytes,
-        peak_after_infer_bytes,
-    }
+    let ms = |v: f64| JsonValue::rounded(v, 3);
+    let record = JsonValue::object([
+        ("users", target.n_users().into()),
+        ("checkins", checkins.into()),
+        ("n_shards", n_shards.into()),
+        (
+            "stages_ms",
+            JsonValue::object([
+                ("world_build", ms(build_ms)),
+                ("stream_count", ms(stream_ms)),
+                ("materialize", ms(materialize_ms)),
+                ("candidates", ms(candidates_ms)),
+                ("infer", ms(infer_ms)),
+            ]),
+        ),
+        (
+            "peak_rss_bytes",
+            JsonValue::object([
+                ("after_world", peak_after_world_bytes.into()),
+                ("after_candidates", peak_after_candidates_bytes.into()),
+                ("after_infer", peak_after_infer_bytes.into()),
+            ]),
+        ),
+        (
+            "universe",
+            JsonValue::object([
+                ("all_pairs", universe.n_total.into()),
+                ("candidates", universe.pairs.len().into()),
+                ("retained_fraction", JsonValue::rounded(universe.retained_fraction(), 8)),
+                ("fallback_full", universe.residue_predicted_friend.into()),
+            ]),
+        ),
+        ("edges_predicted", trace.final_graph().n_edges().into()),
+        ("iterations", trace.n_iterations().into()),
+    ]);
+    let users = target.n_users() as f64;
+    let wall_ms = build_ms + stream_ms + materialize_ms + candidates_ms + infer_ms;
+    (record, (users, wall_ms), (users, peak_after_infer_bytes as f64))
 }
 
 /// Log-log slope through the two largest measured points, evaluated at `x`.
@@ -172,8 +173,6 @@ fn main() {
     let seed = seeker_bench::seed_from_env();
     let smoke = std::env::args().any(|a| a == "--smoke");
     let measure_1m = seeker_obs::env::flag("SEEKER_BENCH_1M");
-    let gate_mib: Option<f64> =
-        seeker_obs::env::raw("SEEKER_BENCH_GATE").and_then(|g| g.parse().ok());
     let sizes: Vec<usize> = if smoke { vec![SIZES[0]] } else { SIZES.to_vec() };
     eprintln!(
         "bench_scale: seed {seed}, sizes {sizes:?}{}{}",
@@ -181,29 +180,13 @@ fn main() {
         if smoke { " (smoke)" } else { "" }
     );
 
-    // Train once on a 1000-user world whose region is widened to the
-    // largest target's extent (and whose cities are spread out so the
-    // division's bounding box reaches the target terrain). The division is
-    // frozen at training time; a region mismatch would silently drop every
-    // out-of-box target check-in from the universe.
     // The training geometry is held fixed across smoke and full runs (the
     // full sweep's largest size, or 1M when measured): smoke mode must
     // train the exact model the full run would, so a calibration
     // regression that would break the ≥ 10k pruning gate fails the CI
     // smoke too.
     let largest = if measure_1m { ONE_MILLION } else { SIZES[SIZES.len() - 1] };
-    let mut train_cfg = SyntheticConfig::scale(1_000, seed);
-    train_cfg.region_extent_km = SyntheticConfig::scale(largest, seed).region_extent_km;
-    train_cfg.n_cities = 24;
-    let t0 = Instant::now();
-    let train = StreamingWorld::build(&train_cfg)
-        .expect("train world")
-        .materialize()
-        .expect("train world")
-        .dataset;
-    let attack =
-        FriendSeeker::new(FriendSeekerConfig::scale()).train(&train).expect("scale training");
-    let train_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let (train, attack, train_ms) = train_scale(seed, largest);
     eprintln!(
         "  trained on {} users in {train_ms:.0} ms (zero-JOC p={:.4}, threshold {:.4})",
         train.n_users(),
@@ -218,99 +201,48 @@ fn main() {
         "degenerate pruning gate: the scale() preset no longer rejects the residue"
     );
 
-    let mut reports: Vec<SizeReport> = Vec::new();
-    for (i, &n) in sizes.iter().enumerate() {
-        let cfg = SyntheticConfig::scale(n, seed + 1 + i as u64);
-        reports.push(run_size(&attack, &cfg, shard_policy(n)));
-    }
+    let mut records = Vec::new();
+    let (mut wall, mut mem) = (Vec::new(), Vec::new());
+    let mut measured: Vec<(usize, u64)> =
+        sizes.iter().enumerate().map(|(i, &n)| (n, seed + 1 + i as u64)).collect();
     if measure_1m {
-        let cfg = SyntheticConfig::scale(ONE_MILLION, seed + 99);
-        reports.push(run_size(&attack, &cfg, shard_policy(ONE_MILLION)));
+        measured.push((ONE_MILLION, seed + 99));
+    }
+    for (n, size_seed) in measured {
+        let (record, wall_point, mem_point) =
+            run_size(&attack, &SyntheticConfig::scale(n, size_seed), shard_policy(n));
+        records.push(record);
+        wall.push(wall_point);
+        mem.push(mem_point);
     }
 
     // 1M projection from the measured curve (total wall and peak RSS).
-    let wall: Vec<(f64, f64)> = reports
-        .iter()
-        .map(|r| {
-            let total = r.build_ms + r.stream_ms + r.materialize_ms + r.candidates_ms + r.infer_ms;
-            (r.users as f64, total)
-        })
-        .collect();
-    let mem: Vec<(f64, f64)> =
-        reports.iter().map(|r| (r.users as f64, r.peak_after_infer_bytes as f64)).collect();
-    let projected_wall_ms = extrapolate(&wall, ONE_MILLION as f64);
-    let projected_peak_bytes = extrapolate(&mem, ONE_MILLION as f64);
-
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"streaming + sharded pipeline scale harness\",");
-    let _ = writeln!(json, "  \"seed\": {seed},");
-    let _ = writeln!(json, "  \"smoke\": {smoke},");
-    let _ = writeln!(json, "  \"train_users\": {},", train.n_users());
-    let _ = writeln!(json, "  \"train_ms\": {train_ms:.1},");
-    let _ = writeln!(json, "  \"shard_policy\": \"max(4, users / 500)\",");
-    let _ = writeln!(json, "  \"sizes\": [");
-    for (i, r) in reports.iter().enumerate() {
-        let comma = if i + 1 < reports.len() { "," } else { "" };
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"users\": {},", r.users);
-        let _ = writeln!(json, "      \"checkins\": {},", r.checkins);
-        let _ = writeln!(json, "      \"n_shards\": {},", r.n_shards);
-        let _ = writeln!(json, "      \"stages_ms\": {{");
-        let _ = writeln!(json, "        \"world_build\": {:.3},", r.build_ms);
-        let _ = writeln!(json, "        \"stream_count\": {:.3},", r.stream_ms);
-        let _ = writeln!(json, "        \"materialize\": {:.3},", r.materialize_ms);
-        let _ = writeln!(json, "        \"candidates\": {:.3},", r.candidates_ms);
-        let _ = writeln!(json, "        \"infer\": {:.3}", r.infer_ms);
-        let _ = writeln!(json, "      }},");
-        let _ = writeln!(json, "      \"peak_rss_bytes\": {{");
-        let _ = writeln!(json, "        \"after_world\": {},", r.peak_after_world_bytes);
-        let _ = writeln!(json, "        \"after_candidates\": {},", r.peak_after_candidates_bytes);
-        let _ = writeln!(json, "        \"after_infer\": {}", r.peak_after_infer_bytes);
-        let _ = writeln!(json, "      }},");
-        let _ = writeln!(json, "      \"universe\": {{");
-        let _ = writeln!(json, "        \"all_pairs\": {},", r.all_pairs);
-        let _ = writeln!(json, "        \"candidates\": {},", r.candidates);
-        let _ = writeln!(json, "        \"retained_fraction\": {:.8},", r.retained_fraction);
-        let _ = writeln!(json, "        \"fallback_full\": {}", r.fallback_full);
-        let _ = writeln!(json, "      }},");
-        let _ = writeln!(json, "      \"edges_predicted\": {},", r.edges_predicted);
-        let _ = writeln!(json, "      \"iterations\": {}", r.iterations);
-        let _ = writeln!(json, "    }}{comma}");
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"one_million\": {{");
-    let _ = writeln!(json, "    \"users\": {ONE_MILLION},");
-    let _ = writeln!(json, "    \"measured\": {measure_1m},");
-    match (projected_wall_ms, projected_peak_bytes) {
-        (Some(w), Some(m)) if !measure_1m => {
-            let _ = writeln!(json, "    \"extrapolated_wall_ms\": {w:.1},");
-            let _ = writeln!(json, "    \"extrapolated_peak_bytes\": {m:.0},");
-        }
-        _ => {
-            let _ = writeln!(json, "    \"extrapolated_wall_ms\": null,");
-            let _ = writeln!(json, "    \"extrapolated_peak_bytes\": null,");
-        }
-    }
-    let _ =
-        writeln!(json, "    \"basis\": \"log-log slope through the two largest measured sizes\"");
-    let _ = writeln!(json, "  }}");
-    let _ = writeln!(json, "}}");
-
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    let path = dir.join("BENCH_scale.json");
-    std::fs::write(&path, json).expect("write BENCH_scale.json");
-    eprintln!("saved {}", path.display());
-
-    if let Some(limit_mib) = gate_mib {
-        let peak = peak_mib();
-        if !(peak <= limit_mib) {
-            eprintln!("bench_scale: GATE FAILED — peak RSS {peak:.0} MiB > {limit_mib:.0} MiB");
-            seeker_obs::flush();
-            std::process::exit(1);
-        }
-        eprintln!("bench_scale: gate ok — peak RSS {peak:.0} MiB <= {limit_mib:.0} MiB");
-    }
+    let one_million = ONE_MILLION as f64;
+    let (wall_1m, peak_1m) = match (extrapolate(&wall, one_million), extrapolate(&mem, one_million))
+    {
+        (Some(w), Some(m)) if !measure_1m => (JsonValue::rounded(w, 1), JsonValue::rounded(m, 0)),
+        _ => (JsonValue::Null, JsonValue::Null),
+    };
+    let doc = JsonValue::object([
+        ("bench", "streaming + sharded pipeline scale harness".into()),
+        ("seed", seed.into()),
+        ("smoke", smoke.into()),
+        ("train_users", train.n_users().into()),
+        ("train_ms", JsonValue::rounded(train_ms, 1)),
+        ("shard_policy", "max(4, users / 500)".into()),
+        ("sizes", JsonValue::Array(records)),
+        (
+            "one_million",
+            JsonValue::object([
+                ("users", ONE_MILLION.into()),
+                ("measured", measure_1m.into()),
+                ("extrapolated_wall_ms", wall_1m),
+                ("extrapolated_peak_bytes", peak_1m),
+                ("basis", "log-log slope through the two largest measured sizes".into()),
+            ]),
+        ),
+    ]);
+    report::save("BENCH_scale.json", &doc.to_pretty_string()).expect("write BENCH_scale.json");
+    rss_gate("bench_scale");
     seeker_obs::flush();
 }

@@ -15,19 +15,20 @@
 //!   post-ingest state;
 //! - **snapshot**: blob size and save time for the full session.
 //!
-//! The attack is trained once with the `scale()` preset on a widened
-//! region, exactly as `bench_scale` does — the division is frozen at
-//! training time, so the targets must fall inside the trained bounding
-//! box. Gate mode: when `SEEKER_BENCH_GATE` is a float (MiB), the process
-//! exits non-zero if peak RSS exceeds it.
+//! The attack is trained once by `harness::train_scale`, as `bench_scale`
+//! trains it — the division is frozen at training time, so the targets
+//! must fall inside the trained bounding box. Gate mode: when
+//! `SEEKER_BENCH_GATE` is a float (MiB), the process exits non-zero if
+//! peak RSS exceeds it (`harness::rss_gate`).
 
 #![deny(missing_docs, dead_code)]
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use friendseeker::{FriendSeeker, FriendSeekerConfig, IncrementalAttack, IncrementalOptions};
-use seeker_bench::report::results_dir;
+use friendseeker::{IncrementalAttack, IncrementalOptions};
+use seeker_bench::harness::{rss_gate, train_scale};
+use seeker_bench::report;
+use seeker_obs::json::JsonValue;
 use seeker_serve::{Client, ServeConfig, Server};
 use seeker_trace::stream::StreamingWorld;
 use seeker_trace::synth::SyntheticConfig;
@@ -42,23 +43,6 @@ const MAX_STREAMED: usize = 20_000;
 /// `query_pair` round-trips measured per size.
 const N_QUERIES: usize = 400;
 
-/// One size's measurements.
-struct SizeReport {
-    users: usize,
-    checkins_total: usize,
-    checkins_streamed: usize,
-    ingest_frames: usize,
-    open_ms: f64,
-    ingest_ms: f64,
-    ingest_checkins_per_s: f64,
-    query_p50_us: u64,
-    query_p99_us: u64,
-    queries_per_s: f64,
-    snapshot_ms: f64,
-    snapshot_bytes: usize,
-    n_edges: u64,
-}
-
 fn percentile(sorted: &[u64], p: usize) -> u64 {
     sorted[(sorted.len() - 1) * p / 100]
 }
@@ -67,7 +51,7 @@ fn run_size(
     attack: &friendseeker::TrainedAttack,
     train_pois: &[seeker_trace::Poi],
     cfg: &SyntheticConfig,
-) -> SizeReport {
+) -> JsonValue {
     let target = StreamingWorld::build(cfg)
         .expect("target world")
         .materialize()
@@ -128,118 +112,66 @@ fn run_size(
     let blob = client.snapshot().expect("snapshot");
     let snapshot_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    let report = SizeReport {
-        users: target.n_users(),
-        checkins_total: target.n_checkins(),
-        checkins_streamed: tail.len(),
-        ingest_frames: frames.len(),
-        open_ms,
-        ingest_ms,
-        ingest_checkins_per_s,
-        query_p50_us: percentile(&lat_us, 50),
-        query_p99_us: percentile(&lat_us, 99),
-        queries_per_s,
-        snapshot_ms,
-        snapshot_bytes: blob.len(),
-        n_edges: stats.n_edges,
-    };
+    let (query_p50_us, query_p99_us) = (percentile(&lat_us, 50), percentile(&lat_us, 99));
     eprintln!(
-        "  {} users: open {open_ms:.0} ms; ingest {} check-ins in {} frames at {:.0}/s; \
-         query p50 {} us / p99 {} us ({:.0}/s); snapshot {} bytes in {snapshot_ms:.1} ms",
-        report.users,
-        report.checkins_streamed,
-        report.ingest_frames,
-        report.ingest_checkins_per_s,
-        report.query_p50_us,
-        report.query_p99_us,
-        report.queries_per_s,
-        report.snapshot_bytes,
+        "  {} users: open {open_ms:.0} ms; ingest {} check-ins in {} frames at \
+         {ingest_checkins_per_s:.0}/s; query p50 {query_p50_us} us / p99 {query_p99_us} us \
+         ({queries_per_s:.0}/s); snapshot {} bytes in {snapshot_ms:.1} ms",
+        target.n_users(),
+        tail.len(),
+        frames.len(),
+        blob.len(),
     );
 
     client.shutdown().expect("shutdown");
     server.join();
-    report
+    let tenths = |v: f64| JsonValue::rounded(v, 1);
+    JsonValue::object([
+        ("users", target.n_users().into()),
+        ("checkins_total", target.n_checkins().into()),
+        ("checkins_streamed", tail.len().into()),
+        ("ingest_frames", frames.len().into()),
+        ("open_ms", tenths(open_ms)),
+        ("ingest_ms", tenths(ingest_ms)),
+        ("ingest_checkins_per_s", tenths(ingest_checkins_per_s)),
+        ("query_p50_us", query_p50_us.into()),
+        ("query_p99_us", query_p99_us.into()),
+        ("queries_per_s", tenths(queries_per_s)),
+        ("snapshot_ms", tenths(snapshot_ms)),
+        ("snapshot_bytes", blob.len().into()),
+        ("edges_predicted", stats.n_edges.into()),
+    ])
 }
 
 fn main() {
     let _obs = seeker_obs::init_cli_sinks();
     let seed = seeker_bench::seed_from_env();
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let gate_mib: Option<f64> =
-        seeker_obs::env::raw("SEEKER_BENCH_GATE").and_then(|g| g.parse().ok());
     let sizes: Vec<usize> = if smoke { vec![SIZES[0]] } else { SIZES.to_vec() };
     eprintln!("bench_serve: seed {seed}, sizes {sizes:?}{}", if smoke { " (smoke)" } else { "" });
 
-    // Train exactly as bench_scale does: scale() preset, region widened to
-    // the largest target so the frozen division covers every check-in.
-    let largest = SIZES[SIZES.len() - 1];
-    let mut train_cfg = SyntheticConfig::scale(1_000, seed);
-    train_cfg.region_extent_km = SyntheticConfig::scale(largest, seed).region_extent_km;
-    train_cfg.n_cities = 24;
-    let t0 = Instant::now();
-    let train = StreamingWorld::build(&train_cfg)
-        .expect("train world")
-        .materialize()
-        .expect("train world")
-        .dataset;
-    let attack =
-        FriendSeeker::new(FriendSeekerConfig::scale()).train(&train).expect("scale training");
-    let train_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let (train, attack, train_ms) = train_scale(seed, SIZES[SIZES.len() - 1]);
     let train_pois = train.pois().to_vec();
     eprintln!("  trained on {} users in {train_ms:.0} ms", train.n_users());
 
-    let mut reports: Vec<SizeReport> = Vec::new();
-    for (i, &n) in sizes.iter().enumerate() {
-        let cfg = SyntheticConfig::scale(n, seed + 1 + i as u64);
-        reports.push(run_size(&attack, &train_pois, &cfg));
-    }
-
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ =
-        writeln!(json, "  \"bench\": \"seeker-serve ingest/query/snapshot over loopback TCP\",");
-    let _ = writeln!(json, "  \"seed\": {seed},");
-    let _ = writeln!(json, "  \"smoke\": {smoke},");
-    let _ = writeln!(json, "  \"train_users\": {},", train.n_users());
-    let _ = writeln!(json, "  \"train_ms\": {train_ms:.1},");
-    let _ = writeln!(json, "  \"frame_checkins\": {FRAME_CHECKINS},");
-    let _ = writeln!(json, "  \"n_queries\": {N_QUERIES},");
-    let _ = writeln!(json, "  \"sizes\": [");
-    for (i, r) in reports.iter().enumerate() {
-        let comma = if i + 1 < reports.len() { "," } else { "" };
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"users\": {},", r.users);
-        let _ = writeln!(json, "      \"checkins_total\": {},", r.checkins_total);
-        let _ = writeln!(json, "      \"checkins_streamed\": {},", r.checkins_streamed);
-        let _ = writeln!(json, "      \"ingest_frames\": {},", r.ingest_frames);
-        let _ = writeln!(json, "      \"open_ms\": {:.1},", r.open_ms);
-        let _ = writeln!(json, "      \"ingest_ms\": {:.1},", r.ingest_ms);
-        let _ = writeln!(json, "      \"ingest_checkins_per_s\": {:.1},", r.ingest_checkins_per_s);
-        let _ = writeln!(json, "      \"query_p50_us\": {},", r.query_p50_us);
-        let _ = writeln!(json, "      \"query_p99_us\": {},", r.query_p99_us);
-        let _ = writeln!(json, "      \"queries_per_s\": {:.1},", r.queries_per_s);
-        let _ = writeln!(json, "      \"snapshot_ms\": {:.1},", r.snapshot_ms);
-        let _ = writeln!(json, "      \"snapshot_bytes\": {},", r.snapshot_bytes);
-        let _ = writeln!(json, "      \"edges_predicted\": {}", r.n_edges);
-        let _ = writeln!(json, "    }}{comma}");
-    }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    let path = dir.join("BENCH_serve.json");
-    std::fs::write(&path, json).expect("write BENCH_serve.json");
-    eprintln!("saved {}", path.display());
-
-    if let Some(limit_mib) = gate_mib {
-        let peak = seeker_obs::peak_rss_bytes().map_or(f64::NAN, |b| b as f64 / (1024.0 * 1024.0));
-        if !(peak <= limit_mib) {
-            eprintln!("bench_serve: GATE FAILED — peak RSS {peak:.0} MiB > {limit_mib:.0} MiB");
-            seeker_obs::flush();
-            std::process::exit(1);
-        }
-        eprintln!("bench_serve: gate ok — peak RSS {peak:.0} MiB <= {limit_mib:.0} MiB");
-    }
+    let records = sizes
+        .iter()
+        .enumerate()
+        .map(|(i, &n)| {
+            run_size(&attack, &train_pois, &SyntheticConfig::scale(n, seed + 1 + i as u64))
+        })
+        .collect();
+    let doc = JsonValue::object([
+        ("bench", "seeker-serve ingest/query/snapshot over loopback TCP".into()),
+        ("seed", seed.into()),
+        ("smoke", smoke.into()),
+        ("train_users", train.n_users().into()),
+        ("train_ms", JsonValue::rounded(train_ms, 1)),
+        ("frame_checkins", FRAME_CHECKINS.into()),
+        ("n_queries", N_QUERIES.into()),
+        ("sizes", JsonValue::Array(records)),
+    ]);
+    report::save("BENCH_serve.json", &doc.to_pretty_string()).expect("write BENCH_serve.json");
+    rss_gate("bench_serve");
     seeker_obs::flush();
 }

@@ -17,7 +17,7 @@ pub mod datasets;
 pub mod experiments;
 /// Experiment orchestration: sweeps, repetitions, timing.
 pub mod harness;
-/// CSV/Markdown emitters for `results/`.
+/// Markdown tables and the one writer of every file under `results/`.
 pub mod report;
 
 /// The default seed used by the experiment binaries.

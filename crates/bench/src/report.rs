@@ -1,8 +1,10 @@
 //! Result tables: pretty-printed to stdout and saved as markdown under
-//! `results/` so EXPERIMENTS.md can reference them.
+//! `results/` so EXPERIMENTS.md can reference them, and `save`, the one
+//! writer of every file under `results/` (tables and `BENCH_*.json`).
 
 use std::fmt::Write as _;
 use std::fs;
+use std::io;
 use std::path::PathBuf;
 
 /// A rectangular result table with a title.
@@ -60,17 +62,6 @@ impl Table {
     }
 }
 
-/// The directory experiment results are written into (`results/` under the
-/// workspace root, falling back to the current directory).
-pub fn results_dir() -> PathBuf {
-    // Not a SEEKER_ knob: a cargo-provided build-time path, so it stays a
-    // direct read instead of a registry row. lint:allow(env-read)
-    let root = std::env::var("CARGO_MANIFEST_DIR")
-        .map(|d| PathBuf::from(d).join("../.."))
-        .unwrap_or_else(|_| PathBuf::from("."));
-    root.join("results")
-}
-
 /// Prints the tables and writes them to `results/<name>.md`.
 /// I/O failures are reported to stderr but never abort an experiment.
 pub fn emit(name: &str, tables: &[Table]) {
@@ -80,19 +71,31 @@ pub fn emit(name: &str, tables: &[Table]) {
         combined.push_str(&t.to_markdown());
         combined.push('\n');
     }
-    let dir = results_dir();
-    if let Err(e) = fs::create_dir_all(&dir) {
+    if let Err(e) = save(&format!("{name}.md"), &combined) {
         // lint:allow(no-print) -- I/O failure warning must reach stderr
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
+        eprintln!("warning: cannot write results/{name}.md: {e}");
     }
-    let path = dir.join(format!("{name}.md"));
-    if let Err(e) = fs::write(&path, combined) {
-        // lint:allow(no-print) -- I/O failure warning must reach stderr
-        eprintln!("warning: cannot write {}: {e}", path.display());
-    } else {
-        seeker_obs::info!("saved {}", path.display());
-    }
+}
+
+/// Writes `contents` to `results/<file>` (under the workspace root, falling
+/// back to the current directory), creating the directory: every file
+/// under `results/` is written here.
+///
+/// # Errors
+///
+/// Returns the I/O error of creating the directory or writing the file.
+pub fn save(file: &str, contents: &str) -> io::Result<()> {
+    // Not a SEEKER_ knob: a cargo-provided build-time path, so it stays a
+    // direct read instead of a registry row. lint:allow(env-read)
+    let root = std::env::var("CARGO_MANIFEST_DIR")
+        .map(|d| PathBuf::from(d).join("../.."))
+        .unwrap_or_else(|_| PathBuf::from("."));
+    let dir = root.join("results");
+    fs::create_dir_all(&dir)?;
+    let path = dir.join(file);
+    fs::write(&path, contents)?;
+    seeker_obs::info!("saved {}", path.display());
+    Ok(())
 }
 
 /// Formats a float with 3 decimals (the precision used throughout the

@@ -18,6 +18,9 @@ use crate::mlp::Mlp;
 /// Magic bytes identifying a persisted MLP (version 1).
 const MAGIC: &[u8; 8] = b"SEEKNN01";
 
+/// The smallest encoded layer: two dims, a tag, one weight and one bias.
+const MIN_LAYER_BYTES: usize = 4 + 4 + 1 + 4 + 4;
+
 /// Errors from decoding a persisted model.
 #[derive(Debug)]
 #[non_exhaustive]
@@ -87,12 +90,14 @@ struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
-        if self.pos + n > self.buf.len() {
-            return Err(PersistError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+        let end = self.pos.checked_add(n).ok_or(PersistError::Truncated)?;
+        let s = self.buf.get(self.pos..end).ok_or(PersistError::Truncated)?;
+        self.pos = end;
         Ok(s)
+    }
+
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
     fn u32(&mut self) -> Result<u32, PersistError> {
@@ -105,7 +110,7 @@ impl<'a> Cursor<'a> {
     }
 
     fn f32s(&mut self, n: usize) -> Result<Vec<f32>, PersistError> {
-        let b = self.take(n * 4)?;
+        let b = self.take(n.checked_mul(4).ok_or(PersistError::Truncated)?)?;
         Ok(b.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
     }
 }
@@ -125,6 +130,11 @@ pub fn mlp_from_bytes(bytes: &[u8]) -> Result<Mlp, PersistError> {
     if n_layers == 0 {
         return Err(PersistError::Invalid("zero layers".into()));
     }
+    // A corrupt count must fail as truncation before `with_capacity` can
+    // request an absurd allocation.
+    if c.remaining() < n_layers.saturating_mul(MIN_LAYER_BYTES) {
+        return Err(PersistError::Truncated);
+    }
     let mut layers = Vec::with_capacity(n_layers);
     for _ in 0..n_layers {
         let in_dim = c.u32()? as usize;
@@ -133,7 +143,7 @@ pub fn mlp_from_bytes(bytes: &[u8]) -> Result<Mlp, PersistError> {
             return Err(PersistError::Invalid("zero layer dimension".into()));
         }
         let act = activation_from_tag(c.u8()?)?;
-        let w = c.f32s(in_dim * out_dim)?;
+        let w = c.f32s(in_dim.checked_mul(out_dim).ok_or(PersistError::Truncated)?)?;
         let b = c.f32s(out_dim)?;
         layers.push(
             Dense::from_parts(Matrix::from_vec(in_dim, out_dim, w), b, act)
@@ -203,6 +213,26 @@ mod tests {
         // The first activation tag sits after magic(8) + count(4) + in(4) + out(4).
         bytes[20] = 99;
         assert!(matches!(mlp_from_bytes(&bytes), Err(PersistError::Invalid(_))));
+    }
+
+    #[test]
+    fn huge_layer_count_is_truncation() {
+        // `u32::MAX` layers in a 12-byte blob: no allocation may trust it.
+        let mut blob = MAGIC.to_vec();
+        blob.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(mlp_from_bytes(&blob), Err(PersistError::Truncated)));
+    }
+
+    #[test]
+    fn overflowing_layer_size_is_truncation() {
+        // One 2^31 x 2^31 layer: its weight byte count overflows `usize`.
+        // A tag and eight payload bytes pad it past the minimum-layer guard.
+        let mut blob = MAGIC.to_vec();
+        for v in [1u32, 1 << 31, 1 << 31] {
+            blob.extend_from_slice(&v.to_le_bytes());
+        }
+        blob.extend_from_slice(&[0; 9]);
+        assert!(matches!(mlp_from_bytes(&blob), Err(PersistError::Truncated)));
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub const VARS: &[VarSpec] = &[
         kind: "f64",
         default: "report only, never fail",
         consumer: "seeker-bench",
-        description: "Regression threshold: minimum speedup for `bench_par`, memory ceiling (MiB) for `bench_scale`.",
+        description: "Regression threshold: minimum speedup for `bench_par`, peak-RSS ceiling (MiB) for `bench_scale` and `bench_serve`.",
     },
     VarSpec {
         name: "SEEKER_LOG",

@@ -1,10 +1,12 @@
 //! Minimal JSON tree with an emitter and a recursive-descent parser.
 //!
-//! `seeker-obs` is zero-dependency by design, so the [`JsonSink`]
-//! payload (`results/OBS_run.json`) and the `check_obs_json` CI validator
-//! share this hand-rolled module instead of a serde stack. It covers the
-//! JSON the sink emits plus everything a well-formed document can contain;
-//! it is not meant as a general-purpose streaming parser.
+//! `seeker-obs` is zero-dependency by design, so every JSON file the
+//! workspace writes goes through this hand-rolled module instead of a serde
+//! stack: the [`JsonSink`] payload (`results/OBS_run.json`), the bench
+//! results (`results/BENCH_*.json`) and the GeoJSON export. The
+//! `check_obs_json` CI validator parses with it too. It covers everything a
+//! well-formed document can contain; it is not meant as a general-purpose
+//! streaming parser.
 //!
 //! Objects preserve insertion order (a `Vec` of pairs, not a map), so the
 //! emitted document is stable across runs.
@@ -12,6 +14,9 @@
 //! [`JsonSink`]: crate::JsonSink
 
 use std::fmt::Write as _;
+
+/// 2^53: every integer of smaller magnitude is exact in an `f64`.
+const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
 
 /// A parsed or constructed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,6 +61,12 @@ impl From<u64> for JsonValue {
     }
 }
 
+impl From<usize> for JsonValue {
+    fn from(v: usize) -> Self {
+        JsonValue::Number(v as f64)
+    }
+}
+
 impl From<f64> for JsonValue {
     fn from(v: f64) -> Self {
         JsonValue::Number(v)
@@ -66,6 +77,12 @@ impl JsonValue {
     /// Builds an object from `(key, value)` pairs, preserving order.
     pub fn object<const N: usize>(pairs: [(&str, JsonValue); N]) -> JsonValue {
         JsonValue::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    /// `v` rounded to `decimals` places, exactly as `format!("{v:.decimals$}")`
+    /// rounds it; the emitter then drops the trailing zeros.
+    pub fn rounded(v: f64, decimals: usize) -> JsonValue {
+        JsonValue::Number(format!("{v:.decimals$}").parse().unwrap_or(v))
     }
 
     /// The pairs if this is an object.
@@ -125,7 +142,10 @@ impl JsonValue {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             JsonValue::Number(n) => {
-                if n.is_finite() {
+                if n.is_finite() && *n == n.trunc() && n.abs() < MAX_EXACT_INT {
+                    // Counts print as integers (`1000`, not `1000.0`).
+                    let _ = write!(out, "{}", *n as i64);
+                } else if n.is_finite() {
                     // `{:?}` is the shortest representation that round-trips,
                     // and it is valid JSON for every finite f64.
                     let _ = write!(out, "{n:?}");
@@ -423,6 +443,21 @@ mod tests {
     fn parses_escapes_and_unicode() {
         let doc = parse(r#""line\nbreak A café ü""#).expect("parses");
         assert_eq!(doc.as_str(), Some("line\nbreak A café ü"));
+    }
+
+    #[test]
+    fn integral_numbers_print_without_a_fraction() {
+        let doc = JsonValue::Array(vec![
+            JsonValue::from(1000usize),
+            JsonValue::from(-3.0),
+            JsonValue::from(0.5),
+            JsonValue::from(2f64.powi(53)),
+            JsonValue::rounded(111.1604, 3),
+            JsonValue::rounded(2.0, 7),
+            JsonValue::rounded(0.000_002_914, 8),
+        ]);
+        assert_eq!(doc.to_compact_string(), "[1000,-3,0.5,9007199254740992.0,111.16,2,2.91e-6]");
+        assert_eq!(parse(&doc.to_compact_string()).expect("parses"), doc);
     }
 
     #[test]

@@ -1,32 +1,15 @@
 //! GeoJSON export of datasets and inferred graphs, for visual inspection in
 //! any GIS viewer (kepler.gl, QGIS, geojson.io).
 //!
-//! The writer is hand-rolled (the repository's dependency budget has no
-//! JSON crate); the output is plain RFC 7946 FeatureCollections.
+//! The documents are built as [`JsonValue`](seeker_obs::json::JsonValue)
+//! trees and written by `seeker_obs::json`; the output is plain RFC 7946
+//! FeatureCollections, with coordinates rounded to 7 decimals (about a
+//! centimetre).
 
-use std::fmt::Write as _;
+use seeker_obs::json::JsonValue;
 
 use crate::dataset::Dataset;
 use crate::types::{GeoPoint, UserId, UserPair};
-
-/// Escapes a string for embedding in a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Exports the dataset's visited POIs as a GeoJSON `FeatureCollection` of
 /// points. Each feature carries the POI id and its visit count.
@@ -35,21 +18,14 @@ pub fn pois_to_geojson(ds: &Dataset) -> String {
     for c in ds.checkins() {
         visits[c.poi.index()] += 1;
     }
-    let mut features = Vec::new();
-    for p in ds.pois() {
-        let v = visits[p.id.index()];
-        if v == 0 {
-            continue;
-        }
-        features.push(format!(
-            r#"{{"type":"Feature","geometry":{{"type":"Point","coordinates":[{:.7},{:.7}]}},"properties":{{"poi":{},"visits":{}}}}}"#,
-            p.center.lon,
-            p.center.lat,
-            p.id.raw(),
-            v
-        ));
-    }
-    collection(&features, ds.name())
+    let features = ds.pois().iter().filter(|p| visits[p.id.index()] > 0).map(|p| {
+        let properties = JsonValue::object([
+            ("poi", u64::from(p.id.raw()).into()),
+            ("visits", u64::from(visits[p.id.index()]).into()),
+        ]);
+        ("Point", position(p.center), properties)
+    });
+    feature_collection(ds.name(), features)
 }
 
 /// Exports a set of user pairs (e.g. an inferred friendship graph) as
@@ -57,21 +33,46 @@ pub fn pois_to_geojson(ds: &Dataset) -> String {
 /// Pairs whose endpoints have no check-ins are skipped.
 pub fn edges_to_geojson(ds: &Dataset, pairs: &[UserPair], name: &str) -> String {
     let centers: Vec<Option<GeoPoint>> = ds.users().map(|u| user_mean(ds, u)).collect();
-    let mut features = Vec::new();
-    for pair in pairs {
-        if let (Some(a), Some(b)) = (centers[pair.lo().index()], centers[pair.hi().index()]) {
-            features.push(format!(
-                r#"{{"type":"Feature","geometry":{{"type":"LineString","coordinates":[[{:.7},{:.7}],[{:.7},{:.7}]]}},"properties":{{"a":{},"b":{}}}}}"#,
-                a.lon,
-                a.lat,
-                b.lon,
-                b.lat,
-                pair.lo().raw(),
-                pair.hi().raw()
-            ));
-        }
-    }
-    collection(&features, name)
+    let features = pairs.iter().filter_map(|pair| {
+        let (a, b) = (centers[pair.lo().index()]?, centers[pair.hi().index()]?);
+        let properties = JsonValue::object([
+            ("a", u64::from(pair.lo().raw()).into()),
+            ("b", u64::from(pair.hi().raw()).into()),
+        ]);
+        Some(("LineString", JsonValue::Array(vec![position(a), position(b)]), properties))
+    });
+    feature_collection(name, features)
+}
+
+/// A GeoJSON position: `[lon, lat]`.
+fn position(p: GeoPoint) -> JsonValue {
+    JsonValue::Array(vec![JsonValue::rounded(p.lon, 7), JsonValue::rounded(p.lat, 7)])
+}
+
+/// Renders `(geometry type, coordinates, properties)` triples as one
+/// compact `FeatureCollection` named `name`.
+fn feature_collection(
+    name: &str,
+    features: impl Iterator<Item = (&'static str, JsonValue, JsonValue)>,
+) -> String {
+    let features = features
+        .map(|(kind, coordinates, properties)| {
+            JsonValue::object([
+                ("type", "Feature".into()),
+                (
+                    "geometry",
+                    JsonValue::object([("type", kind.into()), ("coordinates", coordinates)]),
+                ),
+                ("properties", properties),
+            ])
+        })
+        .collect();
+    JsonValue::object([
+        ("type", "FeatureCollection".into()),
+        ("name", name.into()),
+        ("features", JsonValue::Array(features)),
+    ])
+    .to_compact_string()
 }
 
 fn user_mean(ds: &Dataset, u: UserId) -> Option<GeoPoint> {
@@ -89,20 +90,13 @@ fn user_mean(ds: &Dataset, u: UserId) -> Option<GeoPoint> {
     Some(GeoPoint::new(lat / n, lon / n))
 }
 
-fn collection(features: &[String], name: &str) -> String {
-    format!(
-        r#"{{"type":"FeatureCollection","name":"{}","features":[{}]}}"#,
-        esc(name),
-        features.join(",")
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::synth::{generate, SyntheticConfig};
     use crate::DatasetBuilder;
     use crate::Timestamp;
+    use seeker_obs::json;
 
     #[test]
     fn poi_export_contains_visited_pois_only() {
@@ -115,9 +109,9 @@ mod tests {
         let json = pois_to_geojson(&ds);
         assert!(json.contains(r#""type":"FeatureCollection""#));
         assert!(json.contains(r#""visits":2"#));
-        assert!(!json.contains("3.0000000,4.0000000".to_string().as_str()));
+        assert!(!json.contains("[4,3]"));
         // Coordinates are [lon, lat].
-        assert!(json.contains("[2.0000000,1.0000000]"));
+        assert!(json.contains("[2,1]"));
     }
 
     #[test]
@@ -132,20 +126,28 @@ mod tests {
     #[test]
     fn output_is_structurally_balanced_json() {
         let ds = generate(&SyntheticConfig::small(152)).unwrap().dataset;
-        for json in [pois_to_geojson(&ds), edges_to_geojson(&ds, &[], "empty")] {
-            let opens = json.matches('{').count();
-            let closes = json.matches('}').count();
-            assert_eq!(opens, closes, "unbalanced braces");
-            let opens = json.matches('[').count();
-            let closes = json.matches(']').count();
-            assert_eq!(opens, closes, "unbalanced brackets");
+        let pairs: Vec<UserPair> = ds.friendships().take(5).collect();
+        for text in [
+            pois_to_geojson(&ds),
+            edges_to_geojson(&ds, &pairs, "friends"),
+            edges_to_geojson(&ds, &[], "empty"),
+        ] {
+            let doc = json::parse(&text).expect("valid JSON");
+            assert_eq!(doc.get("type").and_then(JsonValue::as_str), Some("FeatureCollection"));
+            assert!(doc.get("features").and_then(JsonValue::as_array).is_some());
         }
     }
 
     #[test]
+    fn coordinates_round_to_seven_decimals() {
+        let p = GeoPoint::new(-33.868_819_999_9, 151.209_295_000_04);
+        assert_eq!(position(p).to_compact_string(), "[151.209295,-33.86882]");
+    }
+
+    #[test]
     fn names_are_escaped() {
-        let json = collection(&[], "a\"b\\c\nd");
-        assert!(json.contains(r#""name":"a\"b\\c\nd""#));
-        assert_eq!(esc("\u{1}"), "\\u0001");
+        let ds = generate(&SyntheticConfig::small(153)).unwrap().dataset;
+        let json = edges_to_geojson(&ds, &[], "a\"b\\c\nd\u{1}");
+        assert!(json.contains(r#""name":"a\"b\\c\nd\u0001""#));
     }
 }
