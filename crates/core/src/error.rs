@@ -59,6 +59,12 @@ impl From<seeker_trace::TraceError> for AttackError {
     }
 }
 
+impl From<crate::persist::DecodeError> for AttackError {
+    fn from(e: crate::persist::DecodeError) -> Self {
+        AttackError::Persist(e.to_string())
+    }
+}
+
 /// Result alias for the attack pipeline.
 pub type Result<T> = std::result::Result<T, AttackError>;
 

@@ -1,35 +1,55 @@
-//! Persistence of a trained attack: train once, save, attack later.
+//! Persistence of a trained attack, and the one binary codec every
+//! persisted and wire byte of the workspace goes through.
 //!
-//! A trained attack consists of (1) the spatial-temporal division, which is
-//! a deterministic function of the training POI table, the spatial
-//! parameter and the covered time range — so those *inputs* are persisted
-//! and the division rebuilt on load; (2) the three networks of the
-//! supervised autoencoder; (3) the calibrated `C` threshold; (4) the `C'`
-//! scaler + SVM and the early-stopped iteration budget.
+//! **The codec.** [`Writer`](crate::persist::Writer) and
+//! [`Reader`](crate::persist::Reader) are the only code that knows binary
+//! layout: little-endian fixed-width integers and floats (an `f64` travels
+//! as its IEEE-754 bits), `u32`-length-prefixed blobs, and `u32`-counted
+//! tables of the two shared records, the 16-byte check-in `(user u32, poi
+//! u32, time i64)` and the 24-byte POI `(lat, lon, radius_m)` as `f64`s,
+//! whose ids are their table positions. A decoded count reaches an
+//! allocation only through
+//! [`Reader::count`](crate::persist::Reader::count), which refuses a count
+//! the remaining input cannot hold, so a corrupt or hostile length never
+//! allocates more than the bytes that arrived. Every decode failure is one
+//! [`DecodeError`](crate::persist::DecodeError), which
+//! [`AttackError`](crate::AttackError) converts to
+//! [`AttackError::Persist`](crate::AttackError::Persist). The serving
+//! layer's wire frames and `SEEKSRV1` snapshots are written and read with
+//! the same pair.
 //!
-//! Only the default MLP-head classifier variant is persistable (the KNN and
-//! random-forest ablation variants memorize training rows and are cheap to
-//! refit).
+//! **The attack blob.** A trained attack consists of (1) the
+//! spatial-temporal division, which is a deterministic function of the
+//! training POI table, the spatial parameter and the covered time range,
+//! so those *inputs* are persisted and the division rebuilt on load; (2)
+//! the three networks of the supervised autoencoder, each a nested
+//! `SEEKNN01` blob; (3) the calibrated `C` threshold; (4) the `C'` scaler
+//! + SVM and the early-stopped iteration budget. Only the default MLP-head
+//! classifier variant is persistable (the KNN and random-forest ablation
+//! variants memorize training rows and are cheap to refit).
 //!
-//! Format: magic `SEEKAT02`, then little-endian fixed-width fields — see
-//! the `write_*`/`read_*` pairs — closed by a 16-byte integrity footer:
-//! the protected length (`u64` LE, everything before the footer) followed
-//! by the FNV-1a hash (`u64` LE) of those bytes. No serde format crate is
-//! required. [`load`](crate::persist::load) still reads footer-less legacy
+//! Format: magic `SEEKAT02`, the fields in the order
+//! [`save`](crate::persist::save) writes them, then a 16-byte integrity
+//! footer: the protected length (`u64` LE, everything before the footer)
+//! followed by the FNV-1a hash (`u64` LE) of those bytes.
+//! [`load`](crate::persist::load) still reads footer-less legacy
 //! `SEEKAT01` blobs; [`save`](crate::persist::save) only emits `SEEKAT02`.
 //! The footer is what lets snapshots travel over sockets: truncation, bit
 //! corruption and trailing garbage all surface as typed
-//! [`AttackError::Persist`] errors instead of being accepted silently (or
-//! worse, parsed into a plausible model). The same
-//! [`append_footer`](crate::persist::append_footer)/
+//! [`AttackError::Persist`](crate::AttackError::Persist) errors instead of
+//! being accepted silently (or worse, parsed into a plausible model). The
+//! same [`append_footer`](crate::persist::append_footer)/
 //! [`verify_footer`](crate::persist::verify_footer) pair seals the serving
 //! layer's snapshot envelope.
 
+use std::fmt;
+
 use seeker_ml::{Kernel, StandardScaler, Svm, SvmConfig};
-use seeker_nn::persist::{mlp_from_bytes, mlp_to_bytes};
-use seeker_nn::{SupervisedAutoencoder, SupervisedAutoencoderConfig};
-use seeker_spatial::{SpatialParam, SpatialTemporalDivision};
-use seeker_trace::{GeoPoint, Poi, PoiId, Timestamp};
+use seeker_nn::{
+    Activation, Dense, Matrix, Mlp, SupervisedAutoencoder, SupervisedAutoencoderConfig,
+};
+use seeker_spatial::{Joc, SpatialParam, SpatialTemporalDivision};
+use seeker_trace::{CheckIn, GeoPoint, Poi, PoiId, Timestamp, UserId};
 
 use crate::attack::TrainedAttack;
 use crate::config::{ClassifierKind, FriendSeekerConfig};
@@ -39,9 +59,244 @@ use crate::phase2::Phase2Model;
 
 const MAGIC: &[u8; 8] = b"SEEKAT02";
 const LEGACY_MAGIC: &[u8; 8] = b"SEEKAT01";
+/// Magic of a nested network blob (version 1).
+const NET_MAGIC: &[u8; 8] = b"SEEKNN01";
+/// The smallest encoded network layer: two dims, a tag, one weight and
+/// one bias.
+const MIN_LAYER_BYTES: usize = 4 + 4 + 1 + 4 + 4;
+/// Bytes of one check-in record.
+const CHECKIN_BYTES: usize = 16;
+/// Bytes of one POI record.
+const POI_BYTES: usize = 24;
 
 /// Size in bytes of the integrity footer: protected length + FNV-1a hash.
 pub const FOOTER_LEN: usize = 16;
+
+/// Why bytes could not be decoded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum DecodeError {
+    /// The input ends before the value being read, or a count claims more
+    /// items than the remaining input can hold.
+    Truncated,
+    /// Input remains after the last value.
+    TrailingBytes,
+}
+
+impl fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DecodeError::Truncated => write!(f, "input is truncated"),
+            DecodeError::TrailingBytes => write!(f, "trailing bytes after the last field"),
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+/// Little-endian encoder: the write half of the codec.
+#[derive(Debug, Default)]
+pub struct Writer {
+    buf: Vec<u8>,
+}
+
+impl Writer {
+    /// An empty writer.
+    pub fn new() -> Writer {
+        Writer::default()
+    }
+
+    /// The bytes written so far.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.buf
+    }
+
+    /// Raw bytes, no length prefix (magics).
+    pub fn bytes(&mut self, b: &[u8]) {
+        self.buf.extend_from_slice(b);
+    }
+
+    /// One byte.
+    pub fn u8(&mut self, v: u8) {
+        self.buf.push(v);
+    }
+
+    /// A `u32`.
+    pub fn u32(&mut self, v: u32) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// A `u64`.
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// An `i64`.
+    pub fn i64(&mut self, v: i64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// An `f32`, as its IEEE-754 bits.
+    pub fn f32(&mut self, v: f32) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// An `f64`, as its IEEE-754 bits.
+    pub fn f64(&mut self, v: f64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// A table length, as the `u32` [`Reader::count`] reads.
+    pub fn count(&mut self, n: usize) {
+        self.u32(n as u32);
+    }
+
+    /// A `u32`-length-prefixed blob.
+    pub fn blob(&mut self, b: &[u8]) {
+        self.count(b.len());
+        self.bytes(b);
+    }
+
+    /// A counted table of 16-byte check-in records.
+    pub fn checkins(&mut self, checkins: &[CheckIn]) {
+        self.count(checkins.len());
+        for c in checkins {
+            self.u32(c.user.raw());
+            self.u32(c.poi.raw());
+            self.i64(c.time.as_secs());
+        }
+    }
+
+    /// A counted table of 24-byte POI records; a POI's id is its position.
+    pub fn pois(&mut self, pois: &[Poi]) {
+        self.count(pois.len());
+        for p in pois {
+            self.f64(p.center.lat);
+            self.f64(p.center.lon);
+            self.f64(p.radius_m);
+        }
+    }
+}
+
+/// Little-endian decoder over a byte slice: the read half of the codec.
+///
+/// Every getter fails with [`DecodeError::Truncated`] when the input ends
+/// before its value (or, for [`Reader::count`] and the tables, before the
+/// items a count claims).
+#[derive(Debug)]
+pub struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+/// What a [`Reader`] getter returns.
+type Decoded<T> = std::result::Result<T, DecodeError>;
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Reader<'a> {
+        Reader { buf, pos: 0 }
+    }
+
+    /// The next `n` raw bytes.
+    pub fn bytes(&mut self, n: usize) -> Decoded<&'a [u8]> {
+        let end = self.pos.checked_add(n).ok_or(DecodeError::Truncated)?;
+        let b = self.buf.get(self.pos..end).ok_or(DecodeError::Truncated)?;
+        self.pos = end;
+        Ok(b)
+    }
+
+    fn array<const N: usize>(&mut self) -> Decoded<[u8; N]> {
+        let mut a = [0u8; N];
+        a.copy_from_slice(self.bytes(N)?);
+        Ok(a)
+    }
+
+    /// One byte.
+    pub fn u8(&mut self) -> Decoded<u8> {
+        Ok(u8::from_le_bytes(self.array()?))
+    }
+
+    /// A `u32`.
+    pub fn u32(&mut self) -> Decoded<u32> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    /// A `u64`.
+    pub fn u64(&mut self) -> Decoded<u64> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// An `i64`.
+    pub fn i64(&mut self) -> Decoded<i64> {
+        Ok(i64::from_le_bytes(self.array()?))
+    }
+
+    /// An `f32`.
+    pub fn f32(&mut self) -> Decoded<f32> {
+        Ok(f32::from_le_bytes(self.array()?))
+    }
+
+    /// An `f64`.
+    pub fn f64(&mut self) -> Decoded<f64> {
+        Ok(f64::from_le_bytes(self.array()?))
+    }
+
+    /// `n` consecutive `f32`s, read before the vector is sized.
+    fn f32s(&mut self, n: usize) -> Decoded<Vec<f32>> {
+        let mut floats = Reader::new(self.bytes(n.checked_mul(4).ok_or(DecodeError::Truncated)?)?);
+        (0..n).map(|_| floats.f32()).collect()
+    }
+
+    /// A `u32` count of items of `item_bytes` bytes each, refused unless
+    /// the remaining input can hold that many items. The only way a
+    /// decoded count may reach an allocation.
+    pub fn count(&mut self, item_bytes: usize) -> Decoded<usize> {
+        let n = self.u32()? as usize;
+        match n.checked_mul(item_bytes) {
+            Some(need) if need <= self.buf.len() - self.pos => Ok(n),
+            _ => Err(DecodeError::Truncated),
+        }
+    }
+
+    /// A `u32`-length-prefixed blob.
+    pub fn blob(&mut self) -> Decoded<&'a [u8]> {
+        let n = self.count(1)?;
+        self.bytes(n)
+    }
+
+    /// A counted table of check-in records.
+    pub fn checkins(&mut self) -> Decoded<Vec<CheckIn>> {
+        let n = self.count(CHECKIN_BYTES)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            let user = UserId::new(self.u32()?);
+            let poi = PoiId::new(self.u32()?);
+            out.push(CheckIn::new(user, poi, Timestamp::from_secs(self.i64()?)));
+        }
+        Ok(out)
+    }
+
+    /// A counted table of POI records, ids assigned by position.
+    pub fn pois(&mut self) -> Decoded<Vec<Poi>> {
+        let n = self.count(POI_BYTES)?;
+        let mut out = Vec::with_capacity(n);
+        for i in 0..n {
+            let center = GeoPoint::new(self.f64()?, self.f64()?);
+            out.push(Poi::new(PoiId::new(i as u32), center, self.f64()?));
+        }
+        Ok(out)
+    }
+
+    /// Ends decoding; [`DecodeError::TrailingBytes`] if input remains.
+    pub fn finish(self) -> Decoded<()> {
+        if self.pos == self.buf.len() {
+            Ok(())
+        } else {
+            Err(DecodeError::TrailingBytes)
+        }
+    }
+}
 
 /// 64-bit FNV-1a hash of `bytes`.
 ///
@@ -61,10 +316,10 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// Appends the 16-byte integrity footer over everything currently in
 /// `buf`: the protected length (`u64` LE) then [`fnv1a`] of those bytes.
 pub fn append_footer(buf: &mut Vec<u8>) {
-    let len = buf.len() as u64;
-    let hash = fnv1a(buf);
-    buf.extend_from_slice(&len.to_le_bytes());
-    buf.extend_from_slice(&hash.to_le_bytes());
+    let mut footer = Writer::new();
+    footer.u64(buf.len() as u64);
+    footer.u64(fnv1a(buf));
+    buf.extend_from_slice(&footer.into_bytes());
 }
 
 /// Verifies the trailing integrity footer and returns the protected
@@ -80,18 +335,14 @@ pub fn verify_footer(bytes: &[u8]) -> Result<&[u8]> {
         return Err(AttackError::Persist("input shorter than the integrity footer".into()));
     }
     let (payload, footer) = bytes.split_at(bytes.len() - FOOTER_LEN);
-    let mut len_bytes = [0u8; 8];
-    len_bytes.copy_from_slice(&footer[..8]);
-    let recorded_len = u64::from_le_bytes(len_bytes);
+    let mut footer = Reader::new(footer);
+    let (recorded_len, recorded_hash) = (footer.u64()?, footer.u64()?);
     if recorded_len != payload.len() as u64 {
         return Err(AttackError::Persist(format!(
             "length mismatch: footer records {recorded_len} bytes, payload has {}",
             payload.len()
         )));
     }
-    let mut hash_bytes = [0u8; 8];
-    hash_bytes.copy_from_slice(&footer[8..]);
-    let recorded_hash = u64::from_le_bytes(hash_bytes);
     let actual = fnv1a(payload);
     if recorded_hash != actual {
         return Err(AttackError::Persist(format!(
@@ -124,7 +375,7 @@ pub fn save(attack: &TrainedAttack, pois: &[Poi]) -> Result<Vec<u8>> {
         pois,
         spatial_param(attack.config()),
         division.slots().origin(),
-        end_of(division),
+        division.slots().end(),
         attack.config().tau_days,
     )
     .map_err(AttackError::Trace)?;
@@ -136,72 +387,65 @@ pub fn save(attack: &TrainedAttack, pois: &[Poi]) -> Result<Vec<u8>> {
         )));
     }
 
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
+    let mut w = Writer::new();
+    w.bytes(MAGIC);
     let cfg = attack.config();
-    write_f64(&mut out, cfg.tau_days);
-    write_u32(&mut out, cfg.k_hop as u32);
-    write_u32(&mut out, cfg.max_iterations as u32);
-    write_f64(&mut out, cfg.convergence_threshold);
+    w.f64(cfg.tau_days);
+    w.u32(cfg.k_hop as u32);
+    w.u32(cfg.max_iterations as u32);
+    w.f64(cfg.convergence_threshold);
     match spatial_param(cfg) {
         SpatialParam::Adaptive { sigma } => {
-            out.push(0);
-            write_u32(&mut out, sigma as u32);
+            w.u8(0);
+            w.u32(sigma as u32);
         }
         SpatialParam::Uniform { depth } => {
-            out.push(1);
-            write_u32(&mut out, depth as u32);
+            w.u8(1);
+            w.u32(depth as u32);
         }
     }
-    write_i64(&mut out, division.slots().origin().as_secs());
-    write_i64(&mut out, end_of(division).as_secs());
-    write_u32(&mut out, pois.len() as u32);
-    for p in pois {
-        write_f64(&mut out, p.center.lat);
-        write_f64(&mut out, p.center.lon);
-        write_f64(&mut out, p.radius_m);
-    }
+    // `TimeSlots` records its exact span, so rebuilding from `(origin, end,
+    // tau)` reproduces the slot count and the out-of-range boundary.
+    w.i64(division.slots().origin().as_secs());
+    w.i64(division.slots().end().as_secs());
+    w.pois(pois);
 
     // Phase 1.
-    write_f64(&mut out, attack.phase1().threshold());
+    w.f64(attack.phase1().threshold());
     let ae = attack.phase1().autoencoder();
-    write_f64(&mut out, ae.config().alpha as f64);
+    w.f64(ae.config().alpha as f64);
     for mlp in [ae.encoder(), ae.decoder(), ae.classifier()] {
-        let blob = mlp_to_bytes(mlp);
-        write_u32(&mut out, blob.len() as u32);
-        out.extend_from_slice(&blob);
+        w.blob(&network_bytes(mlp));
     }
 
     // Phase 2.
     let (means, stds) = attack.phase2().scaler().to_parts();
-    write_u32(&mut out, means.len() as u32);
-    for &m in means {
-        write_f32(&mut out, m);
-    }
-    for &s in stds {
-        write_f32(&mut out, s);
+    w.count(means.len());
+    for &v in means.iter().chain(stds) {
+        w.f32(v);
     }
     let (kernel, svs, coeffs, bias) = attack.phase2().svm().to_parts();
     match kernel {
         Kernel::Linear => {
-            out.push(0);
-            write_f32(&mut out, 0.0);
+            w.u8(0);
+            w.f32(0.0);
         }
         Kernel::Rbf { gamma } => {
-            out.push(1);
-            write_f32(&mut out, gamma);
+            w.u8(1);
+            w.f32(gamma);
         }
     }
-    write_u32(&mut out, attack.phase2().svm().dim() as u32);
-    write_u32(&mut out, svs.len() as u32);
-    write_f32(&mut out, bias);
+    w.u32(attack.phase2().svm().dim() as u32);
+    w.count(svs.len());
+    w.f32(bias);
     for (sv, &c) in svs.iter().zip(coeffs.iter()) {
-        write_f32(&mut out, c);
+        w.f32(c);
         for &x in sv {
-            write_f32(&mut out, x);
+            w.f32(x);
         }
     }
-    write_u32(&mut out, attack.phase2().n_iterations() as u32);
+    w.u32(attack.phase2().n_iterations() as u32);
+    let mut out = w.into_bytes();
     append_footer(&mut out);
     Ok(out)
 }
@@ -219,54 +463,42 @@ pub fn save(attack: &TrainedAttack, pois: &[Poi]) -> Result<Vec<u8>> {
 /// bytes or checksum mismatch, and [`AttackError::Data`] for structural
 /// inconsistencies inside a well-framed payload.
 pub fn load(bytes: &[u8]) -> Result<TrainedAttack> {
-    let payload = if bytes.len() >= 8 && &bytes[..8] == MAGIC {
+    let payload = if bytes.starts_with(MAGIC) {
         verify_footer(bytes)?
-    } else if bytes.len() >= 8 && &bytes[..8] == LEGACY_MAGIC {
+    } else if bytes.starts_with(LEGACY_MAGIC) {
         bytes
     } else {
         return Err(AttackError::Persist("not a persisted FriendSeeker attack".into()));
     };
-    let mut c = Cursor { buf: payload, pos: 8 };
-    let tau_days = c.f64()?;
-    let k_hop = c.u32()? as usize;
-    let max_iterations = c.u32()? as usize;
-    let convergence_threshold = c.f64()?;
-    let spatial = match c.u8()? {
-        0 => SpatialParam::Adaptive { sigma: c.u32()? as usize },
-        1 => SpatialParam::Uniform { depth: c.u32()? as usize },
+    let mut r = Reader::new(payload);
+    r.bytes(MAGIC.len())?;
+    let tau_days = r.f64()?;
+    let k_hop = r.u32()? as usize;
+    let max_iterations = r.u32()? as usize;
+    let convergence_threshold = r.f64()?;
+    let spatial = match r.u8()? {
+        0 => SpatialParam::Adaptive { sigma: r.u32()? as usize },
+        1 => SpatialParam::Uniform { depth: r.u32()? as usize },
         other => return Err(AttackError::Data(format!("unknown spatial tag {other}"))),
     };
-    let t_lo = Timestamp::from_secs(c.i64()?);
-    let t_hi = Timestamp::from_secs(c.i64()?);
-    let n_pois = c.u32()? as usize;
-    // Pre-allocation guard: a corrupt count must fail as truncation before
-    // `with_capacity` can request an absurd allocation.
-    if c.remaining() < n_pois.saturating_mul(24) {
-        return Err(AttackError::Persist("persisted attack is truncated".into()));
-    }
-    let mut pois = Vec::with_capacity(n_pois);
-    for i in 0..n_pois {
-        let lat = c.f64()?;
-        let lon = c.f64()?;
-        let radius = c.f64()?;
-        pois.push(Poi::new(PoiId::new(i as u32), GeoPoint::new(lat, lon), radius));
-    }
+    let t_lo = Timestamp::from_secs(r.i64()?);
+    let t_hi = Timestamp::from_secs(r.i64()?);
+    let pois = r.pois()?;
     let division = SpatialTemporalDivision::from_components(&pois, spatial, t_lo, t_hi, tau_days)
-        .map_err(AttackError::Trace)?;
+        .map_err(|e| AttackError::Data(e.to_string()))?;
 
-    let threshold = c.f64()?;
-    let alpha = c.f64()? as f32;
-    let mut mlps = Vec::with_capacity(3);
-    for _ in 0..3 {
-        let len = c.u32()? as usize;
-        let blob = c.take(len)?;
-        mlps.push(mlp_from_bytes(blob).map_err(|e| AttackError::Data(e.to_string()))?);
+    let threshold = r.f64()?;
+    let alpha = r.f64()? as f32;
+    let encoder = read_network(r.blob()?)?;
+    let decoder = read_network(r.blob()?)?;
+    let classifier_head = read_network(r.blob()?)?;
+    if encoder.in_dim() != division.n_cells() * Joc::CHANNELS {
+        return Err(AttackError::Data(format!(
+            "encoder input {} does not match the division's {} cells",
+            encoder.in_dim(),
+            division.n_cells()
+        )));
     }
-    let (Some(classifier_head), Some(decoder), Some(encoder)) =
-        (mlps.pop(), mlps.pop(), mlps.pop())
-    else {
-        return Err(AttackError::Data("expected three network blobs".into()));
-    };
     let mut ae_cfg = SupervisedAutoencoderConfig::new(encoder.in_dim(), encoder.out_dim());
     ae_cfg.alpha = alpha;
     let feature_dim = ae_cfg.bottleneck;
@@ -274,35 +506,30 @@ pub fn load(bytes: &[u8]) -> Result<TrainedAttack> {
         .map_err(AttackError::Data)?;
     let phase1 = Phase1Model::from_parts(division, autoencoder, threshold);
 
-    let scaler_dim = c.u32()? as usize;
-    let means = c.f32s(scaler_dim)?;
-    let stds = c.f32s(scaler_dim)?;
+    let scaler_dim = r.count(8)?;
+    let means = r.f32s(scaler_dim)?;
+    let stds = r.f32s(scaler_dim)?;
     let scaler = StandardScaler::from_parts(means, stds).map_err(AttackError::Data)?;
-    let kernel = match c.u8()? {
+    let kernel = match r.u8()? {
         0 => {
-            let _ = c.f32()?;
+            r.f32()?;
             Kernel::Linear
         }
-        1 => Kernel::Rbf { gamma: c.f32()? },
+        1 => Kernel::Rbf { gamma: r.f32()? },
         other => return Err(AttackError::Data(format!("unknown kernel tag {other}"))),
     };
-    let svm_dim = c.u32()? as usize;
-    let n_sv = c.u32()? as usize;
-    let bias = c.f32()?;
-    if c.remaining() < n_sv.saturating_mul(4 + svm_dim.saturating_mul(4)) {
-        return Err(AttackError::Persist("persisted attack is truncated".into()));
-    }
+    let svm_dim = r.u32()? as usize;
+    let n_sv = r.count(svm_dim.saturating_add(1).saturating_mul(4))?;
+    let bias = r.f32()?;
     let mut coeffs = Vec::with_capacity(n_sv);
     let mut svs = Vec::with_capacity(n_sv);
     for _ in 0..n_sv {
-        coeffs.push(c.f32()?);
-        svs.push(c.f32s(svm_dim)?);
+        coeffs.push(r.f32()?);
+        svs.push(r.f32s(svm_dim)?);
     }
     let svm = Svm::from_parts(kernel, svs, coeffs, bias, svm_dim).map_err(AttackError::Data)?;
-    let n_iterations = c.u32()? as usize;
-    if c.pos != payload.len() {
-        return Err(AttackError::Persist("trailing bytes after payload".into()));
-    }
+    let n_iterations = r.u32()? as usize;
+    r.finish()?;
     // The selected kernel (γ included) is persisted with the SVM; the SMO
     // fitting hyper-parameters are training-time-only, so defaults suffice.
     let svm_config = SvmConfig { kernel, ..SvmConfig::default() };
@@ -334,80 +561,60 @@ fn spatial_param(cfg: &FriendSeekerConfig) -> SpatialParam {
     }
 }
 
-/// The last instant covered by the division's slots. `TimeSlots` records
-/// its exact span, so rebuilding with `TimeSlots::new(origin, end, tau)`
-/// reproduces the slot count (and the out-of-range boundary) verbatim.
-fn end_of(division: &SpatialTemporalDivision) -> Timestamp {
-    division.slots().end()
-}
-
-fn write_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn write_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn write_f32(out: &mut Vec<u8>, v: f32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn write_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(AttackError::Persist("persisted attack is truncated".into()));
+/// A network as a `SEEKNN01` blob: magic, layer count, then per layer
+/// `(in, out, activation tag, weights row-major, biases)`.
+fn network_bytes(mlp: &Mlp) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.bytes(NET_MAGIC);
+    w.count(mlp.layers().len());
+    for layer in mlp.layers() {
+        w.u32(layer.in_dim() as u32);
+        w.u32(layer.out_dim() as u32);
+        w.u8(match layer.activation() {
+            Activation::Relu => 0,
+            Activation::Sigmoid => 1,
+            Activation::Tanh => 2,
+            Activation::Identity => 3,
+        });
+        for &v in layer.weights().as_slice().iter().chain(layer.biases()) {
+            w.f32(v);
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
     }
+    w.into_bytes()
+}
 
-    fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.pos)
+/// Parses a `SEEKNN01` blob written by [`network_bytes`]: truncation and
+/// trailing bytes fail as [`AttackError::Persist`], a wrong magic or an
+/// impossible layer as [`AttackError::Data`].
+fn read_network(blob: &[u8]) -> Result<Mlp> {
+    let mut r = Reader::new(blob);
+    if r.bytes(NET_MAGIC.len())? != NET_MAGIC {
+        return Err(AttackError::Data("not a persisted network".into()));
     }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
+    let n_layers = r.count(MIN_LAYER_BYTES)?;
+    if n_layers == 0 {
+        return Err(AttackError::Data("network has zero layers".into()));
     }
-
-    fn u32(&mut self) -> Result<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    let mut layers = Vec::with_capacity(n_layers);
+    for _ in 0..n_layers {
+        let (in_dim, out_dim) = (r.u32()? as usize, r.u32()? as usize);
+        if in_dim == 0 || out_dim == 0 {
+            return Err(AttackError::Data("zero network layer dimension".into()));
+        }
+        let activation = match r.u8()? {
+            0 => Activation::Relu,
+            1 => Activation::Sigmoid,
+            2 => Activation::Tanh,
+            3 => Activation::Identity,
+            other => return Err(AttackError::Data(format!("unknown activation tag {other}"))),
+        };
+        let weights = r.f32s(in_dim.checked_mul(out_dim).ok_or(DecodeError::Truncated)?)?;
+        let biases = r.f32s(out_dim)?;
+        let w = Matrix::from_vec(in_dim, out_dim, weights);
+        layers.push(Dense::from_parts(w, biases, activation).map_err(AttackError::Data)?);
     }
-
-    fn i64(&mut self) -> Result<i64> {
-        let b = self.take(8)?;
-        let arr: [u8; 8] =
-            b.try_into().map_err(|_| AttackError::Persist("truncated i64 field".into()))?;
-        Ok(i64::from_le_bytes(arr))
-    }
-
-    fn f32(&mut self) -> Result<f32> {
-        let b = self.take(4)?;
-        Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn f64(&mut self) -> Result<f64> {
-        let b = self.take(8)?;
-        let arr: [u8; 8] =
-            b.try_into().map_err(|_| AttackError::Persist("truncated f64 field".into()))?;
-        Ok(f64::from_le_bytes(arr))
-    }
-
-    fn f32s(&mut self, n: usize) -> Result<Vec<f32>> {
-        let b = self.take(n * 4)?;
-        Ok(b.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
-    }
+    r.finish()?;
+    Mlp::from_layers(layers).map_err(AttackError::Data)
 }
 
 #[cfg(test)]
@@ -583,6 +790,33 @@ mod tests {
         }
     }
 
+    /// Header fields that would make the division builder panic, or build a
+    /// division the encoder does not fit, fail as `Data` once the blob is
+    /// re-sealed (the checksum no longer catches them).
+    #[test]
+    fn impossible_headers_are_data() {
+        let (_, _, _, bytes) = fixture();
+        let payload = &bytes[..bytes.len() - FOOTER_LEN];
+        // Offsets: magic 8, tau 8, k 16, iterations 20, threshold 24, spatial
+        // tag 32 and value 33, t_lo 37, t_hi 45, POI count 53, first POI 57.
+        let edits: [(usize, &[u8]); 8] = [
+            (8, &(-1.0f64).to_le_bytes()),
+            (8, &f64::NAN.to_le_bytes()),
+            (8, &14.0f64.to_le_bytes()),
+            (33, &0u32.to_le_bytes()),
+            (32, &[1, 9, 0, 0, 0]),
+            (37, &i64::MIN.to_le_bytes()),
+            (45, &i64::MAX.to_le_bytes()),
+            (57, &f64::NAN.to_le_bytes()),
+        ];
+        for (at, field) in edits {
+            let mut blob = payload.to_vec();
+            blob[at..at + field.len()].copy_from_slice(field);
+            append_footer(&mut blob);
+            assert!(matches!(load(&blob), Err(AttackError::Data(_))), "field at {at}");
+        }
+    }
+
     #[test]
     fn knn_variant_refuses_to_persist() {
         let (train, _, _, _) = fixture();
@@ -598,5 +832,162 @@ mod tests {
         // A truncated POI table cannot reproduce the division.
         let half = &train.pois()[..train.pois().len() / 2];
         assert!(save(attack, half).is_err());
+    }
+
+    #[test]
+    fn codec_roundtrips_every_field_and_bounds_counts() {
+        let checkin = CheckIn::new(UserId::new(7), PoiId::new(2), Timestamp::from_secs(-5));
+        let poi = Poi::new(PoiId::new(0), GeoPoint::new(1.5, -2.25), 30.0);
+        let mut w = Writer::new();
+        w.u8(9);
+        w.u32(0xdead_beef);
+        w.u64(u64::MAX - 1);
+        w.i64(-3);
+        w.f32(0.5);
+        w.f64(f64::MIN_POSITIVE);
+        w.blob(b"abc");
+        w.checkins(&[checkin]);
+        w.pois(&[poi]);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 1 + 4 + 8 + 8 + 4 + 8 + (4 + 3) + (4 + 16) + (4 + 24));
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.u8(), Ok(9));
+        assert_eq!(r.u32(), Ok(0xdead_beef));
+        assert_eq!(r.u64(), Ok(u64::MAX - 1));
+        assert_eq!(r.i64(), Ok(-3));
+        assert_eq!(r.f32(), Ok(0.5));
+        assert_eq!(r.f64(), Ok(f64::MIN_POSITIVE));
+        assert_eq!(r.blob(), Ok(&b"abc"[..]));
+        assert_eq!(r.checkins(), Ok(vec![checkin]));
+        let pois = r.pois().unwrap();
+        assert_eq!((pois[0].id, pois[0].center, pois[0].radius_m), (poi.id, poi.center, 30.0));
+        assert_eq!(r.u8(), Err(DecodeError::Truncated));
+        assert_eq!(r.finish(), Ok(()));
+        // Trailing input is refused by `finish`.
+        assert_eq!(Reader::new(&[0]).finish(), Err(DecodeError::TrailingBytes));
+        // A count the remaining input cannot hold fails before any item is
+        // read, however small the item; an exact fit passes.
+        let mut w = Writer::new();
+        w.count(3);
+        w.bytes(&[0; 6]);
+        let bytes = w.into_bytes();
+        assert_eq!(Reader::new(&bytes).count(2), Ok(3));
+        assert_eq!(Reader::new(&bytes).count(3), Err(DecodeError::Truncated));
+        assert_eq!(
+            Reader::new(&u32::MAX.to_le_bytes()).count(usize::MAX),
+            Err(DecodeError::Truncated)
+        );
+        assert!(!DecodeError::Truncated.to_string().is_empty());
+        assert!(!DecodeError::TrailingBytes.to_string().is_empty());
+    }
+
+    /// A 2 → 2 → 1 network with exactly representable weights.
+    fn explicit_mlp() -> Mlp {
+        let hidden = Dense::from_parts(
+            Matrix::from_vec(2, 2, vec![0.5, -1.0, 2.0, 0.25]),
+            vec![0.0, 1.5],
+            Activation::Relu,
+        )
+        .unwrap();
+        let out = Dense::from_parts(
+            Matrix::from_vec(2, 1, vec![1.0, -2.0]),
+            vec![0.125],
+            Activation::Sigmoid,
+        )
+        .unwrap();
+        Mlp::from_layers(vec![hidden, out]).unwrap()
+    }
+
+    /// Exact bytes of a network blob: magic, layer count, then per layer
+    /// `(in, out, activation tag, weights, biases)`.
+    #[test]
+    fn network_blob_bytes_are_pinned() {
+        let mlp = explicit_mlp();
+        let bytes = network_bytes(&mlp);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "5345454b4e4e3031\
+             02000000\
+             020000000200000000\
+             0000003f000080bf000000400000803e\
+             000000000000c03f\
+             020000000100000001\
+             0000803f000000c0\
+             0000003e"
+        );
+        let back = read_network(&bytes).unwrap();
+        assert_eq!(back.dims(), mlp.dims());
+        for (a, b) in back.layers().iter().zip(mlp.layers()) {
+            assert_eq!(a.weights().as_slice(), b.weights().as_slice());
+            assert_eq!(a.biases(), b.biases());
+            assert_eq!(a.activation(), b.activation());
+        }
+    }
+
+    #[test]
+    fn network_roundtrip_preserves_structure_and_outputs() {
+        let (_, _, attack, _) = fixture();
+        let a = attack.phase1().autoencoder().encoder();
+        let b = read_network(&network_bytes(a)).unwrap();
+        assert_eq!(a.dims(), b.dims());
+        let n = a.in_dim();
+        let x = Matrix::from_vec(3, n, (0..3 * n).map(|i| (i % 17) as f32 / 17.0).collect());
+        let ya = a.forward(seeker_nn::Input::Dense(&x));
+        let yb = b.forward(seeker_nn::Input::Dense(&x));
+        assert_eq!(ya.as_slice(), yb.as_slice());
+    }
+
+    #[test]
+    fn network_bad_magic_is_data() {
+        let mut bytes = network_bytes(&explicit_mlp());
+        bytes[0] = b'X';
+        assert!(matches!(read_network(&bytes), Err(AttackError::Data(_))));
+    }
+
+    #[test]
+    fn network_truncation_is_persist() {
+        let bytes = network_bytes(&explicit_mlp());
+        for cut in [4usize, 12, bytes.len() - 3] {
+            assert!(
+                matches!(read_network(&bytes[..cut]), Err(AttackError::Persist(_))),
+                "cut at {cut} must be detected"
+            );
+        }
+    }
+
+    #[test]
+    fn network_trailing_garbage_is_persist() {
+        let mut bytes = network_bytes(&explicit_mlp());
+        bytes.push(0);
+        assert!(matches!(read_network(&bytes), Err(AttackError::Persist(_))));
+    }
+
+    #[test]
+    fn network_unknown_activation_is_data() {
+        let mut bytes = network_bytes(&explicit_mlp());
+        // The first activation tag sits after magic(8) + count(4) + in(4) + out(4).
+        bytes[20] = 99;
+        assert!(matches!(read_network(&bytes), Err(AttackError::Data(_))));
+    }
+
+    #[test]
+    fn network_huge_layer_count_is_truncation() {
+        // `u32::MAX` layers in a 12-byte blob: no allocation may trust it.
+        let mut blob = NET_MAGIC.to_vec();
+        blob.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(read_network(&blob), Err(AttackError::Persist(_))));
+    }
+
+    #[test]
+    fn network_overflowing_layer_size_is_truncation() {
+        // One 2^31 x 2^31 layer: its weight byte count overflows `usize`.
+        // A tag and eight payload bytes pad it past the minimum-layer guard.
+        let mut blob = NET_MAGIC.to_vec();
+        for v in [1u32, 1 << 31, 1 << 31] {
+            blob.extend_from_slice(&v.to_le_bytes());
+        }
+        blob.extend_from_slice(&[0; 9]);
+        assert!(matches!(read_network(&blob), Err(AttackError::Persist(_))));
     }
 }

@@ -10,12 +10,12 @@
 //! judgment call, and the report says which of the two looks right
 //! (internal mentions exist → demote; none anywhere → delete).
 //!
-//! Since v4 the candidate counts are additionally **growth-gated**: the
-//! blessed per-crate counts in `api/deadpub.lock` are a ratchet lock of
-//! [`crate::lockfile`], and `--check-deadpub` fails when any crate's
-//! candidate count *increases* over its blessed value — new dead surface
-//! cannot land silently, while existing candidates are paid down at leisure
-//! (decreases pass, and `--bless-deadpub` records the improvement).
+//! The candidate counts are also **locked**: the blessed per-crate counts
+//! in `api/deadpub.lock` are an exact lock of [`crate::lockfile`], and
+//! `--check-deadpub` fails when any crate's candidate count differs from
+//! its blessed value. Growth fails so new dead surface cannot land
+//! silently; a fall fails too, so the lock is re-blessed with the deletion
+//! and never lags the tree.
 
 use crate::api_lock::extract_workspace_api;
 use crate::lexer::lex;
@@ -219,9 +219,10 @@ pub(crate) fn render_lock(index: &Index<'_>) -> io::Result<Rendered> {
     }
     let rows = counts.into_iter().map(|(name, count)| (format!("{name}\t{count}"), None));
     Ok(Rendered::one(
-        "Dead-pub ratchet — blessed per-crate candidate counts, generated by\n\
+        "Dead-pub lock — blessed per-crate candidate counts, generated by\n\
          `cargo run -p seeker-lint -- --bless-deadpub`. CI fails when a crate's\n\
-         count *increases*; decreases are improvements — re-bless to lock them in.",
+         count differs from its row, either way: re-bless after removing dead\n\
+         surface as after adding it, so the lock never lags the tree.",
         rows,
     ))
 }
@@ -263,8 +264,8 @@ mod tests {
         assert_eq!(count, 2);
         assert!(fs::read_to_string(path).expect("read").contains("corpse"));
 
-        // Ratchet lifecycle: missing lock → bless → clean → growth fails,
-        // shrinkage passes.
+        // Lock lifecycle: missing lock → bless → clean → growth fails,
+        // shrinkage fails until re-blessed.
         let check_deadpub = || check(Lock::DeadPub, &root).1;
         assert_eq!(check_deadpub().len(), 1, "missing lock must fail");
         let written = bless(Lock::DeadPub, &root);
@@ -280,12 +281,14 @@ mod tests {
         let failures = check_deadpub();
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].to_string().contains("alpha"), "{failures:?}");
-        // Removing dead surface below the ceiling passes without re-bless.
+        // Removing dead surface is drift too, until re-blessed.
         fs::write(
             &lib,
             "//! A.\n#![deny(missing_docs)]\n\n/// Live: used by tests.\npub fn live(x: u32) -> u32 { x }\n",
         )
         .expect("write");
+        assert_eq!(check_deadpub().len(), 1, "a count that falls is drift");
+        bless(Lock::DeadPub, &root);
         assert!(check_deadpub().is_empty());
     }
 }

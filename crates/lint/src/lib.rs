@@ -66,7 +66,7 @@ pub mod atomics;
 pub mod callgraph;
 /// The generated `docs/CONFIGURATION.md`.
 pub mod config_docs;
-/// The dead-`pub` report and the counts of its growth ratchet.
+/// The dead-`pub` report and the per-crate counts of its lock.
 pub mod deadpub;
 /// Hot-path allocation analysis (call-graph pass).
 pub mod hotpath;

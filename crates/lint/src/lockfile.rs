@@ -5,8 +5,7 @@
 //! text before the first tab. A pass renders the files its lock should hold,
 //! each new row with the witness a human needs. [`check`](crate::lockfile::check)
 //! compares them with the files on disk under the lock's rule: exact locks
-//! report added, removed and changed rows, the ratchet only counts that rose,
-//! the document any difference. A missing file is drift, and so is a file of
+//! report added, removed and changed rows, the document any difference. A missing file is drift, and so is a file of
 //! a multi-file lock that nothing renders any more, which
 //! [`bless`](crate::lockfile::bless) deletes as it writes the rendering.
 
@@ -30,17 +29,16 @@ pub enum Lock {
     Unsafe,
     /// The generated configuration doc.
     Config,
-    /// The dead-`pub` growth ratchet.
+    /// The per-crate dead-`pub` candidate counts.
     DeadPub,
 }
 
 /// How a lock's files are compared with their rendering: row by row (a
-/// changed row names the differing fields after its key), as a ratchet on
-/// the count after each key, or as one whole document.
+/// changed row names the differing fields after its key), or as one whole
+/// document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Rule {
     Exact(&'static [&'static str]),
-    Ratchet,
     Document,
 }
 
@@ -55,7 +53,7 @@ impl Lock {
     /// The flag name, the drift tag, the file (`dir/*.ext` for one file per
     /// crate), what a row pins, and the comparison rule.
     fn spec(self) -> (&'static str, &'static str, &'static str, &'static str, Rule) {
-        use Rule::{Document, Exact, Ratchet};
+        use Rule::{Document, Exact};
         let fields = &["kind", "body hash", "obligation"];
         match self {
             Lock::Api => ("api", "[api-lock]", "api/*.api", "public item", Exact(&[])),
@@ -66,7 +64,9 @@ impl Lock {
                 ("unsafe", "[unsafe-ledger]", "api/unsafe.lock", "unsafe site", Exact(fields))
             }
             Lock::Config => ("config", "[config-doc]", "docs/CONFIGURATION.md", "line", Document),
-            Lock::DeadPub => ("deadpub", "[deadpub-ratchet]", "api/deadpub.lock", "count", Ratchet),
+            Lock::DeadPub => {
+                ("deadpub", "[deadpub-lock]", "api/deadpub.lock", "count", Exact(&["count"]))
+            }
         }
     }
 
@@ -170,7 +170,7 @@ impl fmt::Display for Drift {
 /// Propagates I/O errors from the analysis and from reading the lock,
 /// except a missing file, which is drift.
 pub fn check(lock: Lock, index: &Index<'_>) -> io::Result<(Vec<Finding>, Vec<Drift>)> {
-    let (.., row_noun, rule) = lock.spec();
+    let (.., rule) = lock.spec();
     let root = index.root;
     let rendered = lock.rendering(index)?;
     let mut drift = Vec::new();
@@ -196,11 +196,6 @@ pub fn check(lock: Lock, index: &Index<'_>) -> io::Result<(Vec<Finding>, Vec<Dri
         let (now, then) = (rows(&text), rows(&locked));
         for (key, row) in &now {
             let kind = match (rule, then.get(key)) {
-                (Rule::Ratchet, old) => {
-                    let (count, ceiling) = (count(row), old.map_or(0, |old| count(old)));
-                    let what = format!("{row_noun} {count} above the blessed {ceiling}");
-                    (count > ceiling).then_some(DriftKind::Changed(what))
-                }
                 (_, None) => {
                     let witness = file.rows.iter().find(|(row, _)| key_of(row) == *key);
                     Some(DriftKind::Added(witness.and_then(|(_, w)| w.clone())))
@@ -214,10 +209,8 @@ pub fn check(lock: Lock, index: &Index<'_>) -> io::Result<(Vec<Finding>, Vec<Dri
                 push(&path, Some(key), kind);
             }
         }
-        if matches!(rule, Rule::Exact(_)) {
-            for key in then.keys().filter(|key| !now.contains_key(*key)) {
-                push(&path, Some(key), DriftKind::Removed);
-            }
+        for key in then.keys().filter(|key| !now.contains_key(*key)) {
+            push(&path, Some(key), DriftKind::Removed);
         }
     }
     for path in orphans(lock, root, &rendered)? {
@@ -262,11 +255,6 @@ fn rows(text: &str) -> BTreeMap<&str, &str> {
 /// A row's key: its text before the first tab.
 fn key_of(row: &str) -> &str {
     row.split('\t').next().unwrap_or(row)
-}
-
-/// The count a ratchet row pins after its key (0 when unreadable).
-fn count(row: &str) -> u64 {
-    row.split_once('\t').and_then(|(_, n)| n.trim().parse().ok()).unwrap_or(0)
 }
 
 /// The names of the fields that differ between two rows with one key.
@@ -329,6 +317,24 @@ mod tests {
         assert!(!root.join("api/ghost.api").exists());
         assert!(root.join("api/alpha.api").is_file());
         assert!(check(api, &root).1.is_empty());
+    }
+
+    #[test]
+    fn a_deadpub_count_below_its_lock_is_drift() {
+        let dead = "//! A.\n\n/// Dead.\npub fn corpse() {}\n";
+        let root = workspace(&format!("{dead}\n/// Dead too.\npub fn corpse2() {{}}\n"));
+        bless(Lock::DeadPub, &root);
+        write(&root, "crates/alpha/src/lib.rs", dead);
+        let (_, drift) = check(Lock::DeadPub, &root);
+        assert!(
+            matches!(
+                drift.as_slice(),
+                [Drift { kind: DriftKind::Changed(what), key, .. }] if key == "alpha" && what == "count"
+            ),
+            "{drift:?}"
+        );
+        bless(Lock::DeadPub, &root);
+        assert!(check(Lock::DeadPub, &root).1.is_empty());
     }
 
     #[test]

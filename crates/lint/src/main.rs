@@ -13,8 +13,8 @@
 //! - `--lock-order`, `--atomics`: that pass only, also printing the lock
 //!   graph or the ordering inventory;
 //! - `--check-<lock>`: that lock's check only, for `api`, `panics`,
-//!   `unsafe`, `config` and `deadpub` (the dead-`pub` growth ratchet, which
-//!   the full gate leaves out);
+//!   `unsafe`, `config` and `deadpub` (the dead-`pub` count lock, which the
+//!   full gate leaves out);
 //! - `--bless-<lock>`: regenerate that lock's files and exit;
 //! - `--deadpub`: write the dead-`pub` report to `results/DEADPUB.md`
 //!   (report-only: always exits 0 on success).
@@ -54,7 +54,7 @@ enum Pass {
     Check(Lock),
 }
 
-/// The full gate's passes, in order; the dead-`pub` ratchet stays outside.
+/// The full gate's passes, in order; the dead-`pub` lock stays outside.
 const FULL_GATE: [Pass; 9] = [
     Pass::Rules,
     Pass::Layering,

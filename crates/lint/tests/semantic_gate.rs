@@ -267,7 +267,7 @@ fn unsafe_config_and_deadpub_locks_bless_then_detect_drift() {
         ),
         (
             "deadpub",
-            "[deadpub-ratchet]",
+            "[deadpub-lock]",
             DEAD,
             |root| replace_in(root, LIB, "{}\n", "{}\n\n/// Also dead.\npub fn corpse2() {}\n"),
             Some(|root| replace_in(root, LIB, "pub fn corpse() {}", "")),

@@ -32,8 +32,6 @@ mod loss;
 mod matrix;
 mod mlp;
 mod optimizer;
-/// Save/load of network weights.
-pub mod persist;
 #[cfg(test)]
 mod proptests;
 

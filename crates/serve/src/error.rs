@@ -62,6 +62,12 @@ impl From<friendseeker::AttackError> for ServeError {
     }
 }
 
+impl From<friendseeker::persist::DecodeError> for ServeError {
+    fn from(e: friendseeker::persist::DecodeError) -> Self {
+        ServeError::Protocol(e.to_string())
+    }
+}
+
 /// Result alias for the serving layer.
 pub type Result<T> = std::result::Result<T, ServeError>;
 

@@ -3,12 +3,19 @@
 //! A frame is a `u32` little-endian payload length followed by the payload;
 //! the payload's first byte is a tag, the rest is the tag-specific body
 //! (fixed-width little-endian integers, `f64` as IEEE-754 bits, strings and
-//! blobs as `u32` length + bytes). The format is documented normatively in
-//! `docs/SERVING.md`; the round-trip tests below pin it.
+//! blobs as `u32` length + bytes, check-ins as the 16-byte record). Bodies
+//! are written and read with the workspace's one codec,
+//! [`friendseeker::persist::Writer`]/[`friendseeker::persist::Reader`], so
+//! a lying count fails as a [`ServeError::Protocol`] before it allocates,
+//! and [`read_frame`](crate::protocol::read_frame) grows its buffer with
+//! the bytes that arrive rather than the length a peer claims. The format
+//! is documented normatively in `docs/SERVING.md`; the exact-bytes tests
+//! below pin every variant.
 
 use std::io::{Read, Write};
 
-use seeker_trace::{CheckIn, PoiId, Timestamp, UserId};
+use friendseeker::persist::{Reader, Writer};
+use seeker_trace::CheckIn;
 
 use crate::error::{Result, ServeError};
 
@@ -107,6 +114,10 @@ pub enum Response {
     },
 }
 
+/// The most [`read_frame`] reserves before payload bytes arrive (64 KiB);
+/// a longer frame's buffer grows as its bytes are read.
+const FRAME_RESERVE: usize = 64 << 10;
+
 /// Writes one length-prefixed frame.
 ///
 /// # Errors
@@ -124,10 +135,15 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
 
 /// Reads one length-prefixed frame.
 ///
+/// The buffer starts at most 64 KiB long and grows with the payload
+/// actually read, so a length prefix alone never allocates the claimed
+/// size.
+///
 /// # Errors
 ///
-/// Propagates I/O errors (including clean EOF as `UnexpectedEof`); rejects
-/// length prefixes over [`MAX_FRAME`].
+/// Propagates I/O errors (including clean EOF, and EOF before the claimed
+/// length, as `UnexpectedEof`); rejects length prefixes over
+/// [`MAX_FRAME`].
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
@@ -135,141 +151,64 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>> {
     if len > MAX_FRAME {
         return Err(ServeError::Protocol(format!("frame length {len} exceeds cap")));
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
+    let mut buf = Vec::with_capacity(len.min(FRAME_RESERVE));
+    r.take(len as u64).read_to_end(&mut buf)?;
+    if buf.len() < len {
+        return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+    }
     Ok(buf)
-}
-
-/// Little-endian reader over a frame payload (also reused by the snapshot
-/// envelope parser).
-pub(crate) struct Cursor<'a> {
-    pub(crate) buf: &'a [u8],
-    pub(crate) pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| ServeError::Protocol("frame body is truncated".into()))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    pub(crate) fn i64(&mut self) -> Result<i64> {
-        Ok(self.u64()? as i64)
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    pub(crate) fn bytes(&mut self) -> Result<Vec<u8>> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    pub(crate) fn finish(self) -> Result<()> {
-        if self.pos != self.buf.len() {
-            return Err(ServeError::Protocol("trailing bytes in frame".into()));
-        }
-        Ok(())
-    }
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
 }
 
 impl Request {
     /// Encodes the request as a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut w = Writer::new();
         match self {
-            Request::Ping => out.push(0x01),
+            Request::Ping => w.u8(0x01),
             Request::Ingest(batch) => {
-                out.push(0x02);
-                out.extend_from_slice(&(batch.len() as u32).to_le_bytes());
-                for c in batch {
-                    out.extend_from_slice(&c.user.raw().to_le_bytes());
-                    out.extend_from_slice(&c.poi.raw().to_le_bytes());
-                    out.extend_from_slice(&c.time.as_secs().to_le_bytes());
-                }
+                w.u8(0x02);
+                w.checkins(batch);
             }
             Request::QueryPair { a, b } => {
-                out.push(0x03);
-                out.extend_from_slice(&a.to_le_bytes());
-                out.extend_from_slice(&b.to_le_bytes());
+                w.u8(0x03);
+                w.u32(*a);
+                w.u32(*b);
             }
             Request::QueryTopK { k } => {
-                out.push(0x04);
-                out.extend_from_slice(&k.to_le_bytes());
+                w.u8(0x04);
+                w.u32(*k);
             }
-            Request::Snapshot => out.push(0x05),
+            Request::Snapshot => w.u8(0x05),
             Request::Restore(blob) => {
-                out.push(0x06);
-                put_bytes(&mut out, blob);
+                w.u8(0x06);
+                w.blob(blob);
             }
-            Request::Stats => out.push(0x07),
-            Request::Shutdown => out.push(0x08),
+            Request::Stats => w.u8(0x07),
+            Request::Shutdown => w.u8(0x08),
         }
-        out
+        w.into_bytes()
     }
 
     /// Decodes a frame payload into a request.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Protocol`] on unknown tags, truncation, or trailing
-    /// bytes.
+    /// [`ServeError::Protocol`] on unknown tags, truncation, a count the
+    /// frame cannot hold, or trailing bytes.
     pub fn decode(payload: &[u8]) -> Result<Request> {
-        let mut c = Cursor { buf: payload, pos: 0 };
-        let req = match c.u8()? {
+        let mut r = Reader::new(payload);
+        let req = match r.u8()? {
             0x01 => Request::Ping,
-            0x02 => {
-                let n = c.u32()? as usize;
-                // 16 bytes per check-in: bound the allocation by the frame.
-                if n > payload.len() / 16 + 1 {
-                    return Err(ServeError::Protocol("ingest count exceeds frame".into()));
-                }
-                let mut batch = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let user = UserId::new(c.u32()?);
-                    let poi = PoiId::new(c.u32()?);
-                    let time = Timestamp::from_secs(c.i64()?);
-                    batch.push(CheckIn::new(user, poi, time));
-                }
-                Request::Ingest(batch)
-            }
-            0x03 => Request::QueryPair { a: c.u32()?, b: c.u32()? },
-            0x04 => Request::QueryTopK { k: c.u32()? },
+            0x02 => Request::Ingest(r.checkins()?),
+            0x03 => Request::QueryPair { a: r.u32()?, b: r.u32()? },
+            0x04 => Request::QueryTopK { k: r.u32()? },
             0x05 => Request::Snapshot,
-            0x06 => Request::Restore(c.bytes()?),
+            0x06 => Request::Restore(r.blob()?.to_vec()),
             0x07 => Request::Stats,
             0x08 => Request::Shutdown,
             t => return Err(ServeError::Protocol(format!("unknown request tag {t:#04x}"))),
         };
-        c.finish()?;
+        r.finish()?;
         Ok(req)
     }
 }
@@ -277,40 +216,40 @@ impl Request {
 impl Response {
     /// Encodes the response as a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut w = Writer::new();
         match self {
-            Response::Pong => out.push(0x80),
+            Response::Pong => w.u8(0x80),
             Response::IngestOk { accepted } => {
-                out.push(0x81);
-                out.extend_from_slice(&accepted.to_le_bytes());
+                w.u8(0x81);
+                w.u32(*accepted);
             }
             Response::Pair { friend, probability } => {
-                out.push(0x82);
-                out.push(u8::from(*friend));
+                w.u8(0x82);
+                w.u8(u8::from(*friend));
                 match probability {
                     Some(p) => {
-                        out.push(1);
-                        out.extend_from_slice(&p.to_bits().to_le_bytes());
+                        w.u8(1);
+                        w.f64(*p);
                     }
-                    None => out.push(0),
+                    None => w.u8(0),
                 }
             }
             Response::TopK(rows) => {
-                out.push(0x83);
-                out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-                for (lo, hi, p) in rows {
-                    out.extend_from_slice(&lo.to_le_bytes());
-                    out.extend_from_slice(&hi.to_le_bytes());
-                    out.extend_from_slice(&p.to_bits().to_le_bytes());
+                w.u8(0x83);
+                w.count(rows.len());
+                for &(lo, hi, p) in rows {
+                    w.u32(lo);
+                    w.u32(hi);
+                    w.f64(p);
                 }
             }
             Response::Snapshot(blob) => {
-                out.push(0x84);
-                put_bytes(&mut out, blob);
+                w.u8(0x84);
+                w.blob(blob);
             }
-            Response::RestoreOk => out.push(0x85),
+            Response::RestoreOk => w.u8(0x85),
             Response::Stats(s) => {
-                out.push(0x86);
+                w.u8(0x86);
                 for v in [
                     s.n_users,
                     s.n_checkins,
@@ -319,35 +258,36 @@ impl Response {
                     s.ingested_batches,
                     s.ingested_checkins,
                 ] {
-                    out.extend_from_slice(&v.to_le_bytes());
+                    w.u64(v);
                 }
             }
-            Response::ShutdownOk => out.push(0x87),
+            Response::ShutdownOk => w.u8(0x87),
             Response::Error { code, message } => {
-                out.push(0xFF);
-                out.push(*code);
-                put_bytes(&mut out, message.as_bytes());
+                w.u8(0xFF);
+                w.u8(*code);
+                w.blob(message.as_bytes());
             }
         }
-        out
+        w.into_bytes()
     }
 
     /// Decodes a frame payload into a response.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Protocol`] on unknown tags, truncation, trailing
-    /// bytes, or invalid UTF-8 in an error message.
+    /// [`ServeError::Protocol`] on unknown tags, truncation, a count the
+    /// frame cannot hold, trailing bytes, or invalid UTF-8 in an error
+    /// message.
     pub fn decode(payload: &[u8]) -> Result<Response> {
-        let mut c = Cursor { buf: payload, pos: 0 };
-        let resp = match c.u8()? {
+        let mut r = Reader::new(payload);
+        let resp = match r.u8()? {
             0x80 => Response::Pong,
-            0x81 => Response::IngestOk { accepted: c.u32()? },
+            0x81 => Response::IngestOk { accepted: r.u32()? },
             0x82 => {
-                let friend = c.u8()? != 0;
-                let probability = match c.u8()? {
+                let friend = r.u8()? != 0;
+                let probability = match r.u8()? {
                     0 => None,
-                    1 => Some(c.f64()?),
+                    1 => Some(r.f64()?),
                     t => {
                         return Err(ServeError::Protocol(format!("bad probability flag {t}")));
                     }
@@ -355,36 +295,33 @@ impl Response {
                 Response::Pair { friend, probability }
             }
             0x83 => {
-                let n = c.u32()? as usize;
-                if n > payload.len() / 16 + 1 {
-                    return Err(ServeError::Protocol("top-k count exceeds frame".into()));
-                }
+                let n = r.count(16)?;
                 let mut rows = Vec::with_capacity(n);
                 for _ in 0..n {
-                    rows.push((c.u32()?, c.u32()?, c.f64()?));
+                    rows.push((r.u32()?, r.u32()?, r.f64()?));
                 }
                 Response::TopK(rows)
             }
-            0x84 => Response::Snapshot(c.bytes()?),
+            0x84 => Response::Snapshot(r.blob()?.to_vec()),
             0x85 => Response::RestoreOk,
             0x86 => Response::Stats(ServeStats {
-                n_users: c.u64()?,
-                n_checkins: c.u64()?,
-                n_candidate_pairs: c.u64()?,
-                n_edges: c.u64()?,
-                ingested_batches: c.u64()?,
-                ingested_checkins: c.u64()?,
+                n_users: r.u64()?,
+                n_checkins: r.u64()?,
+                n_candidate_pairs: r.u64()?,
+                n_edges: r.u64()?,
+                ingested_batches: r.u64()?,
+                ingested_checkins: r.u64()?,
             }),
             0x87 => Response::ShutdownOk,
             0xFF => {
-                let code = c.u8()?;
-                let message = String::from_utf8(c.bytes()?)
+                let code = r.u8()?;
+                let message = String::from_utf8(r.blob()?.to_vec())
                     .map_err(|_| ServeError::Protocol("error message is not UTF-8".into()))?;
                 Response::Error { code, message }
             }
             t => return Err(ServeError::Protocol(format!("unknown response tag {t:#04x}"))),
         };
-        c.finish()?;
+        r.finish()?;
         Ok(resp)
     }
 }
@@ -392,6 +329,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seeker_trace::{PoiId, Timestamp, UserId};
 
     fn roundtrip_request(r: Request) {
         let bytes = r.encode();
@@ -464,6 +402,79 @@ mod tests {
         assert!(Request::decode(&lying).is_err());
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len()).step_by(2).map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap()).collect()
+    }
+
+    /// Exact bytes of every request and response variant, both ways: the
+    /// encoder must emit the literal and the decoder must read it back. A
+    /// round trip alone passes whatever the layout.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let requests = [
+            (Request::Ping, "01"),
+            (
+                Request::Ingest(vec![
+                    CheckIn::new(UserId::new(3), PoiId::new(9), Timestamp::from_secs(1234)),
+                    CheckIn::new(UserId::new(0), PoiId::new(258), Timestamp::from_secs(-7)),
+                ]),
+                "0202000000\
+                 0300000009000000d204000000000000\
+                 0000000002010000f9ffffffffffffff",
+            ),
+            (Request::QueryPair { a: 1, b: 2 }, "030100000002000000"),
+            (Request::QueryTopK { k: 10 }, "040a000000"),
+            (Request::Snapshot, "05"),
+            (Request::Restore(vec![1, 2, 3]), "0603000000010203"),
+            (Request::Stats, "07"),
+            (Request::Shutdown, "08"),
+        ];
+        for (request, bytes) in requests {
+            assert_eq!(hex(&request.encode()), bytes, "{request:?}");
+            assert_eq!(Request::decode(&unhex(bytes)).unwrap(), request);
+        }
+        let responses = [
+            (Response::Pong, "80"),
+            (Response::IngestOk { accepted: 42 }, "812a000000"),
+            (Response::Pair { friend: true, probability: Some(0.75) }, "820101000000000000e83f"),
+            (Response::Pair { friend: false, probability: None }, "820000"),
+            (
+                Response::TopK(vec![(0, 1, 0.9), (2, 5, -0.5)]),
+                "8302000000\
+                 0000000001000000cdccccccccccec3f\
+                 0200000005000000000000000000e0bf",
+            ),
+            (Response::Snapshot(vec![9, 8]), "84020000000908"),
+            (Response::RestoreOk, "85"),
+            (
+                Response::Stats(ServeStats {
+                    n_users: 1,
+                    n_checkins: 2,
+                    n_candidate_pairs: 3,
+                    n_edges: 4,
+                    ingested_batches: 5,
+                    ingested_checkins: 6,
+                }),
+                "86\
+                 010000000000000002000000000000000300000000000000\
+                 040000000000000005000000000000000600000000000000",
+            ),
+            (Response::ShutdownOk, "87"),
+            (
+                Response::Error { code: ERR_INGEST, message: "too late".into() },
+                "ff0108000000746f6f206c617465",
+            ),
+        ];
+        for (response, bytes) in responses {
+            assert_eq!(hex(&response.encode()), bytes, "{response:?}");
+            assert_eq!(Response::decode(&unhex(bytes)).unwrap(), response);
+        }
+    }
+
     #[test]
     fn frames_roundtrip_over_a_stream() {
         let mut buf = Vec::new();
@@ -483,5 +494,36 @@ mod tests {
         huge.extend_from_slice(&[0; 4]);
         let mut r = &huge[..];
         assert!(matches!(read_frame(&mut r), Err(ServeError::Protocol(_))));
+    }
+
+    /// Serves its bytes, then EOF, and records the largest buffer `read` is
+    /// handed.
+    struct Stub {
+        data: Vec<u8>,
+        pos: usize,
+        largest: usize,
+    }
+
+    impl Read for Stub {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            let n = buf.len().min(self.data.len() - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn read_frame_reserves_what_arrives_not_what_is_claimed() {
+        // A maximal length prefix followed by 16 bytes and EOF.
+        let mut data = (MAX_FRAME as u32).to_le_bytes().to_vec();
+        data.extend_from_slice(&[7; 16]);
+        let mut stub = Stub { data, pos: 0, largest: 0 };
+        match read_frame(&mut stub) {
+            Err(ServeError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+            other => panic!("a short frame must fail as an I/O error, got {other:?}"),
+        }
+        assert!(stub.largest <= 64 << 10, "read was handed a {}-byte buffer", stub.largest);
     }
 }

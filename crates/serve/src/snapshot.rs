@@ -1,33 +1,32 @@
 //! Session snapshot/restore: one self-validating blob holding the trained
 //! attack and the current target dataset.
 //!
-//! The envelope reuses the hardened [`friendseeker::persist`] framing: the
-//! attack itself is the `SEEKAT02` blob produced by
-//! [`friendseeker::persist::save`] (checksummed on its own), and the whole
-//! envelope is sealed with the same length + FNV-1a footer
-//! ([`friendseeker::persist::append_footer`]), so truncation, bit flips and
-//! trailing bytes anywhere in the snapshot surface as typed
-//! [`friendseeker::AttackError::Persist`] errors before any state is
-//! replaced.
+//! Layout (`SEEKSRV1`): the magic, the `SEEKAT02` attack blob produced by
+//! [`friendseeker::persist::save`] (checksummed on its own) as a
+//! length-prefixed blob, the training POI table, the dataset name as a
+//! UTF-8 blob, the user count, the target POI table, the check-in table and
+//! the friendship table (`(lo, hi)` `u32` pairs). Everything is written and
+//! read with [`friendseeker::persist::Writer`]/[`friendseeker::persist::Reader`],
+//! and the whole envelope is sealed with the same length + FNV-1a footer
+//! ([`friendseeker::persist::append_footer`]). The parser returns
+//! [`friendseeker::Result`], so truncation, bit flips, trailing bytes and
+//! structural violations anywhere in the snapshot surface as typed
+//! [`friendseeker::AttackError::Persist`] errors (wrapped once in
+//! [`ServeError::Attack`]) before any state is replaced.
 //!
 //! Restore rebuilds the dataset via [`seeker_trace::Dataset::from_parts`]
 //! and reopens the session with [`friendseeker::IncrementalAttack::new`] —
 //! a cold rebuild, which the append==rebuild contract guarantees is
 //! bit-identical to the session state that was snapshotted.
 
-use friendseeker::persist::{append_footer, verify_footer};
-use friendseeker::{AttackError, IncrementalAttack, IncrementalOptions};
-use seeker_trace::{CheckIn, Dataset, GeoPoint, Poi, PoiId, Timestamp, UserId, UserPair};
+use friendseeker::persist::{append_footer, verify_footer, Reader, Writer};
+use friendseeker::{AttackError, IncrementalAttack, IncrementalOptions, TrainedAttack};
+use seeker_trace::{Dataset, Poi, UserId, UserPair};
 
-use crate::error::{Result, ServeError};
-use crate::protocol::Cursor;
+use crate::error::Result;
 
 /// Envelope magic: serve snapshot, version 1.
 const MAGIC: &[u8; 8] = b"SEEKSRV1";
-
-fn persist_err(msg: impl Into<String>) -> ServeError {
-    ServeError::Attack(AttackError::Persist(msg.into()))
-}
 
 /// Serializes the session: the trained attack (through
 /// [`friendseeker::persist::save`], which needs the *training* world's POI
@@ -40,36 +39,21 @@ fn persist_err(msg: impl Into<String>) -> ServeError {
 /// non-persistable classifier variant).
 pub fn save_session(engine: &IncrementalAttack, train_pois: &[Poi]) -> Result<Vec<u8>> {
     let _span = seeker_obs::span!("serve.snapshot.save");
-    let attack_blob = friendseeker::persist::save(engine.attack(), train_pois)?;
     let ds = engine.dataset();
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&(attack_blob.len() as u32).to_le_bytes());
-    out.extend_from_slice(&attack_blob);
-    out.extend_from_slice(&(train_pois.len() as u32).to_le_bytes());
-    for p in train_pois {
-        put_poi(&mut out, p);
+    let mut w = Writer::new();
+    w.bytes(MAGIC);
+    w.blob(&friendseeker::persist::save(engine.attack(), train_pois)?);
+    w.pois(train_pois);
+    w.blob(ds.name().as_bytes());
+    w.u32(ds.n_users() as u32);
+    w.pois(ds.pois());
+    w.checkins(ds.checkins());
+    w.count(ds.n_links());
+    for f in ds.friendships() {
+        w.u32(f.lo().raw());
+        w.u32(f.hi().raw());
     }
-    let name = ds.name().as_bytes();
-    out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-    out.extend_from_slice(name);
-    out.extend_from_slice(&(ds.n_users() as u32).to_le_bytes());
-    out.extend_from_slice(&(ds.n_pois() as u32).to_le_bytes());
-    for p in ds.pois() {
-        put_poi(&mut out, p);
-    }
-    out.extend_from_slice(&(ds.n_checkins() as u32).to_le_bytes());
-    for c in ds.checkins() {
-        out.extend_from_slice(&c.user.raw().to_le_bytes());
-        out.extend_from_slice(&c.poi.raw().to_le_bytes());
-        out.extend_from_slice(&c.time.as_secs().to_le_bytes());
-    }
-    let friendships: Vec<UserPair> = ds.friendships().collect();
-    out.extend_from_slice(&(friendships.len() as u32).to_le_bytes());
-    for f in &friendships {
-        out.extend_from_slice(&f.lo().raw().to_le_bytes());
-        out.extend_from_slice(&f.hi().raw().to_le_bytes());
-    }
+    let mut out = w.into_bytes();
     append_footer(&mut out);
     seeker_obs::gauge!("serve.snapshot.bytes", out.len());
     Ok(out)
@@ -87,77 +71,46 @@ pub fn restore_session(
     opts: IncrementalOptions,
 ) -> Result<(IncrementalAttack, Vec<Poi>)> {
     let _span = seeker_obs::span!("serve.snapshot.restore");
-    let payload = verify_footer(blob)?;
-    if payload.len() < 8 || &payload[..8] != MAGIC {
-        return Err(persist_err("not a serve session snapshot"));
-    }
-    let mut c = Cursor { buf: payload, pos: 8 };
-    let map_trunc = |_: ServeError| persist_err("snapshot is truncated");
-    let attack_len = c.u32().map_err(map_trunc)? as usize;
-    let attack_blob = c.take(attack_len).map_err(map_trunc)?;
-    let attack = friendseeker::persist::load(attack_blob)?;
-    let train_pois = read_pois(&mut c)?;
-    let name_len = c.u32().map_err(map_trunc)? as usize;
-    let name = String::from_utf8(c.take(name_len).map_err(map_trunc)?.to_vec())
-        .map_err(|_| persist_err("dataset name is not UTF-8"))?;
-    let n_users = c.u32().map_err(map_trunc)? as usize;
-    let pois = read_pois(&mut c)?;
-    let n_checkins = c.u32().map_err(map_trunc)? as usize;
-    if c.buf.len().saturating_sub(c.pos) < n_checkins.saturating_mul(16) {
-        return Err(persist_err("snapshot is truncated"));
-    }
-    let mut checkins = Vec::with_capacity(n_checkins);
-    for _ in 0..n_checkins {
-        let user = UserId::new(c.u32().map_err(map_trunc)?);
-        let poi = PoiId::new(c.u32().map_err(map_trunc)?);
-        let time = Timestamp::from_secs(c.i64().map_err(map_trunc)?);
-        checkins.push(CheckIn::new(user, poi, time));
-    }
-    let n_friendships = c.u32().map_err(map_trunc)? as usize;
-    if c.buf.len().saturating_sub(c.pos) < n_friendships.saturating_mul(8) {
-        return Err(persist_err("snapshot is truncated"));
-    }
-    let mut friendships = Vec::with_capacity(n_friendships);
-    for _ in 0..n_friendships {
-        let lo = UserId::new(c.u32().map_err(map_trunc)?);
-        let hi = UserId::new(c.u32().map_err(map_trunc)?);
-        if lo == hi || lo.index() >= n_users || hi.index() >= n_users {
-            return Err(persist_err("snapshot friendship references an invalid pair"));
-        }
-        friendships.push(UserPair::new(lo, hi));
-    }
-    c.finish().map_err(|_| persist_err("trailing bytes after snapshot payload"))?;
-    let dataset = Dataset::from_parts(name, n_users, pois, checkins, friendships)
-        .map_err(|e| persist_err(format!("snapshot dataset is inconsistent: {e}")))?;
+    let (attack, train_pois, dataset) = parse(blob)?;
     let engine = IncrementalAttack::new(attack, dataset, opts)?;
     Ok((engine, train_pois))
 }
 
-fn put_poi(out: &mut Vec<u8>, p: &Poi) {
-    out.extend_from_slice(&p.center.lat.to_bits().to_le_bytes());
-    out.extend_from_slice(&p.center.lon.to_bits().to_le_bytes());
-    out.extend_from_slice(&p.radius_m.to_bits().to_le_bytes());
-}
-
-fn read_pois(c: &mut Cursor<'_>) -> Result<Vec<Poi>> {
-    let map_trunc = |_: ServeError| persist_err("snapshot is truncated");
-    let n = c.u32().map_err(map_trunc)? as usize;
-    if c.buf.len().saturating_sub(c.pos) < n.saturating_mul(24) {
-        return Err(persist_err("snapshot is truncated"));
+/// Splits a sealed snapshot into the attack, the training POI table and
+/// the target dataset.
+fn parse(blob: &[u8]) -> friendseeker::Result<(TrainedAttack, Vec<Poi>, Dataset)> {
+    let mut r = Reader::new(verify_footer(blob)?);
+    if r.bytes(MAGIC.len())? != MAGIC {
+        return Err(AttackError::Persist("not a serve session snapshot".into()));
     }
-    let mut pois = Vec::with_capacity(n);
-    for i in 0..n {
-        let lat = c.f64().map_err(map_trunc)?;
-        let lon = c.f64().map_err(map_trunc)?;
-        let radius = c.f64().map_err(map_trunc)?;
-        pois.push(Poi::new(PoiId::new(i as u32), GeoPoint::new(lat, lon), radius));
+    let attack = friendseeker::persist::load(r.blob()?)?;
+    let train_pois = r.pois()?;
+    let name = String::from_utf8(r.blob()?.to_vec())
+        .map_err(|_| AttackError::Persist("dataset name is not UTF-8".into()))?;
+    let n_users = r.u32()? as usize;
+    let pois = r.pois()?;
+    let checkins = r.checkins()?;
+    let n_friendships = r.count(8)?;
+    let mut friendships = Vec::with_capacity(n_friendships);
+    for _ in 0..n_friendships {
+        let (lo, hi) = (UserId::new(r.u32()?), UserId::new(r.u32()?));
+        if lo == hi || lo.index() >= n_users || hi.index() >= n_users {
+            return Err(AttackError::Persist(
+                "snapshot friendship references an invalid pair".into(),
+            ));
+        }
+        friendships.push(UserPair::new(lo, hi));
     }
-    Ok(pois)
+    r.finish()?;
+    let dataset = Dataset::from_parts(name, n_users, pois, checkins, friendships)
+        .map_err(|e| AttackError::Persist(format!("snapshot dataset is inconsistent: {e}")))?;
+    Ok((attack, train_pois, dataset))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ServeError;
     use friendseeker::{FriendSeeker, FriendSeekerConfig};
     use seeker_trace::synth::{generate, SyntheticConfig};
 

@@ -64,52 +64,6 @@ impl CellIndex {
         CellIndex { cells }
     }
 
-    /// Builds the index restricted to the flat cells in `flat_range` — one
-    /// shard of a range partition of the division's cell domain.
-    ///
-    /// Concatenating the shards of a partition (see
-    /// [`crate::shard_ranges`] over `division.n_cells()`) via
-    /// [`CellIndex::merge`] reproduces [`CellIndex::build`] exactly: each
-    /// check-in maps to exactly one flat cell, so it lands in exactly one
-    /// shard.
-    pub fn build_range(
-        ds: &Dataset,
-        division: &SpatialTemporalDivision,
-        flat_range: std::ops::Range<usize>,
-    ) -> Self {
-        let _span = seeker_obs::span!("spatial.shard.index_build");
-        let mut map: BTreeMap<usize, BTreeSet<UserId>> = BTreeMap::new();
-        for c in ds.checkins() {
-            if let Some((grid, slot)) = division.cell_of(c) {
-                let flat = division.flat_index(grid, slot);
-                if flat_range.contains(&flat) {
-                    map.entry(flat).or_default().insert(c.user);
-                }
-            }
-        }
-        let cells: Vec<(usize, Vec<UserId>)> =
-            map.into_iter().map(|(cell, users)| (cell, users.into_iter().collect())).collect();
-        seeker_obs::counter!("spatial.shard.index_builds", 1);
-        CellIndex { cells }
-    }
-
-    /// Merges shard indices over *disjoint* cell domains into one index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if two shards contain the same cell (the inputs were not a
-    /// partition).
-    pub fn merge(shards: impl IntoIterator<Item = CellIndex>) -> CellIndex {
-        let mut cells: Vec<(usize, Vec<UserId>)> =
-            shards.into_iter().flat_map(|s| s.cells).collect();
-        cells.sort_unstable_by_key(|&(c, _)| c);
-        assert!(
-            cells.windows(2).all(|w| w[0].0 < w[1].0),
-            "shard indices must cover disjoint cell ranges"
-        );
-        CellIndex { cells }
-    }
-
     /// Applies a batch of appended check-ins to the index, in place.
     ///
     /// After `apply`, the index equals [`CellIndex::build`] over the
@@ -372,22 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn range_built_shards_merge_to_full_index() {
-        let (ds, std) = fixture();
-        let full = CellIndex::build(&ds, &std);
-        for n_shards in [1usize, 2, 7, 64] {
-            let shards = crate::shard_ranges(std.n_cells(), n_shards)
-                .into_iter()
-                .map(|r| CellIndex::build_range(&ds, &std, r));
-            let merged = CellIndex::merge(shards);
-            assert_eq!(merged.n_cells(), full.n_cells(), "shard count {n_shards}");
-            for ((ca, ua), (cb, ub)) in merged.cells().zip(full.cells()) {
-                assert_eq!((ca, ua), (cb, ub), "shard count {n_shards}");
-            }
-        }
-    }
-
-    #[test]
     fn apply_equals_rebuild() {
         let (ds, std) = fixture();
         // Split the check-ins: index the prefix, apply the suffix as a batch.
@@ -425,15 +363,6 @@ mod tests {
         let fresh = index.apply(&std, &[seeker_trace::CheckIn::new(c.user, c.poi, late)]);
         assert!(fresh.is_empty());
         assert_eq!(index.n_cells(), n_before);
-    }
-
-    #[test]
-    #[should_panic(expected = "disjoint")]
-    fn merging_overlapping_shards_panics() {
-        let (ds, std) = fixture();
-        let a = CellIndex::build_range(&ds, &std, 0..std.n_cells());
-        let b = CellIndex::build_range(&ds, &std, 0..std.n_cells());
-        let _ = CellIndex::merge([a, b]);
     }
 
     #[test]

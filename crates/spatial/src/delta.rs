@@ -1,88 +1,39 @@
-//! Data deltas: which STD cells and users a batch of appended check-ins
-//! touches.
+//! Data deltas: which users a batch of appended check-ins touches.
 //!
-//! The incremental-ingestion machinery (ROADMAP item 4) needs to know, for
-//! a batch of new check-ins, exactly which parts of the frozen
-//! spatial-temporal division are dirtied: the flat cells whose occupancy
-//! changed (new candidate pairs can only arise there, and only those JOC
-//! cells can change) and the users whose trajectories grew (only their
-//! presence rows can change). [`DataDelta`] computes both once per batch;
-//! [`crate::CellIndex::apply`] and [`crate::Joc::apply`] consume it to
-//! update incrementally with a rebuild-identical result.
+//! The incremental-ingestion machinery needs to know, for a batch of new
+//! check-ins, whose in-division trajectories grew: only their presence rows
+//! can change. [`DataDelta`] computes that once per batch.
 
 use seeker_trace::{CheckIn, UserId};
 
 use crate::std_division::SpatialTemporalDivision;
 
-/// The STD footprint of a batch of appended check-ins: the dirtied flat
-/// cells and the users whose in-division trajectories changed.
+/// The STD footprint of a batch of appended check-ins: the users whose
+/// in-division trajectories changed.
 ///
 /// Check-ins that fall outside the division (no grid for their POI, or a
-/// timestamp outside the trained slot span) dirty nothing — they are
+/// timestamp outside the trained slot span) touch nobody — they are
 /// invisible to every consumer of the division (JOC construction, the cell
-/// index, presence features), exactly as at full-rebuild time. They are
-/// still tallied in [`DataDelta::n_outside`] so callers can decide whether
-/// to reject them upstream.
+/// index, presence features), exactly as at full-rebuild time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataDelta {
-    /// Sorted distinct flat cell indices touched by the batch.
-    cells: Vec<usize>,
     /// Sorted distinct users with at least one in-division check-in.
     users: Vec<UserId>,
-    /// Check-ins of the batch that mapped to a cell.
-    n_in_division: usize,
-    /// Check-ins of the batch that fell outside the division.
-    n_outside: usize,
 }
 
 impl DataDelta {
     /// Computes the delta of `batch` over `division`.
     pub fn compute(division: &SpatialTemporalDivision, batch: &[CheckIn]) -> DataDelta {
-        let mut cells = Vec::new();
-        let mut users = Vec::new();
-        let mut n_in = 0usize;
-        for c in batch {
-            if let Some((g, s)) = division.cell_of(c) {
-                cells.push(division.flat_index(g, s));
-                users.push(c.user);
-                n_in += 1;
-            }
-        }
-        cells.sort_unstable();
-        cells.dedup();
+        let mut users: Vec<UserId> =
+            batch.iter().filter(|c| division.cell_of(c).is_some()).map(|c| c.user).collect();
         users.sort_unstable();
         users.dedup();
-        DataDelta { cells, users, n_in_division: n_in, n_outside: batch.len() - n_in }
-    }
-
-    /// Sorted distinct flat cell indices dirtied by the batch.
-    pub fn cells(&self) -> &[usize] {
-        &self.cells
+        DataDelta { users }
     }
 
     /// Sorted distinct users whose in-division trajectory changed.
     pub fn users(&self) -> &[UserId] {
         &self.users
-    }
-
-    /// Whether the batch dirtied nothing inside the division.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Check-ins of the batch that mapped to a cell of the division.
-    pub fn n_in_division(&self) -> usize {
-        self.n_in_division
-    }
-
-    /// Check-ins of the batch that fell outside the division.
-    pub fn n_outside(&self) -> usize {
-        self.n_outside
-    }
-
-    /// Whether `flat_cell` is one of the dirtied cells.
-    pub fn touches_cell(&self, flat_cell: usize) -> bool {
-        self.cells.binary_search(&flat_cell).is_ok()
     }
 
     /// Whether `user`'s in-division trajectory changed.
@@ -108,15 +59,15 @@ mod tests {
         let (ds, std) = fixture();
         let batch: Vec<CheckIn> = ds.checkins().iter().take(50).copied().collect();
         let delta = DataDelta::compute(&std, &batch);
-        assert!(delta.cells().windows(2).all(|w| w[0] < w[1]), "cells sorted distinct");
         assert!(delta.users().windows(2).all(|w| w[0] < w[1]), "users sorted distinct");
         for c in &batch {
-            if let Some((g, s)) = std.cell_of(c) {
-                assert!(delta.touches_cell(std.flat_index(g, s)));
+            if std.cell_of(c).is_some() {
                 assert!(delta.touches_user(c.user));
             }
         }
-        assert_eq!(delta.n_in_division() + delta.n_outside(), batch.len());
+        for &u in delta.users() {
+            assert!(batch.iter().any(|c| c.user == u && std.cell_of(c).is_some()));
+        }
     }
 
     #[test]
@@ -127,17 +78,13 @@ mod tests {
         let user = ds.checkins()[0].user;
         let poi = ds.checkins()[0].poi;
         let delta = DataDelta::compute(&std, &[CheckIn::new(user, poi, late)]);
-        assert!(delta.is_empty());
-        assert_eq!(delta.n_outside(), 1);
-        assert_eq!(delta.n_in_division(), 0);
+        assert!(delta.users().is_empty());
         assert!(!delta.touches_user(user));
     }
 
     #[test]
     fn empty_batch_is_empty_delta() {
         let (_ds, std) = fixture();
-        let delta = DataDelta::compute(&std, &[]);
-        assert!(delta.is_empty());
-        assert_eq!(delta.n_outside(), 0);
+        assert!(DataDelta::compute(&std, &[]).users().is_empty());
     }
 }

@@ -94,162 +94,6 @@ impl Joc {
         Joc { n_grids: division.n_grids(), n_slots: division.n_slots(), cells }
     }
 
-    /// Builds the JOC restricted to the flat cells in `flat_range` — one
-    /// shard of a range partition of the division's cell domain.
-    ///
-    /// Every check-in maps to exactly one flat cell, so over a partition of
-    /// `0..division.n_cells()` (see [`crate::shard_ranges`]) the shard JOCs
-    /// have disjoint occupied cells and [`Joc::merge`] of all shards equals
-    /// [`Joc::build`] exactly.
-    pub fn build_in(
-        division: &SpatialTemporalDivision,
-        traj_a: &[CheckIn],
-        traj_b: &[CheckIn],
-        flat_range: std::ops::Range<usize>,
-    ) -> Joc {
-        // Per-cell count and POI set for one user, restricted to the shard:
-        // out-of-range check-ins never enter the accumulator, so a shard
-        // build's working set is bounded by its own cell range.
-        fn accumulate_in(
-            division: &SpatialTemporalDivision,
-            traj: &[CheckIn],
-            flat_range: &std::ops::Range<usize>,
-        ) -> BTreeMap<(u32, u32), (u32, BTreeSet<PoiId>)> {
-            let mut m: BTreeMap<(u32, u32), (u32, BTreeSet<PoiId>)> = BTreeMap::new();
-            for c in traj {
-                if let Some((g, s)) = division.cell_of(c) {
-                    if flat_range.contains(&division.flat_index(g, s)) {
-                        let e = m.entry((g as u32, s as u32)).or_default();
-                        e.0 += 1;
-                        e.1.insert(c.poi);
-                    }
-                }
-            }
-            m
-        }
-        let ma = accumulate_in(division, traj_a, &flat_range);
-        let mb = accumulate_in(division, traj_b, &flat_range);
-        let mut cells: BTreeMap<(u32, u32), JocCell> = BTreeMap::new();
-        for (&cell, &(n_a, ref pois_a)) in &ma {
-            let entry = cells.entry(cell).or_default();
-            entry.n_a = n_a;
-            if let Some((_, pois_b)) = mb.get(&cell) {
-                entry.n_ab = pois_a.intersection(pois_b).count() as u32;
-            }
-        }
-        for (&cell, &(n_b, _)) in &mb {
-            match cells.entry(cell) {
-                Entry::Occupied(mut e) => e.get_mut().n_b = n_b,
-                Entry::Vacant(v) => {
-                    v.insert(JocCell { n_a: 0, n_b, n_ab: 0 });
-                }
-            }
-        }
-        seeker_obs::counter!("spatial.shard.joc_builds", 1);
-        Joc { n_grids: division.n_grids(), n_slots: division.n_slots(), cells }
-    }
-
-    /// Recomputes the dirtied cells of this JOC from the *post-append*
-    /// trajectories, in place.
-    ///
-    /// `dirty_cells` is a sorted list of flat cell indices (as produced by
-    /// [`crate::DataDelta::cells`]); `traj_a` / `traj_b` are the pair's full
-    /// trajectories **after** the batch was appended. Every JOC cell depends
-    /// only on the check-ins mapping to that cell, so recomputing exactly
-    /// the dirtied cells reproduces [`Joc::build`] over the appended data
-    /// bit-for-bit — cells the batch did not touch cannot have changed.
-    ///
-    /// Passing a superset of the truly-dirty cells is sound (clean cells
-    /// recompute to their current value); passing a subset is not.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the division's shape disagrees with this JOC's.
-    pub fn apply(
-        &mut self,
-        division: &SpatialTemporalDivision,
-        traj_a: &[CheckIn],
-        traj_b: &[CheckIn],
-        dirty_cells: &[usize],
-    ) {
-        assert_eq!(
-            (self.n_grids, self.n_slots),
-            (division.n_grids(), division.n_slots()),
-            "Joc::apply division shape mismatch"
-        );
-        if dirty_cells.is_empty() {
-            return;
-        }
-        // Per-dirty-cell count and POI set for one user, one linear scan.
-        fn accumulate_dirty(
-            division: &SpatialTemporalDivision,
-            traj: &[CheckIn],
-            dirty_cells: &[usize],
-        ) -> BTreeMap<(u32, u32), (u32, BTreeSet<PoiId>)> {
-            let mut m: BTreeMap<(u32, u32), (u32, BTreeSet<PoiId>)> = BTreeMap::new();
-            for c in traj {
-                if let Some((g, s)) = division.cell_of(c) {
-                    if dirty_cells.binary_search(&division.flat_index(g, s)).is_ok() {
-                        let e = m.entry((g as u32, s as u32)).or_default();
-                        e.0 += 1;
-                        e.1.insert(c.poi);
-                    }
-                }
-            }
-            m
-        }
-        let ma = accumulate_dirty(division, traj_a, dirty_cells);
-        let mb = accumulate_dirty(division, traj_b, dirty_cells);
-        for &flat in dirty_cells {
-            let cell = ((flat / self.n_slots) as u32, (flat % self.n_slots) as u32);
-            let a = ma.get(&cell);
-            let b = mb.get(&cell);
-            let value = JocCell {
-                n_a: a.map_or(0, |&(n, _)| n),
-                n_b: b.map_or(0, |&(n, _)| n),
-                n_ab: match (a, b) {
-                    (Some((_, pa)), Some((_, pb))) => pa.intersection(pb).count() as u32,
-                    _ => 0,
-                },
-            };
-            if value == JocCell::default() {
-                self.cells.remove(&cell);
-            } else {
-                self.cells.insert(cell, value);
-            }
-        }
-        debug_assert!(
-            self.cells.values().all(|c| c.n_ab <= c.n_a.min(c.n_b)),
-            "JOC invariant violated: n_ab > min(n_a, n_b)"
-        );
-        seeker_obs::counter!("spatial.joc.applies", 1);
-    }
-
-    /// Merges shard JOCs over *disjoint* cell domains into one JOC.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shards disagree on the division shape, if two shards
-    /// contain the same cell (the inputs were not a partition), or if the
-    /// iterator is empty.
-    pub fn merge(shards: impl IntoIterator<Item = Joc>) -> Joc {
-        let mut iter = shards.into_iter();
-        // lint:allow(no-panic) -- documented precondition, see # Panics above
-        let mut merged = iter.next().expect("Joc::merge needs at least one shard");
-        for shard in iter {
-            assert_eq!(
-                (merged.n_grids, merged.n_slots),
-                (shard.n_grids, shard.n_slots),
-                "shard JOCs must share one division shape"
-            );
-            for (cell, value) in shard.cells {
-                let prev = merged.cells.insert(cell, value);
-                assert!(prev.is_none(), "shard JOCs must cover disjoint cell ranges");
-            }
-        }
-        merged
-    }
-
     /// Number of spatial grids `I`.
     pub fn n_grids(&self) -> usize {
         self.n_grids
@@ -400,68 +244,6 @@ mod tests {
             let expected = pois_in_cell(a).intersection(&pois_in_cell(b)).count() as u32;
             assert_eq!(c.n_ab, expected, "cell ({g},{s})");
         }
-    }
-
-    #[test]
-    fn shard_jocs_merge_to_full_build() {
-        let (ds, std) = setup();
-        let (a, b) = (UserId::new(0), UserId::new(1));
-        let full = Joc::build(&std, ds.trajectory(a), ds.trajectory(b));
-        for n_shards in [1usize, 2, 7, 64] {
-            let shards = crate::shard_ranges(std.n_cells(), n_shards)
-                .into_iter()
-                .map(|r| Joc::build_in(&std, ds.trajectory(a), ds.trajectory(b), r));
-            let merged = Joc::merge(shards);
-            assert_eq!(merged, full, "shard count {n_shards}");
-            assert_eq!(merged.sparse_log1p(), full.sparse_log1p(), "shard count {n_shards}");
-        }
-    }
-
-    #[test]
-    fn apply_equals_rebuild() {
-        let (ds, std) = setup();
-        let (ua, ub) = (UserId::new(0), UserId::new(1));
-        let all = ds.checkins().to_vec();
-        for split in [0usize, 1, all.len() / 2, all.len()] {
-            let prefix = ds.with_checkins(all[..split].to_vec()).unwrap();
-            let mut joc = Joc::build(&std, prefix.trajectory(ua), prefix.trajectory(ub));
-            let delta = crate::DataDelta::compute(&std, &all[split..]);
-            joc.apply(&std, ds.trajectory(ua), ds.trajectory(ub), delta.cells());
-            let full = Joc::build(&std, ds.trajectory(ua), ds.trajectory(ub));
-            assert_eq!(joc, full, "split {split}");
-        }
-    }
-
-    #[test]
-    fn apply_with_no_dirty_cells_is_identity() {
-        let (ds, std) = setup();
-        let mut joc =
-            Joc::build(&std, ds.trajectory(UserId::new(0)), ds.trajectory(UserId::new(1)));
-        let before = joc.clone();
-        joc.apply(&std, ds.trajectory(UserId::new(0)), ds.trajectory(UserId::new(1)), &[]);
-        assert_eq!(joc, before);
-    }
-
-    #[test]
-    fn apply_removes_cells_that_empty_out() {
-        let (ds, std) = setup();
-        let traj = ds.trajectory(UserId::new(0));
-        let mut joc = Joc::build(&std, traj, &[]);
-        assert!(joc.nnz_cells() > 0);
-        // "Re-apply" with empty post-state trajectories over every occupied
-        // cell: all of them must vanish.
-        let dirty: Vec<usize> = joc.iter().map(|((g, s), _)| g * joc.n_slots() + s).collect();
-        joc.apply(&std, &[], &[], &dirty);
-        assert_eq!(joc.nnz_cells(), 0);
-        assert_eq!(joc, Joc::build(&std, &[], &[]));
-    }
-
-    #[test]
-    #[should_panic(expected = "disjoint")]
-    fn merging_overlapping_jocs_panics() {
-        let (ds, std) = setup();
-        let joc = Joc::build(&std, ds.trajectory(UserId::new(0)), ds.trajectory(UserId::new(1)));
-        let _ = Joc::merge([joc.clone(), joc]);
     }
 
     #[test]

@@ -267,13 +267,5 @@ proptest! {
         // double emission would survive the final sort as a duplicate.
         prop_assert!(sharded.windows(2).all(|w| w[0] < w[1]));
         prop_assert_eq!(sharded, reference);
-        // Range-built shard indices merge back to the full index.
-        let merged = CellIndex::merge(
-            crate::shard_ranges(std.n_cells(), n_shards)
-                .into_iter()
-                .map(|r| CellIndex::build_range(&ds, &std, r)),
-        );
-        prop_assert_eq!(merged.n_cells(), index.n_cells());
-        prop_assert_eq!(merged.candidate_pairs(), index.candidate_pairs());
     }
 }

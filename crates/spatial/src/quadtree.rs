@@ -53,6 +53,9 @@ pub struct Quadtree {
 /// so deeper splits would only chase exactly-coincident POIs.
 const MAX_DEPTH: usize = 16;
 
+/// The deepest uniform grid [`Quadtree::build_uniform`] accepts (`4^8` cells).
+pub(crate) const MAX_UNIFORM_DEPTH: usize = 8;
+
 impl Quadtree {
     /// Builds a quadtree over `pois`, splitting until every grid holds at
     /// most `sigma` POIs (or the depth cap is reached for pathological,
@@ -96,7 +99,7 @@ impl Quadtree {
     pub fn build_uniform(pois: &[Poi], depth: usize) -> Self {
         let _span = seeker_obs::span!("spatial.quadtree.build");
         assert!(!pois.is_empty(), "cannot build a quadtree over zero POIs");
-        assert!(depth <= 8, "uniform depth {depth} is unreasonably deep");
+        assert!(depth <= MAX_UNIFORM_DEPTH, "uniform depth {depth} is unreasonably deep");
         let mut bbox = BoundingBox {
             min_lat: f64::INFINITY,
             min_lon: f64::INFINITY,

@@ -3,7 +3,7 @@
 
 use seeker_trace::{CheckIn, Dataset, Timestamp};
 
-use crate::quadtree::Quadtree;
+use crate::quadtree::{Quadtree, MAX_UNIFORM_DEPTH};
 use crate::timeslot::TimeSlots;
 
 /// How the spatial half of a division is built — the adaptive quadtree of
@@ -75,7 +75,12 @@ impl SpatialTemporalDivision {
     /// # Errors
     ///
     /// Returns [`seeker_trace::TraceError::Invalid`] if `pois` is empty or
-    /// the time range is inverted.
+    /// holds a coordinate outside `[-90, 90] × [-180, 180]`, the time range
+    /// is inverted or wider than an `i64` of seconds, `tau_days` is not
+    /// positive and finite, `sigma` is 0 or a uniform `depth` exceeds 8, or
+    /// the flattened JOC length `cells × 3` overflows `usize`. The inputs
+    /// come from persisted bytes, so each condition that would panic while
+    /// building is an error here.
     pub fn from_components(
         pois: &[seeker_trace::Poi],
         spatial: SpatialParam,
@@ -89,11 +94,32 @@ impl SpatialTemporalDivision {
         if t_hi < t_lo {
             return Err(seeker_trace::TraceError::Invalid("inverted time range".into()));
         }
+        let invalid = |m: &str| Err(seeker_trace::TraceError::Invalid(m.into()));
+        let on_earth = |p: &seeker_trace::Poi| {
+            (-90.0..=90.0).contains(&p.center.lat) && (-180.0..=180.0).contains(&p.center.lon)
+        };
+        if !pois.iter().all(on_earth) {
+            return invalid("poi coordinates out of range");
+        }
+        if !(tau_days.is_finite() && tau_days > 0.0) {
+            return invalid("tau must be positive and finite");
+        }
+        if t_hi.as_secs().checked_sub(t_lo.as_secs()).is_none() {
+            return invalid("time range overflows");
+        }
         let quadtree = match spatial {
+            SpatialParam::Adaptive { sigma: 0 } => return invalid("sigma must be positive"),
             SpatialParam::Adaptive { sigma } => Quadtree::build(pois, sigma),
+            SpatialParam::Uniform { depth } if depth > MAX_UNIFORM_DEPTH => {
+                return invalid("uniform depth is too deep");
+            }
             SpatialParam::Uniform { depth } => Quadtree::build_uniform(pois, depth),
         };
         let slots = TimeSlots::new(t_lo, t_hi, tau_days);
+        let n_cells = quadtree.n_grids().checked_mul(slots.n_slots());
+        if n_cells.and_then(|n| n.checked_mul(crate::Joc::CHANNELS)).is_none() {
+            return invalid("too many cells to flatten");
+        }
         let poi_grids = quadtree.poi_grids(pois);
         Ok(SpatialTemporalDivision { quadtree, slots, poi_grids })
     }

@@ -44,8 +44,11 @@ impl TimeSlots {
         let span_secs = end.delta_secs(origin);
         // Ceiling division: exactly enough slots to tile [origin, end]. The
         // old `span / slot_secs + 1` formula minted a spurious extra slot
-        // whenever the span was an exact multiple of τ.
-        let n_slots = (((span_secs + slot_secs - 1) / slot_secs) as usize).max(1);
+        // whenever the span was an exact multiple of τ. Quotient plus a
+        // remainder test, because `span + slot - 1` overflows for spans
+        // near `i64::MAX`.
+        let n_slots =
+            ((span_secs / slot_secs + i64::from(span_secs % slot_secs != 0)) as usize).max(1);
         TimeSlots { origin, slot_secs, span_secs, n_slots }
     }
 
@@ -75,7 +78,9 @@ impl TimeSlots {
     /// An instant at exactly `end` is clamped into the final slot even when
     /// the span is an exact multiple of τ (the closed right edge).
     pub fn slot_of(&self, t: Timestamp) -> Option<usize> {
-        let delta = t.delta_secs(self.origin);
+        // An instant so far from the origin that the difference overflows
+        // lies outside every slot.
+        let delta = t.as_secs().checked_sub(self.origin.as_secs())?;
         if delta < 0 || delta > self.span_secs {
             return None;
         }
