@@ -90,8 +90,6 @@ pub struct IncrementalAttack {
     /// The current result, which reads answer from; its trace is what the
     /// next refinement resumes.
     last: InferenceResult,
-    n_ingested_batches: u64,
-    n_ingested_checkins: u64,
 }
 
 impl IncrementalAttack {
@@ -132,8 +130,6 @@ impl IncrementalAttack {
             residue_probability,
             residue_predicted_friend,
             last: InferenceResult::empty(0),
-            n_ingested_batches: 0,
-            n_ingested_checkins: 0,
         };
         let every: Vec<usize> = (0..session.pairs.len()).collect();
         session.refresh_phase1(&every);
@@ -158,8 +154,6 @@ impl IncrementalAttack {
         if batch.is_empty() {
             return Ok(&self.last);
         }
-        self.n_ingested_batches += 1;
-        self.n_ingested_checkins += batch.len() as u64;
         seeker_obs::counter!("incremental.ingest.batches", 1);
         seeker_obs::counter!("incremental.ingest.checkins", batch.len() as u64);
         let delta = DataDelta::compute(self.attack.phase1().division(), batch);
@@ -215,16 +209,6 @@ impl IncrementalAttack {
     /// The options this session was opened with.
     pub fn options(&self) -> &IncrementalOptions {
         &self.opts
-    }
-
-    /// Batches ingested so far (excluding the initial dataset).
-    pub fn n_ingested_batches(&self) -> u64 {
-        self.n_ingested_batches
-    }
-
-    /// Check-ins ingested so far (excluding the initial dataset).
-    pub fn n_ingested_checkins(&self) -> u64 {
-        self.n_ingested_checkins
     }
 
     /// Friendship verdict for one user pair against the current result.
@@ -469,8 +453,6 @@ mod tests {
         session.ingest(&tail[mid..]).unwrap();
         let reference = trained.infer(target).unwrap();
         assert_same_result(session.result(), &reference);
-        assert_eq!(session.n_ingested_batches(), 2);
-        assert_eq!(session.n_ingested_checkins(), tail.len() as u64);
     }
 
     /// Warm resume past iteration 0. The shared fixture refines for one

@@ -3,19 +3,16 @@
 //! the whole workspace — sources, tests, benches, examples — and lists
 //! `pub` items that nothing outside their defining file refers to.
 //!
-//! The human-facing report goes to `results/DEADPUB.md` (`--deadpub`,
-//! always exits 0). Token-level mention counting cannot see macro
-//! expansion or downstream consumers of a published library, so every
-//! entry is a *candidate* corpse — "demote to `pub(crate)` or delete" is a
-//! judgment call, and the report says which of the two looks right
-//! (internal mentions exist → demote; none anywhere → delete).
-//!
-//! The candidate counts are also **locked**: the blessed per-crate counts
-//! in `api/deadpub.lock` are an exact lock of [`crate::lockfile`], and
-//! `--check-deadpub` fails when any crate's candidate count differs from
-//! its blessed value. Growth fails so new dead surface cannot land
-//! silently; a fall fails too, so the lock is re-blessed with the deletion
-//! and never lags the tree.
+//! The report, `results/DEADPUB.md`, is also the lock: a whole-document
+//! lock of [`crate::lockfile`] that `--bless-deadpub` writes and
+//! `--check-deadpub` compares with what the sources give, failing on any
+//! difference. New dead surface cannot land silently, and a cleanup
+//! re-blesses too, so the report never lags the tree. Token-level mention
+//! counting cannot see macro expansion or downstream consumers of a
+//! published library, so every entry is a *candidate* corpse — "demote to
+//! `pub(crate)` or delete" is a judgment call, and the report says which
+//! of the two looks right (internal mentions exist → demote; none anywhere
+//! → delete).
 
 use crate::api_lock::extract_workspace_api;
 use crate::lexer::lex;
@@ -27,9 +24,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// Where the report is written, relative to the workspace root.
-const DEADPUB_REPORT: &str = "results/DEADPUB.md";
 
 /// One unreferenced `pub` item.
 #[derive(Debug, Clone)]
@@ -173,26 +167,18 @@ fn collect_rs_files(root: &Path, rel: &Path, out: &mut Vec<PathBuf>) -> io::Resu
     Ok(())
 }
 
-/// Renders the report and writes it to `results/DEADPUB.md`; returns the
-/// report path and the number of candidates.
-///
-/// # Errors
-///
-/// Propagates I/O errors from analysis or the report write.
-pub fn write_dead_pub_report(index: &Index<'_>) -> io::Result<(PathBuf, usize)> {
+/// Renders `results/DEADPUB.md`, the report its lock pins whole.
+pub(crate) fn render_lock(index: &Index<'_>) -> io::Result<Rendered> {
     let items = dead_pub_items(index)?;
-    let path = index.root.join(DEADPUB_REPORT);
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
-    }
     let mut doc = String::from(
         "# Dead-`pub` report\n\n\
-         Generated by `cargo run -p seeker-lint -- --deadpub`. Each entry is a `pub`\n\
-         item no identifier outside its defining file mentions (token-level count\n\
-         over src/tests/benches/examples; macros and external consumers are\n\
-         invisible, so review before acting). *Internal mentions* counts uses\n\
-         within the defining file itself — `> 0` suggests demoting to\n\
-         `pub(crate)`, `0` suggests deleting.\n\n",
+         Generated by `cargo run -p seeker-lint -- --bless-deadpub`, and locked:\n\
+         `--check-deadpub` fails when this file differs from what the sources\n\
+         give. Each entry is a `pub` item no identifier outside its defining\n\
+         file mentions (token-level count over src/tests/benches/examples;\n\
+         macros and external consumers are invisible, so review before acting).\n\
+         *Internal mentions* counts uses within the defining file itself — `> 0`\n\
+         suggests demoting to `pub(crate)`, `0` suggests deleting.\n\n",
     );
     if items.is_empty() {
         doc.push_str("No candidates — every `pub` item is referenced somewhere.\n");
@@ -206,25 +192,7 @@ pub fn write_dead_pub_report(index: &Index<'_>) -> io::Result<(PathBuf, usize)> 
             ));
         }
     }
-    let count = items.len();
-    fs::write(&path, doc)?;
-    Ok((path, count))
-}
-
-/// Renders `api/deadpub.lock`: each crate's candidate count.
-pub(crate) fn render_lock(index: &Index<'_>) -> io::Result<Rendered> {
-    let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-    for item in dead_pub_items(index)? {
-        *counts.entry(item.crate_name).or_insert(0) += 1;
-    }
-    let rows = counts.into_iter().map(|(name, count)| (format!("{name}\t{count}"), None));
-    Ok(Rendered::one(
-        "Dead-pub lock — blessed per-crate candidate counts, generated by\n\
-         `cargo run -p seeker-lint -- --bless-deadpub`. CI fails when a crate's\n\
-         count differs from its row, either way: re-bless after removing dead\n\
-         surface as after adding it, so the lock never lags the tree.",
-        rows,
-    ))
+    Ok(Rendered::one("", doc.lines().map(|line| (line.to_string(), None))))
 }
 
 #[cfg(test)]
@@ -260,34 +228,30 @@ mod tests {
         // is untouched → delete candidate.
         assert!(items[0].own_file_mentions > 0);
         assert_eq!(items[1].own_file_mentions, 0);
-        let (path, count) = write_dead_pub_report(&index).expect("report");
-        assert_eq!(count, 2);
-        assert!(fs::read_to_string(path).expect("read").contains("corpse"));
-
-        // Lock lifecycle: missing lock → bless → clean → growth fails,
+        // Report lifecycle: missing report → bless → clean → growth fails,
         // shrinkage fails until re-blessed.
         let check_deadpub = || check(Lock::DeadPub, &root).1;
-        assert_eq!(check_deadpub().len(), 1, "missing lock must fail");
+        assert_eq!(check_deadpub().len(), 1, "missing report must fail");
         let written = bless(Lock::DeadPub, &root);
-        assert_eq!(written, vec![PathBuf::from("api/deadpub.lock")]);
-        let lock = fs::read_to_string(root.join("api/deadpub.lock")).expect("read");
-        assert!(lock.ends_with("\nalpha\t2\n"), "{lock}");
+        assert_eq!(written, vec![PathBuf::from("results/DEADPUB.md")]);
+        let report = fs::read_to_string(root.join("results/DEADPUB.md")).expect("read");
+        assert!(report.contains("| `alpha` | `src/lib.rs` | `pub fn corpse()` | 0 |"), "{report}");
         assert!(check_deadpub().is_empty());
-        // A new dead pub item raises the count past the ceiling.
+        // A new dead pub item is a candidate the report lacks.
         let lib = root.join("crates/alpha/src/lib.rs");
         let source = fs::read_to_string(&lib).expect("read");
         fs::write(&lib, format!("{source}\n/// Also dead.\npub fn corpse2() {{}}\n"))
             .expect("write");
         let failures = check_deadpub();
         assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].to_string().contains("alpha"), "{failures:?}");
+        assert!(failures[0].to_string().contains("results/DEADPUB.md"), "{failures:?}");
         // Removing dead surface is drift too, until re-blessed.
         fs::write(
             &lib,
             "//! A.\n#![deny(missing_docs)]\n\n/// Live: used by tests.\npub fn live(x: u32) -> u32 { x }\n",
         )
         .expect("write");
-        assert_eq!(check_deadpub().len(), 1, "a count that falls is drift");
+        assert_eq!(check_deadpub().len(), 1, "a candidate that goes is drift");
         bless(Lock::DeadPub, &root);
         assert!(check_deadpub().is_empty());
     }

@@ -53,8 +53,9 @@
 //!
 //! **Lockfiles** ([`lockfile`]): the public API ([`api_lock`]), the panic
 //! set, the unsafe ledger, `docs/CONFIGURATION.md` ([`config_docs`]) and the
-//! dead-`pub` counts ([`deadpub`]) are checked-in files that one engine
-//! checks (`--check-<lock>`) and regenerates (`--bless-<lock>`).
+//! dead-`pub` report `results/DEADPUB.md` ([`deadpub`]) are checked-in files
+//! that one engine checks (`--check-<lock>`) and regenerates
+//! (`--bless-<lock>`).
 
 #![deny(missing_docs)]
 
@@ -66,7 +67,7 @@ pub mod atomics;
 pub mod callgraph;
 /// The generated `docs/CONFIGURATION.md`.
 pub mod config_docs;
-/// The dead-`pub` report and the per-crate counts of its lock.
+/// The dead-`pub` report, locked whole.
 pub mod deadpub;
 /// Hot-path allocation analysis (call-graph pass).
 pub mod hotpath;
@@ -98,7 +99,7 @@ pub use callgraph::{CallGraph, CallTarget};
 /// Configuration-doc entry point.
 pub use config_docs::render_config_doc;
 /// Dead-`pub` report entry points.
-pub use deadpub::{dead_pub_items, write_dead_pub_report, DeadPub};
+pub use deadpub::{dead_pub_items, DeadPub};
 /// Hot-path analysis entry points.
 pub use hotpath::{hot_findings, HOT_PATHS};
 /// Layering-pass entry points.

@@ -29,7 +29,7 @@ pub enum Lock {
     Unsafe,
     /// The generated configuration doc.
     Config,
-    /// The per-crate dead-`pub` candidate counts.
+    /// The dead-`pub` report.
     DeadPub,
 }
 
@@ -64,9 +64,7 @@ impl Lock {
                 ("unsafe", "[unsafe-ledger]", "api/unsafe.lock", "unsafe site", Exact(fields))
             }
             Lock::Config => ("config", "[config-doc]", "docs/CONFIGURATION.md", "line", Document),
-            Lock::DeadPub => {
-                ("deadpub", "[deadpub-lock]", "api/deadpub.lock", "count", Exact(&["count"]))
-            }
+            Lock::DeadPub => ("deadpub", "[deadpub-lock]", "results/DEADPUB.md", "line", Document),
         }
     }
 
@@ -319,20 +317,27 @@ mod tests {
         assert!(check(api, &root).1.is_empty());
     }
 
+    /// The report is the lock: one that lists a candidate the tree no
+    /// longer has, or misses one the tree has, is drift.
     #[test]
     fn a_deadpub_count_below_its_lock_is_drift() {
         let dead = "//! A.\n\n/// Dead.\npub fn corpse() {}\n";
-        let root = workspace(&format!("{dead}\n/// Dead too.\npub fn corpse2() {{}}\n"));
-        bless(Lock::DeadPub, &root);
-        write(&root, "crates/alpha/src/lib.rs", dead);
-        let (_, drift) = check(Lock::DeadPub, &root);
-        assert!(
+        let both = format!("{dead}\n/// Dead too.\npub fn corpse2() {{}}\n");
+        let report_drift = |root: &Path| {
+            let (_, drift) = check(Lock::DeadPub, root);
             matches!(
                 drift.as_slice(),
-                [Drift { kind: DriftKind::Changed(what), key, .. }] if key == "alpha" && what == "count"
-            ),
-            "{drift:?}"
-        );
+                [Drift { kind: DriftKind::Changed(_), key, .. }] if key == "results/DEADPUB.md"
+            )
+        };
+        let root = workspace(&both);
+        bless(Lock::DeadPub, &root);
+        write(&root, "crates/alpha/src/lib.rs", dead);
+        assert!(report_drift(&root), "a report listing a gone candidate");
+        bless(Lock::DeadPub, &root);
+        assert!(check(Lock::DeadPub, &root).1.is_empty());
+        write(&root, "crates/alpha/src/lib.rs", &both);
+        assert!(report_drift(&root), "a report missing a candidate");
         bless(Lock::DeadPub, &root);
         assert!(check(Lock::DeadPub, &root).1.is_empty());
     }

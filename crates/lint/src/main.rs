@@ -13,11 +13,9 @@
 //! - `--lock-order`, `--atomics`: that pass only, also printing the lock
 //!   graph or the ordering inventory;
 //! - `--check-<lock>`: that lock's check only, for `api`, `panics`,
-//!   `unsafe`, `config` and `deadpub` (the dead-`pub` count lock, which the
-//!   full gate leaves out);
-//! - `--bless-<lock>`: regenerate that lock's files and exit;
-//! - `--deadpub`: write the dead-`pub` report to `results/DEADPUB.md`
-//!   (report-only: always exits 0 on success).
+//!   `unsafe`, `config` and `deadpub` (the dead-`pub` report
+//!   `results/DEADPUB.md`, which the full gate leaves out);
+//! - `--bless-<lock>`: regenerate that lock's files and exit.
 //!
 //! With no root argument the workspace root is discovered by walking up from
 //! the current directory to the first `Cargo.toml` containing a
@@ -29,7 +27,7 @@
 use seeker_lint::lockfile::{self, Lock};
 use seeker_lint::{
     atomic_sites, check_layering, hot_findings, lint_workspace, lock_order, render_inventory,
-    render_lock_graph, write_dead_pub_report, Index, Workspace,
+    render_lock_graph, Index, Workspace,
 };
 
 use std::env;
@@ -73,8 +71,6 @@ enum Mode {
     Only(Pass),
     /// Regenerate a lock's files.
     Bless(Lock),
-    /// Write the dead-`pub` report.
-    Report,
 }
 
 impl Mode {
@@ -86,7 +82,6 @@ impl Mode {
             "--atomics" => Pass::Atomics,
             "--hotpath" => Pass::Hotpath,
             "--lock-order" => Pass::LockOrder,
-            "--deadpub" => return Some(Mode::Report),
             _ => match flag.strip_prefix("--bless-") {
                 Some(name) => return Lock::named(name).map(Mode::Bless),
                 None => Pass::Check(Lock::named(flag.strip_prefix("--check-")?)?),
@@ -108,7 +103,7 @@ fn main() -> ExitCode {
             eprintln!("seeker-lint: unknown flag {arg}");
             eprintln!(
                 "usage: seeker-lint [--rules | --layering | --hotpath | --lock-order | --atomics | \
-                 --check-<lock> | --bless-<lock> | --deadpub] [root], \
+                 --check-<lock> | --bless-<lock>] [root], \
                  <lock> one of api, panics, unsafe, config, deadpub"
             );
             return ExitCode::from(2);
@@ -152,18 +147,6 @@ fn main() -> ExitCode {
                     ExitCode::SUCCESS
                 }
                 Err(err) => io_error("blessing", &root, &err),
-            };
-        }
-        Some(Mode::Report) => {
-            return match write_dead_pub_report(&index) {
-                Ok((path, count)) => {
-                    println!(
-                        "seeker-lint: wrote {} ({count} dead-pub candidate(s))",
-                        path.display()
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(err) => io_error("dead-pub report for", &root, &err),
             };
         }
     };

@@ -249,7 +249,8 @@ fn unsafe_config_and_deadpub_locks_bless_then_detect_drift() {
     const DEAD: &str = "//! A.\n\n/// Nothing mentions this.\npub fn corpse() {}\n";
     const LIB: &str = "crates/alpha/src/lib.rs";
     type Edit = fn(&Path);
-    // (lock, tag, lib.rs of crate `alpha`, plant drift, shrink without re-bless)
+    // (lock, tag, lib.rs of crate `alpha`, plant drift, then drop the
+    // original item so the planted one stands in for it, without re-bless)
     let cases: [(&str, &str, &str, Edit, Option<Edit>); 3] = [
         (
             "unsafe",
@@ -273,7 +274,7 @@ fn unsafe_config_and_deadpub_locks_bless_then_detect_drift() {
             Some(|root| replace_in(root, LIB, "pub fn corpse() {}", "")),
         ),
     ];
-    for (lock, tag, lib, plant, shrink) in cases {
+    for (lock, tag, lib, plant, swap) in cases {
         let root = workspace(
             &format!("lock-{lock}"),
             &[("crates/alpha/Cargo.toml", &package("alpha")), (LIB, lib)],
@@ -293,11 +294,41 @@ fn unsafe_config_and_deadpub_locks_bless_then_detect_drift() {
         assert_eq!(code, Some(1), "{check} after planting drift:\n{stdout}");
         assert!(stdout.contains(tag), "{check} stdout lacks {tag}:\n{stdout}");
 
-        if let Some(shrink) = shrink {
-            shrink(&root);
+        if let Some(swap) = swap {
+            // One candidate for another: the count holds, the report drifts.
+            swap(&root);
             let (code, stdout) = run_code(&[&check], &root);
-            assert_eq!(code, Some(0), "{check} after removing dead surface:\n{stdout}");
+            assert_eq!(code, Some(1), "{check} after swapping a candidate:\n{stdout}");
         }
         let _ = fs::remove_dir_all(&root);
     }
+}
+
+/// `--check-deadpub` reads the committed report itself: one that differs
+/// from what the tree renders fails, whatever else it agrees with.
+#[test]
+fn a_deadpub_report_that_differs_from_the_tree_fails_the_check() {
+    const LIB: &str = "crates/alpha/src/lib.rs";
+    let root = workspace(
+        "deadpub-report",
+        &[
+            ("crates/alpha/Cargo.toml", &package("alpha")),
+            (LIB, "//! A.\n\n/// Nothing mentions this.\npub fn corpse() {}\n"),
+        ],
+    );
+    let (code, stdout) = run_code(&["--bless-deadpub"], &root);
+    assert_eq!(code, Some(0), "--bless-deadpub:\n{stdout}");
+    let (code, stdout) = run_code(&["--check-deadpub"], &root);
+    assert_eq!(code, Some(0), "--check-deadpub after blessing:\n{stdout}");
+
+    // A hand-written report that misses the tree's one candidate.
+    write(
+        &root,
+        "results/DEADPUB.md",
+        "# Dead-`pub` report\n\nNo candidates — every `pub` item is referenced somewhere.\n",
+    );
+    let (code, stdout) = run_code(&["--check-deadpub"], &root);
+    assert_eq!(code, Some(1), "--check-deadpub over a stale report:\n{stdout}");
+    assert!(stdout.contains("results/DEADPUB.md: [deadpub-lock]"), "{stdout}");
+    let _ = fs::remove_dir_all(&root);
 }

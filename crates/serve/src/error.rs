@@ -22,8 +22,6 @@ pub enum ServeError {
         /// The peer's message.
         message: String,
     },
-    /// The server is shutting down and no longer accepts work.
-    ShuttingDown,
 }
 
 impl fmt::Display for ServeError {
@@ -35,7 +33,6 @@ impl fmt::Display for ServeError {
             ServeError::Remote { code, message } => {
                 write!(f, "remote error (code {code}): {message}")
             }
-            ServeError::ShuttingDown => write!(f, "server is shutting down"),
         }
     }
 }
@@ -86,6 +83,5 @@ mod tests {
         assert!(e.to_string().contains("late"));
         let e = ServeError::Remote { code: 1, message: "no".into() };
         assert!(e.to_string().contains("code 1"));
-        assert!(ServeError::ShuttingDown.to_string().contains("shutting down"));
     }
 }

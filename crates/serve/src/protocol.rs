@@ -29,7 +29,8 @@ pub const ERR_INGEST: u8 = 1;
 pub const ERR_PERSIST: u8 = 2;
 /// Error code: the request itself was malformed.
 pub const ERR_BAD_REQUEST: u8 = 3;
-/// Error code: an internal engine failure.
+/// Error code: an internal engine failure, or a request the engine thread
+/// can no longer answer because it shut down or panicked.
 pub const ERR_INTERNAL: u8 = 4;
 
 /// A client request.

@@ -3,7 +3,7 @@
 use std::io::BufWriter;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -13,29 +13,20 @@ use seeker_trace::Poi;
 
 use crate::error::Result;
 use crate::protocol::{self, Request, Response, ERR_BAD_REQUEST};
-use crate::state::{self, Job, JobQueue};
+use crate::state::{self, Call};
 use crate::ServeError;
 
-/// Tuning knobs for a [`Server`].
+/// Where a [`Server`] listens.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Address to bind; port `0` picks an ephemeral port (read it back via
     /// [`Server::addr`]).
     pub bind: SocketAddr,
-    /// How long accepted check-ins may sit staged before they are flushed
-    /// into the engine, absent any other trigger.
-    pub flush_deadline: Duration,
-    /// Flush immediately once this many check-ins are staged.
-    pub max_staged_checkins: usize,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        ServeConfig {
-            bind: SocketAddr::from(([127, 0, 0, 1], 0)),
-            flush_deadline: Duration::from_millis(5),
-            max_staged_checkins: 10_000,
-        }
+        ServeConfig { bind: SocketAddr::from(([127, 0, 0, 1], 0)) }
     }
 }
 
@@ -68,19 +59,16 @@ impl Server {
     ) -> Result<Server> {
         let listener = TcpListener::bind(cfg.bind)?;
         let addr = listener.local_addr()?;
-        let queue = Arc::new(JobQueue::new());
+        let (engine_tx, calls) = mpsc::channel();
         let shutting_down = Arc::new(AtomicBool::new(false));
 
-        let state_queue = Arc::clone(&queue);
-        let state_cfg = cfg.clone();
         // lint:allow(thread-spawn) -- the engine's single-owner thread; hosting it on the
         // seeker-par pool would deadlock against the engine's own par_map fan-out.
         let state = std::thread::Builder::new()
             .name("seeker-serve-state".into())
-            .spawn(move || state::run(&state_queue, engine, train_pois, state_cfg))
+            .spawn(move || state::run(&calls, engine, train_pois))
             .map_err(ServeError::Io)?;
 
-        let accept_queue = Arc::clone(&queue);
         let accept_flag = Arc::clone(&shutting_down);
         // lint:allow(thread-spawn) -- blocking accept loop; connection I/O must stay off
         // the seeker-par pool (see crate docs) so plain threads are the correct tool.
@@ -92,12 +80,12 @@ impl Server {
                         break;
                     }
                     let Some(stream) = accepted(stream) else { continue };
-                    let conn_queue = Arc::clone(&accept_queue);
+                    let conn_engine = engine_tx.clone();
                     let conn_flag = Arc::clone(&accept_flag);
                     // lint:allow(thread-spawn) -- one blocking framing loop per connection
                     let _ = std::thread::Builder::new()
                         .name("seeker-serve-conn".into())
-                        .spawn(move || serve_connection(stream, &conn_queue, &conn_flag));
+                        .spawn(move || serve_connection(stream, &conn_engine, &conn_flag));
                 }
             })
             .map_err(ServeError::Io)?;
@@ -134,11 +122,11 @@ fn accepted(stream: std::io::Result<TcpStream>) -> Option<TcpStream> {
     Some(stream)
 }
 
-/// One connection's framing loop: read a request frame, enqueue the job,
-/// relay the state thread's response. Exits on EOF, protocol violation, or
-/// shutdown.
-fn serve_connection(stream: TcpStream, queue: &JobQueue, shutting_down: &Arc<AtomicBool>) {
-    let peer_shutdown = match serve_frames(&stream, queue) {
+/// One connection's framing loop: read a request frame, send it to the
+/// state thread, relay the answer. Exits on EOF, protocol violation,
+/// shutdown, or a state thread that is gone.
+fn serve_connection(stream: TcpStream, engine: &Sender<Call>, shutting_down: &Arc<AtomicBool>) {
+    let peer_shutdown = match serve_frames(&stream, engine) {
         Ok(peer_shutdown) => peer_shutdown,
         Err(_) => false, // EOF / broken pipe / malformed peer: drop quietly
     };
@@ -154,45 +142,25 @@ fn serve_connection(stream: TcpStream, queue: &JobQueue, shutting_down: &Arc<Ato
 
 /// Returns `Ok(true)` iff the peer requested (and was acknowledged) a
 /// server shutdown.
-fn serve_frames(stream: &TcpStream, queue: &JobQueue) -> Result<bool> {
+fn serve_frames(stream: &TcpStream, engine: &Sender<Call>) -> Result<bool> {
     let mut reader = stream.try_clone()?;
     let mut writer = BufWriter::new(stream.try_clone()?);
     loop {
         let payload = protocol::read_frame(&mut reader)?;
-        let request = match Request::decode(&payload) {
-            Ok(r) => r,
-            Err(e) => {
-                // A malformed frame poisons the stream position; answer
-                // once, then close.
-                let resp = Response::Error { code: ERR_BAD_REQUEST, message: e.to_string() };
-                protocol::write_frame(&mut writer, &resp.encode())?;
-                return Ok(false);
-            }
+        // A malformed frame poisons the stream position, and a state thread
+        // that is gone answers nothing more: either way, answer once, then
+        // close.
+        let (response, close) = match Request::decode(&payload) {
+            Ok(request) => match state::call(engine, request) {
+                Ok(response) => (response, false),
+                Err(gone) => (gone, true),
+            },
+            Err(e) => (Response::Error { code: ERR_BAD_REQUEST, message: e.to_string() }, true),
         };
-        if matches!(request, Request::Ping) {
-            protocol::write_frame(&mut writer, &Response::Pong.encode())?;
-            continue;
-        }
-        let is_shutdown = matches!(request, Request::Shutdown);
-        let (tx, rx) = mpsc::channel();
-        let job = match request {
-            Request::Ping => unreachable!("answered above"),
-            Request::Ingest(batch) => Job::Ingest(batch, tx),
-            Request::QueryPair { a, b } => Job::QueryPair { a, b, reply: tx },
-            Request::QueryTopK { k } => Job::QueryTopK { k, reply: tx },
-            Request::Snapshot => Job::Snapshot(tx),
-            Request::Restore(blob) => Job::Restore(blob, tx),
-            Request::Stats => Job::Stats(tx),
-            Request::Shutdown => Job::Shutdown(tx),
-        };
-        queue.push(job)?;
-        // The state thread answers every job it dequeues; a dropped sender
-        // (queue closed mid-flight) surfaces as RecvError.
-        let response = rx.recv().map_err(|_| ServeError::ShuttingDown)?;
-        let acknowledged_shutdown = is_shutdown && matches!(response, Response::ShutdownOk);
         protocol::write_frame(&mut writer, &response.encode())?;
-        if acknowledged_shutdown {
-            return Ok(true);
+        let shutdown = matches!(response, Response::ShutdownOk);
+        if close || shutdown {
+            return Ok(shutdown);
         }
     }
 }

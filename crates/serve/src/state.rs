@@ -1,144 +1,63 @@
-//! The engine state thread: a single-consumer job queue in front of one
-//! [`IncrementalAttack`] owner.
+//! The engine state thread: the one owner of an [`IncrementalAttack`], fed
+//! over one `std::sync::mpsc` channel.
 //!
-//! Connection threads never touch the engine; they enqueue a [`Job`]
-//! carrying a reply channel and block on the answer. The state thread is
-//! the sole consumer, so the engine needs no lock at all — the queue's one
-//! `Mutex<VecDeque>` is the only shared state, which makes lock-order
-//! cycles structurally impossible.
+//! Connection threads never touch the engine. Each sends its decoded
+//! [`Request`] down the channel with a reply [`Sender`] and waits for the
+//! answer ([`call`]); the state thread receives the requests in arrival
+//! order and answers each through one match, `State::handle`. The channel
+//! is the only state the threads share, so the crate takes no lock. When
+//! the state thread is gone, returned after a `Shutdown` or unwound by a
+//! panic, every request still waiting and every later one is answered
+//! `ERR_INTERNAL` instead of blocking.
 //!
 //! Ingest batches are validated on arrival (and acknowledged or rejected
 //! immediately — validation is against the fixed user/POI tables and
 //! observation span, which staging cannot change) but *applied* lazily:
 //! accepted check-ins accumulate in a staging buffer that is flushed as a
-//! single engine append when the flush deadline expires, the buffer
-//! exceeds its size threshold, or any read (query, stats, snapshot,
-//! shutdown) arrives. Reads therefore always observe their own preceding
-//! writes, while bursty writers amortize the delta pipeline across many
-//! frames.
+//! single engine append when the oldest has waited [`FLUSH_DEADLINE`], the
+//! buffer holds [`MAX_STAGED_CHECKINS`], or any read (query, stats,
+//! snapshot, shutdown) arrives. Reads therefore always observe their own
+//! preceding writes, while bursty writers amortize the delta pipeline
+//! across many frames.
 
-use std::collections::VecDeque;
-use std::sync::mpsc::Sender;
-use std::sync::{Condvar, Mutex};
-use std::time::Instant;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::time::{Duration, Instant};
 
 use friendseeker::{AttackError, IncrementalAttack};
 use seeker_trace::{CheckIn, Poi, UserId};
 
 use crate::protocol::{
-    Response, ServeStats, ERR_BAD_REQUEST, ERR_INGEST, ERR_INTERNAL, ERR_PERSIST,
+    Request, Response, ServeStats, ERR_BAD_REQUEST, ERR_INGEST, ERR_INTERNAL, ERR_PERSIST,
 };
-use crate::server::ServeConfig;
 use crate::snapshot;
 use crate::ServeError;
 
-/// Reply channel back to the connection thread that enqueued the job.
-pub(crate) type Reply = Sender<Response>;
+/// How long accepted check-ins may sit staged before they are flushed into
+/// the engine, absent any other trigger.
+const FLUSH_DEADLINE: Duration = Duration::from_millis(5);
 
-/// One unit of work for the state thread.
-pub(crate) enum Job {
-    /// Validate + stage a check-in batch.
-    Ingest(Vec<CheckIn>, Reply),
-    /// Friendship verdict for one pair (flushes staged ingest first).
-    QueryPair {
-        /// First user id.
-        a: u32,
-        /// Second user id.
-        b: u32,
-        /// Reply channel.
-        reply: Reply,
-    },
-    /// Top-k ranked predicted friendships (flushes staged ingest first).
-    QueryTopK {
-        /// How many pairs.
-        k: u32,
-        /// Reply channel.
-        reply: Reply,
-    },
-    /// Serialize the session.
-    Snapshot(Reply),
-    /// Replace the session from a snapshot blob.
-    Restore(Vec<u8>, Reply),
-    /// Serving statistics.
-    Stats(Reply),
-    /// Flush, acknowledge, and exit the serving loop.
-    Shutdown(Reply),
-}
+/// Flush at once when this many check-ins are staged.
+const MAX_STAGED_CHECKINS: usize = 10_000;
 
-impl Job {
-    /// The job's reply channel (consumed when draining a closed queue).
-    fn reply(&self) -> &Reply {
-        match self {
-            Job::Ingest(_, r)
-            | Job::Snapshot(r)
-            | Job::Restore(_, r)
-            | Job::Stats(r)
-            | Job::Shutdown(r) => r,
-            Job::QueryPair { reply, .. } | Job::QueryTopK { reply, .. } => reply,
-        }
-    }
-}
+/// One request on its way to the state thread, with the sender its answer
+/// goes back through.
+pub(crate) type Call = (Request, Sender<Response>);
 
-struct QueueInner {
-    jobs: VecDeque<Job>,
-    closed: bool,
-}
-
-/// MPSC job queue: connection threads push, the state thread pops.
-pub(crate) struct JobQueue {
-    inner: Mutex<QueueInner>,
-    ready: Condvar,
-}
-
-impl JobQueue {
-    pub(crate) fn new() -> JobQueue {
-        JobQueue {
-            inner: Mutex::new(QueueInner { jobs: VecDeque::new(), closed: false }),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Enqueues a job; fails with [`ServeError::ShuttingDown`] once the
-    /// state thread has closed the queue.
-    pub(crate) fn push(&self, job: Job) -> crate::error::Result<()> {
-        let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if g.closed {
-            return Err(ServeError::ShuttingDown);
-        }
-        g.jobs.push_back(job);
-        drop(g);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Pops the next job, blocking at most until `deadline`. `None` means
-    /// the deadline expired with the queue still empty (time to flush).
-    fn pop(&self, deadline: Option<Instant>) -> Option<Job> {
-        let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        while g.jobs.is_empty() {
-            match deadline {
-                None => g = self.ready.wait(g).unwrap_or_else(|e| e.into_inner()),
-                Some(d) => {
-                    // lint:allow(no-system-time) -- flush-deadline pacing is inherently wall-clock
-                    let now = Instant::now();
-                    if now >= d {
-                        return None;
-                    }
-                    let (guard, _) =
-                        self.ready.wait_timeout(g, d - now).unwrap_or_else(|e| e.into_inner());
-                    g = guard;
-                }
-            }
-        }
-        g.jobs.pop_front()
-    }
-
-    /// Closes the queue (future pushes fail) and drains whatever raced in.
-    fn close(&self) -> Vec<Job> {
-        let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        g.closed = true;
-        g.jobs.drain(..).collect()
-    }
+/// Sends `request` to the state thread and waits for the answer.
+///
+/// `Err` is the `ERR_INTERNAL` answer for a state thread that is gone,
+/// after a `Shutdown` or a panic: it answers nothing more, so the
+/// connection writes this itself and closes. One `recv` notices every way
+/// the thread goes, because each drops the reply sender: a failed send
+/// drops it with the request, a dropped receiver drops every queued call,
+/// and an unwinding thread drops the call it was answering.
+pub(crate) fn call(engine: &Sender<Call>, request: Request) -> Result<Response, Response> {
+    let (reply, answer) = mpsc::channel();
+    let _ = engine.send((request, reply));
+    answer.recv().map_err(|_| Response::Error {
+        code: ERR_INTERNAL,
+        message: "the engine thread is gone".into(),
+    })
 }
 
 /// Fixed-size ring of query latencies feeding the `serve.query.p{50,99}_us`
@@ -209,7 +128,6 @@ struct State {
     staged: Vec<CheckIn>,
     flush_due: Option<Instant>,
     latency: LatencyRing,
-    cfg: ServeConfig,
     /// Client batches accepted (before coalescing — the engine's own count
     /// is per *flush*, which merges many client batches into one append).
     accepted_batches: u64,
@@ -218,6 +136,24 @@ struct State {
 }
 
 impl State {
+    /// Answers one request. Every read but `Ping` flushes the staged
+    /// check-ins first.
+    fn handle(&mut self, request: Request) -> Response {
+        match request {
+            Request::Ping => Response::Pong,
+            Request::Ingest(batch) => self.handle_ingest(batch),
+            Request::QueryPair { a, b } => self.handle_query_pair(a, b),
+            Request::QueryTopK { k } => self.handle_top_k(k),
+            Request::Snapshot => self.handle_snapshot(),
+            Request::Restore(blob) => self.handle_restore(blob),
+            Request::Stats => self.handle_stats(),
+            Request::Shutdown => {
+                self.flush();
+                Response::ShutdownOk
+            }
+        }
+    }
+
     /// Applies the staging buffer as one engine append.
     fn flush(&mut self) {
         self.flush_due = None;
@@ -244,9 +180,9 @@ impl State {
                 self.staged.extend_from_slice(&batch);
                 if !self.staged.is_empty() && self.flush_due.is_none() {
                     // lint:allow(no-system-time) -- flush-deadline pacing is inherently wall-clock
-                    self.flush_due = Some(Instant::now() + self.cfg.flush_deadline);
+                    self.flush_due = Some(Instant::now() + FLUSH_DEADLINE);
                 }
-                if self.staged.len() >= self.cfg.max_staged_checkins {
+                if self.staged.len() >= MAX_STAGED_CHECKINS {
                     self.flush();
                 }
                 Response::IngestOk { accepted }
@@ -327,65 +263,41 @@ impl State {
     }
 }
 
-/// The state thread's serving loop. Exits after a [`Job::Shutdown`], having
-/// closed the queue and answered every job that raced in.
-pub(crate) fn run(
-    queue: &JobQueue,
-    engine: IncrementalAttack,
-    train_pois: Vec<Poi>,
-    cfg: ServeConfig,
-) {
+/// Waits for the next call, until `flush_due` at most while check-ins are
+/// staged. `Err(Timeout)` means flush now; `Err(Disconnected)` means no
+/// connection can send any more.
+fn next(calls: &Receiver<Call>, flush_due: Option<Instant>) -> Result<Call, RecvTimeoutError> {
+    match flush_due {
+        // lint:allow(no-system-time) -- flush-deadline pacing is inherently wall-clock
+        Some(due) => calls.recv_timeout(due.saturating_duration_since(Instant::now())),
+        None => calls.recv().map_err(|_| RecvTimeoutError::Disconnected),
+    }
+}
+
+/// The state thread's serving loop: answers each call in arrival order and
+/// returns once it has answered a `Shutdown`. The thread then drops
+/// `calls`, and with it every call still queued.
+pub(crate) fn run(calls: &Receiver<Call>, engine: IncrementalAttack, train_pois: Vec<Poi>) {
     let mut st = State {
         engine,
         train_pois,
         staged: Vec::new(),
         flush_due: None,
         latency: LatencyRing::new(),
-        cfg,
         accepted_batches: 0,
         accepted_checkins: 0,
     };
     loop {
-        let Some(job) = queue.pop(st.flush_due) else {
-            st.flush();
-            continue;
-        };
-        match job {
-            Job::Ingest(batch, reply) => {
-                let resp = st.handle_ingest(batch);
-                let _ = reply.send(resp);
-            }
-            Job::QueryPair { a, b, reply } => {
-                let resp = st.handle_query_pair(a, b);
-                let _ = reply.send(resp);
-            }
-            Job::QueryTopK { k, reply } => {
-                let resp = st.handle_top_k(k);
-                let _ = reply.send(resp);
-            }
-            Job::Snapshot(reply) => {
-                let resp = st.handle_snapshot();
-                let _ = reply.send(resp);
-            }
-            Job::Restore(blob, reply) => {
-                let resp = st.handle_restore(blob);
-                let _ = reply.send(resp);
-            }
-            Job::Stats(reply) => {
-                let resp = st.handle_stats();
-                let _ = reply.send(resp);
-            }
-            Job::Shutdown(reply) => {
-                st.flush();
-                let _ = reply.send(Response::ShutdownOk);
-                for job in queue.close() {
-                    let _ = job.reply().send(Response::Error {
-                        code: ERR_INTERNAL,
-                        message: "server is shutting down".into(),
-                    });
+        match next(calls, st.flush_due) {
+            Ok((request, reply)) => {
+                let shutdown = matches!(request, Request::Shutdown);
+                let _ = reply.send(st.handle(request));
+                if shutdown {
+                    return;
                 }
-                return;
             }
+            Err(RecvTimeoutError::Timeout) => st.flush(),
+            Err(RecvTimeoutError::Disconnected) => return,
         }
     }
 }
@@ -393,7 +305,6 @@ pub(crate) fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn latency_ring_wraps_and_publishes() {
@@ -409,19 +320,28 @@ mod tests {
 
     #[test]
     fn closed_queue_rejects_pushes_and_drains() {
-        let q = JobQueue::new();
-        let (tx, _rx) = std::sync::mpsc::channel();
-        q.push(Job::Stats(tx.clone())).unwrap();
-        let drained = q.close();
-        assert_eq!(drained.len(), 1);
-        assert!(matches!(q.push(Job::Stats(tx)), Err(ServeError::ShuttingDown)));
+        let gone = |answer: Result<Response, Response>| {
+            matches!(answer, Err(Response::Error { code: ERR_INTERNAL, .. }))
+        };
+        let (engine, calls) = mpsc::channel();
+        std::thread::scope(|s| {
+            let queued = s.spawn(|| call(&engine, Request::Stats));
+            // Receiving the call proves it was sent; queue it again, then
+            // drop the receiver with it queued, as a departing state
+            // thread does.
+            let sent = calls.recv().unwrap();
+            engine.send(sent).unwrap();
+            drop(calls);
+            assert!(gone(queued.join().unwrap()));
+        });
+        assert!(gone(call(&engine, Request::Stats)));
     }
 
     #[test]
     fn pop_honors_an_expired_deadline() {
-        let q = JobQueue::new();
+        let (_engine, calls) = mpsc::channel::<Call>();
         // lint:allow(no-system-time) -- testing the deadline path itself
         let past = Instant::now() - Duration::from_millis(1);
-        assert!(q.pop(Some(past)).is_none());
+        assert!(matches!(next(&calls, Some(past)), Err(RecvTimeoutError::Timeout)));
     }
 }

@@ -1,9 +1,11 @@
 //! End-to-end lifecycle of the `seeker-serve` TCP service on an ephemeral
 //! port: ingest → query → snapshot → diverge → restore → re-query equality
-//! → clean shutdown. This is the test CI runs as the serve smoke step.
+//! → clean shutdown, after which a request on a second connection is
+//! answered `ERR_INTERNAL`. Both `cargo test --workspace` steps of CI run
+//! it, at `SEEKER_THREADS=1` and `4`.
 
 use friendseeker::{FriendSeeker, FriendSeekerConfig, IncrementalAttack, IncrementalOptions};
-use seeker_serve::protocol::ERR_INGEST;
+use seeker_serve::protocol::{ERR_INGEST, ERR_INTERNAL};
 use seeker_serve::{Client, ServeConfig, ServeError, Server};
 use seeker_trace::synth::{generate, SyntheticConfig};
 use seeker_trace::{CheckIn, PoiId, Timestamp, UserId};
@@ -110,7 +112,14 @@ fn full_lifecycle_over_tcp() {
     assert!(matches!(client.query_pair(0, 0), Err(ServeError::Remote { .. })));
     assert!(matches!(client.query_pair(0, u32::MAX), Err(ServeError::Remote { .. })));
 
-    // Clean shutdown: acknowledged, and the server threads exit.
+    // Clean shutdown: acknowledged, and the server threads exit. A request
+    // that arrives after it is answered, not dropped: once the engine
+    // thread is gone, the connection answers ERR_INTERNAL itself.
     client.shutdown().unwrap();
+    let after = other.query_pair(0, 1);
+    assert!(
+        matches!(after, Err(ServeError::Remote { code: ERR_INTERNAL, .. })),
+        "a request after shutdown must be answered ERR_INTERNAL, got {after:?}"
+    );
     server.join();
 }
