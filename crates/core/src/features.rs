@@ -7,9 +7,9 @@
 //! `d`-block, and the blocks of lengths `2..=k` are concatenated. The
 //! composite feature `v = h_(a,b) ⊕ s_(a,b)` is what classifier `C'` sees.
 
-use seeker_graph::{KHopSubgraph, PairIndex, SocialGraph};
+use seeker_graph::{KHopSubgraph, PairIndex, PathWalker, SocialGraph};
 use seeker_nn::Matrix;
-use seeker_trace::{Dataset, UserPair};
+use seeker_trace::{Dataset, UserId, UserPair};
 
 use crate::phase1::{Phase1Model, ENCODE_BLOCK};
 
@@ -43,6 +43,14 @@ impl FeatureStore {
         let _span = seeker_obs::span!("core.features.build");
         let index = PairIndex::new(pairs);
         FeatureStore { index, blocks: model.feature_blocks(ds, pairs) }
+    }
+
+    /// A store over at most [`ENCODE_BLOCK`] distinct `pairs` whose row `i`
+    /// is row `i` of `rows`, for tests that need no trained encoder.
+    #[cfg(test)]
+    pub(crate) fn from_rows(pairs: &[UserPair], rows: Matrix) -> FeatureStore {
+        assert!(pairs.len() == rows.rows() && pairs.len() <= ENCODE_BLOCK);
+        FeatureStore { index: PairIndex::new(pairs), blocks: vec![rows] }
     }
 
     /// The feature dimension `d`.
@@ -169,19 +177,26 @@ pub fn social_proximity_feature(sub: &KHopSubgraph, k: usize, store: &FeatureSto
         debug_assert!(l >= 2 && l <= k);
         let block = &mut out[(l - 2) * d..(l - 1) * d];
         for path in paths {
-            for w in path.windows(2) {
-                if let Some(f) = store.get(UserPair::new(w[0], w[1])) {
-                    for (o, &x) in block.iter_mut().zip(f.iter()) {
-                        *o += x;
-                    }
-                }
-            }
+            add_path_rows(block, path, store);
         }
     }
     out
 }
 
-/// The composite feature `v = h ⊕ s` for one pair given the current graph.
+/// Adds the presence feature of every edge of `path` into `block`, edge by
+/// edge in path order; an edge missing from `store` adds nothing.
+fn add_path_rows(block: &mut [f32], path: &[UserId], store: &FeatureStore) {
+    for w in path.windows(2) {
+        if let Some(f) = store.get(UserPair::new(w[0], w[1])) {
+            for (o, &x) in block.iter_mut().zip(f.iter()) {
+                *o += x;
+            }
+        }
+    }
+}
+
+/// The composite feature `v = h ⊕ s` for one pair given the current graph:
+/// the one-row case of the frozen scorer's block writer, `composite_rows`.
 ///
 /// # Panics
 ///
@@ -194,14 +209,45 @@ pub fn composite_feature(
     k: usize,
     store: &FeatureStore,
 ) -> Vec<f32> {
-    // lint:allow(no-panic) -- documented contract, see above
-    let h = store.get(pair).expect("pair must belong to the feature store universe");
-    let sub = KHopSubgraph::extract(graph, pair, k);
-    let s = social_proximity_feature(&sub, k, store);
-    let mut v = Vec::with_capacity(h.len() + s.len());
-    v.extend_from_slice(h);
-    v.extend(s);
+    let mut v = vec![0.0f32; k * store.dim()];
+    composite_rows(graph, [pair].into_iter(), k, store, &mut v);
     v
+}
+
+/// Writes the composite feature of the `r`-th pair of `pairs` into row `r`
+/// of `block`, a row-major block of `k · d`-float rows, walking every
+/// pair's k-hop paths with one [`PathWalker`]. Each path's presence rows
+/// are added straight into its length's `d`-block of the row, so no path
+/// or row is allocated.
+///
+/// Row `r` is bit-identical to `h ⊕` [`social_proximity_feature`] of
+/// [`KHopSubgraph::extract`]: every element sums its paths in the
+/// walker's depth-first order, which is the order `extract` stores them
+/// in, and each path's edges in path order, starting from `0.0`.
+///
+/// # Panics
+///
+/// Panics if `block` does not hold exactly one row per pair, or if a pair
+/// is outside the store's universe (see [`composite_feature`]).
+pub(crate) fn composite_rows(
+    graph: &SocialGraph,
+    pairs: impl ExactSizeIterator<Item = UserPair>,
+    k: usize,
+    store: &FeatureStore,
+    block: &mut [f32],
+) {
+    let d = store.dim();
+    assert_eq!(block.len(), pairs.len() * k * d, "one composite row per pair");
+    let mut walker = PathWalker::new();
+    for (pair, row) in pairs.zip(block.chunks_exact_mut(k * d)) {
+        let (h, s) = row.split_at_mut(d);
+        // lint:allow(no-panic) -- documented contract, see `composite_feature`
+        h.copy_from_slice(store.get(pair).expect("pair must belong to the feature store universe"));
+        s.fill(0.0);
+        walker.visit_khop_paths(graph, pair, k, |l, path| {
+            add_path_rows(&mut s[(l - 2) * d..(l - 1) * d], path, store);
+        });
+    }
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@ use seeker_trace::{Dataset, UserId, UserPair};
 
 use crate::config::FriendSeekerConfig;
 use crate::error::{AttackError, Result};
-use crate::features::{composite_feature, FeatureStore};
+use crate::features::{composite_feature, composite_rows, FeatureStore};
 use crate::pairs::LabeledPairs;
 use crate::phase1::Phase1Model;
 
@@ -215,12 +215,19 @@ pub(crate) enum Rows<'a> {
 }
 
 /// The most rows the frozen scorer extracts and scores in one batch. A
-/// batch's transient memory is its composite features and their scaled
-/// copy, two vectors of `composite_feature_dim` floats per row, so a cold
-/// inference holds one block of them, not one per universe row. Scoring is
-/// row-pure, so the block changes no output bit. It stays above the
-/// per-shard chunks of a sharded 10k-user inference (~5k rows).
+/// batch's transient memory is its composite features, `k · d` floats per
+/// row in flat row-major tiles of [`ROW_TILE`] rows, each standardized in
+/// place, plus one decision per row; so a cold inference holds one block
+/// of rows, not one per universe row. Scoring is row-pure, so the block
+/// changes no output bit. It stays above the per-shard chunks of a sharded
+/// 10k-user inference (~5k rows).
 const SCORE_BLOCK: usize = 16_384;
+
+/// Rows per pool task of the frozen scorer: each task walks, scales or
+/// scores one flat tile of this many rows, so the per-task buffers (one
+/// tile, one path walker) amortize over the rows and no row or path
+/// allocates.
+const ROW_TILE: usize = 64;
 
 /// Turns a graph and its dirty rows into per-pair predictions. Both
 /// scorers read presence rows from one store over the run's pairs, row `i`
@@ -288,23 +295,34 @@ impl<'a> Scorer<'a> {
             }
             Scorer::Frozen { model, store, n_chunks } => {
                 let n_chunks = (*n_chunks).max(dirty.len().div_ceil(SCORE_BLOCK));
+                let width = k * store.dim();
                 for range in seeker_spatial::shard_ranges(dirty.len(), n_chunks) {
                     let rows = &dirty[range];
                     if rows.is_empty() {
                         continue;
                     }
-                    let features = {
+                    let tiles: Vec<Vec<f32>> = {
                         let _span = seeker_obs::span!("phase2.refine.features");
-                        seeker_par::par_map_cost(rows, seeker_par::Cost::Heavy, |&i| {
-                            composite_feature(graph, pairs[i], k, store)
+                        let n_tiles = rows.len().div_ceil(ROW_TILE);
+                        seeker_par::par_map_indexed_cost(n_tiles, seeker_par::Cost::Heavy, |t| {
+                            let tile_rows = &rows[t * ROW_TILE..rows.len().min((t + 1) * ROW_TILE)];
+                            let mut tile = vec![0.0f32; tile_rows.len() * width];
+                            let tile_pairs = tile_rows.iter().map(|&i| pairs[i]);
+                            composite_rows(graph, tile_pairs, k, store, &mut tile);
+                            for row in tile.chunks_exact_mut(width) {
+                                model.scaler.transform_row(row);
+                            }
+                            tile
                         })
                     };
-                    let fresh = {
+                    let decisions = {
                         let _span = seeker_obs::span!("phase2.refine.svm");
-                        model.svm.predict(&model.scaler.transform(&features))
+                        seeker_par::par_map_cost(&tiles, seeker_par::Cost::Heavy, |tile| {
+                            model.svm.decision_rows(tile)
+                        })
                     };
-                    for (&i, p) in rows.iter().zip(fresh) {
-                        preds[i] = p;
+                    for (&i, d) in rows.iter().zip(decisions.iter().flatten()) {
+                        preds[i] = *d >= 0.0;
                     }
                 }
             }

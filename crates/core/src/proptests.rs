@@ -1,14 +1,18 @@
 //! Property-based tests of the incremental-refinement contract: a
 //! delta-refreshed [`crate::phase2::FeatureCache`] must stay bit-identical
 //! to a full recompute across arbitrary graph/diff sequences, and
-//! [`crate::phase2::dirty_rows`] must mark every row a change can reach.
+//! [`crate::phase2::dirty_rows`] must mark every row a change can reach;
+//! and of the frozen scorer's block rows, which must equal the per-pair
+//! extract-then-embed features bit for bit.
 
 use std::collections::VecDeque;
 
 use proptest::prelude::*;
 use seeker_graph::{KHopSubgraph, PairIndex, SocialGraph};
+use seeker_nn::Matrix;
 use seeker_trace::{UserId, UserPair};
 
+use crate::features::{composite_rows, social_proximity_feature, FeatureStore};
 use crate::phase2::{dirty_rows, path_count_profile, FeatureCache};
 
 /// A structure-reading feature standing in for the composite feature: it
@@ -206,6 +210,48 @@ proptest! {
         let ball = both_endpoints_in_ball(&prev, &next, &pairs, k, &dirty, &force_rows);
         for i in &multi_source {
             prop_assert!(ball.binary_search(i).is_ok(), "{} outside the old rule", pairs[*i]);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every row of one [`composite_rows`] block over a scrambled subset of
+    /// the pairs is bit for bit `h ⊕` [`social_proximity_feature`] of
+    /// [`KHopSubgraph::extract`], with presence rows that make float sums
+    /// order-sensitive, and graph edges outside the store's universe (they
+    /// add nothing).
+    #[test]
+    fn block_rows_match_extract_then_embed_bitwise(
+        (graph, _, _) in arb_change(14),
+        k in 2usize..5,
+        d in 1usize..6,
+        seed in any::<u64>(),
+    ) {
+        let mut universe: Vec<UserPair> = all_pairs_of(graph.n_vertices())
+            .into_iter()
+            .enumerate()
+            .filter(|&(i, _)| (seed >> (i % 61)) & 3 != 0)
+            .map(|(_, p)| p)
+            .collect();
+        prop_assume!(!universe.is_empty());
+        universe.reverse();
+        let values: Vec<f32> = (0..universe.len() * d)
+            .map(|i| {
+                let h = (i as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                (h % 20_001) as f32 / 97.0 - 100.0
+            })
+            .collect();
+        let store = FeatureStore::from_rows(&universe, Matrix::from_vec(universe.len(), d, values));
+        let mut block = vec![f32::NAN; universe.len() * k * d];
+        composite_rows(&graph, universe.iter().copied(), k, &store, &mut block);
+        for (&pair, row) in universe.iter().zip(block.chunks_exact(k * d)) {
+            let sub = KHopSubgraph::extract(&graph, pair, k);
+            let mut expected = store.get(pair).unwrap_or_default().to_vec();
+            expected.extend(social_proximity_feature(&sub, k, &store));
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(row), bits(&expected), "{}", pair);
         }
     }
 }

@@ -36,40 +36,21 @@ impl KHopSubgraph {
     /// 3. increment `l` and repeat while `l ≤ k`.
     ///
     /// The direct edge `a–b` (a length-1 path), if present, is *not* part of
-    /// the subgraph — the feature describes indirect reachability.
+    /// the subgraph — the feature describes indirect reachability. The
+    /// paths are the ones [`PathWalker::visit_khop_paths`] visits, in its
+    /// order.
     ///
     /// # Panics
     ///
     /// Panics if an endpoint of `pair` is outside `graph`'s vertex space, or
     /// if `k < 2`.
     pub fn extract(graph: &SocialGraph, pair: UserPair, k: usize) -> Self {
-        seeker_obs::counter!("graph.khop.extractions", 1);
-        assert!(k >= 2, "k-hop subgraphs require k >= 2, got {k}");
-        assert!(
-            pair.hi().index() < graph.n_vertices(),
-            "pair endpoint {} outside graph",
-            pair.hi()
-        );
-        let (a, b) = pair.as_tuple();
-        // The working graph only ever loses interior vertices, so it is the
-        // input graph minus this sorted set: O(paths found), not O(users).
-        let mut consumed: Vec<UserId> = Vec::new();
         let mut paths_by_len: BTreeMap<usize, Vec<Vec<UserId>>> = BTreeMap::new();
-        let mut n_paths = 0usize;
-
-        for l in 2..=k {
-            let found = paths_of_length(graph, &consumed, a, b, l);
-            if found.is_empty() {
-                continue;
-            }
-            n_paths += found.len();
-            consumed.extend(found.iter().flat_map(|path| path[1..path.len() - 1].iter().copied()));
-            consumed.sort_unstable();
-            consumed.dedup();
-            paths_by_len.insert(l, found);
-        }
-        // The composite feature reads one presence row per edge of these.
-        seeker_obs::counter!("graph.khop.paths", n_paths as u64);
+        PathWalker::new().visit_khop_paths(graph, pair, k, |l, path| {
+            // The subgraph owns its paths: this copy is the output.
+            // lint:allow(hot-alloc)
+            paths_by_len.entry(l).or_default().push(path.to_vec());
+        });
         #[cfg(debug_assertions)]
         {
             // Theorem 1: interior vertices consumed at length l are disabled
@@ -149,7 +130,9 @@ impl KHopSubgraph {
 /// Counts length-`l` paths between `a` and `b` in `graph` without building a
 /// subgraph — the raw statistic behind Fig. 5 of the paper.
 pub fn count_paths_of_length(graph: &SocialGraph, a: UserId, b: UserId, l: usize) -> usize {
-    paths_of_length(graph, &[], a, b, l).len()
+    let mut n = 0usize;
+    PathWalker::new().visit_paths_of_length(graph, a, b, l, |_| n += 1);
+    n
 }
 
 /// Enumerates **all** simple paths of exactly `l` edges between `a` and `b`,
@@ -162,56 +145,131 @@ pub fn all_paths_of_length(
     b: UserId,
     l: usize,
 ) -> Vec<Vec<UserId>> {
-    paths_of_length(graph, &[], a, b, l)
-}
-
-/// Enumerates all simple paths of exactly `l` edges from `a` to `b` whose
-/// interior avoids the sorted `consumed` vertices, in depth-first order
-/// over the sorted adjacency lists.
-///
-/// The walk keeps no per-vertex state: the stack (at most `l + 1`
-/// vertices) answers "on the path", and the last two hops are resolved as
-/// one sorted merge of `N(current)` and `N(b)`, which visits the middle
-/// vertices in the order a per-neighbor scan would.
-fn paths_of_length(
-    graph: &SocialGraph,
-    consumed: &[UserId],
-    a: UserId,
-    b: UserId,
-    l: usize,
-) -> Vec<Vec<UserId>> {
     let mut out = Vec::new();
-    let mut stack: Vec<UserId> = Vec::with_capacity(l + 1);
-    stack.push(a);
-    walk(graph, consumed, b, l, &mut stack, &mut out);
+    PathWalker::new().visit_paths_of_length(graph, a, b, l, |path| out.push(path.to_vec()));
     out
 }
 
-/// Appends to `out` every length-`l` path to `target` that extends the
-/// prefix on `stack`.
-fn walk(
+/// The one depth-first path enumerator behind every path query of this
+/// module. It hands each path it finds to a callback as a borrowed vertex
+/// sequence, endpoints included, and keeps its buffers between calls, so a
+/// caller that walks many pairs with one walker allocates nothing per pair
+/// or per path once the buffers have grown.
+///
+/// The walk keeps no per-vertex state: the path prefix (at most `l + 1`
+/// vertices) answers "on the path", and the last two hops are resolved as
+/// one sorted merge of `N(current)` and `N(b)`, which visits the middle
+/// vertices in the order a per-neighbor scan would. Paths of one length
+/// come in depth-first order over the sorted adjacency lists.
+#[derive(Debug, Default)]
+pub struct PathWalker {
+    /// The current path prefix, source first.
+    prefix: Vec<UserId>,
+    /// Sorted interior vertices of the paths visited at shorter lengths:
+    /// the working graph of the k-hop walk is the input graph minus these,
+    /// O(paths found) rather than O(users).
+    consumed: Vec<UserId>,
+    /// Interior vertices of the current length's paths, merged into
+    /// `consumed` once that length is done.
+    found: Vec<UserId>,
+}
+
+impl PathWalker {
+    /// A walker with empty buffers.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Visits the k-hop reachable subgraph of `pair`: calls `visit(l, path)`
+    /// for every path of [`KHopSubgraph::extract`], lengths in increasing
+    /// order and each length's paths in depth-first order. A length's paths
+    /// are all visited before its interior vertices leave the working
+    /// graph. Returns the number of paths visited, and adds one to the
+    /// `graph.khop.extractions` counter and that number to
+    /// `graph.khop.paths`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint of `pair` is outside `graph`'s vertex space, or
+    /// if `k < 2`.
+    pub fn visit_khop_paths(
+        &mut self,
+        graph: &SocialGraph,
+        pair: UserPair,
+        k: usize,
+        mut visit: impl FnMut(usize, &[UserId]),
+    ) -> usize {
+        seeker_obs::counter!("graph.khop.extractions", 1);
+        assert!(k >= 2, "k-hop subgraphs require k >= 2, got {k}");
+        assert!(
+            pair.hi().index() < graph.n_vertices(),
+            "pair endpoint {} outside graph",
+            pair.hi()
+        );
+        let (a, b) = pair.as_tuple();
+        self.consumed.clear();
+        let mut n_paths = 0usize;
+        for l in 2..=k {
+            self.found.clear();
+            let found = &mut self.found;
+            self.prefix.clear();
+            self.prefix.push(a);
+            extend_prefix(graph, &self.consumed, b, l, &mut self.prefix, &mut |path| {
+                found.extend_from_slice(&path[1..path.len() - 1]);
+                n_paths += 1;
+                visit(l, path);
+            });
+            if !self.found.is_empty() {
+                self.consumed.extend_from_slice(&self.found);
+                self.consumed.sort_unstable();
+                self.consumed.dedup();
+            }
+        }
+        // The composite feature reads one presence row per edge of these.
+        seeker_obs::counter!("graph.khop.paths", n_paths as u64);
+        n_paths
+    }
+
+    /// Calls `visit(path)` for every simple path of exactly `l` edges from
+    /// `a` to `b`, in depth-first order, with no vertex consumed.
+    fn visit_paths_of_length(
+        &mut self,
+        graph: &SocialGraph,
+        a: UserId,
+        b: UserId,
+        l: usize,
+        mut visit: impl FnMut(&[UserId]),
+    ) {
+        self.prefix.clear();
+        self.prefix.push(a);
+        extend_prefix(graph, &[], b, l, &mut self.prefix, &mut visit);
+    }
+}
+
+/// Calls `visit` with every length-`l` path to `target` that extends the
+/// path prefix on `stack` and whose interior avoids the sorted `consumed`
+/// vertices.
+fn extend_prefix<F: FnMut(&[UserId])>(
     graph: &SocialGraph,
     consumed: &[UserId],
     target: UserId,
     l: usize,
     stack: &mut Vec<UserId>,
-    out: &mut Vec<Vec<UserId>>,
+    visit: &mut F,
 ) {
     // Callers seed the stack with the source vertex; an empty stack means
     // there is no path prefix to extend.
     let Some(&current) = stack.last() else { return };
-    // Each completed path must be materialized into the result set; the
-    // clones below ARE the output.
     match l + 1 - stack.len() {
         0 => {
             if current == target {
-                out.push(stack.clone()); // lint:allow(hot-alloc)
+                visit(stack);
             }
         }
         1 => {
             if !stack.contains(&target) && graph.neighbors(current).binary_search(&target).is_ok() {
                 stack.push(target);
-                out.push(stack.clone()); // lint:allow(hot-alloc)
+                visit(stack);
                 stack.pop();
             }
         }
@@ -230,7 +288,7 @@ fn walk(
                 } else {
                     if !stack.contains(&x) && consumed.binary_search(&x).is_err() {
                         stack.extend([x, target]);
-                        out.push(stack.clone()); // lint:allow(hot-alloc)
+                        visit(stack);
                         stack.truncate(stack.len() - 2);
                     }
                     i += 1;
@@ -247,7 +305,7 @@ fn walk(
                     continue;
                 }
                 stack.push(next);
-                walk(graph, consumed, target, l, stack, out);
+                extend_prefix(graph, consumed, target, l, stack, visit);
                 stack.pop();
             }
         }
@@ -390,13 +448,36 @@ mod tests {
                         let p = pair(a, b);
                         prop_assert_eq!(KHopSubgraph::extract(&g, p, k), reference::extract(&g, p, k));
                     }
-                    // Both directions, and a == b, for the path enumerators.
+                    // Both directions, and a == b, for the path queries.
                     let (x, y) = (UserId::new(a), UserId::new(b));
                     for l in 0..=k {
                         let expected = reference::all_paths(&g, x, y, l);
                         prop_assert_eq!(count_paths_of_length(&g, x, y, l), expected.len());
                         prop_assert_eq!(all_paths_of_length(&g, x, y, l), expected);
                     }
+                }
+            }
+        }
+
+        /// One walker reused over every pair, in a scrambled pair order so
+        /// a buffer left over from a longer walk would show, visits exactly
+        /// the reference's paths, grouped by length and in its order.
+        #[test]
+        fn walker_visits_the_reference_paths_in_order(g in arb_hub_graph(18), k in 2usize..5) {
+            let n = g.n_vertices() as u32;
+            let mut walker = PathWalker::new();
+            for a in (0..n).rev() {
+                for b in 0..a {
+                    let p = pair(a, b);
+                    let mut visited: Vec<(usize, Vec<UserId>)> = Vec::new();
+                    let n_paths =
+                        walker.visit_khop_paths(&g, p, k, |l, path| visited.push((l, path.to_vec())));
+                    let expected: Vec<(usize, Vec<UserId>)> = reference::extract(&g, p, k)
+                        .groups()
+                        .flat_map(|(l, paths)| paths.iter().map(move |path| (l, path.clone())))
+                        .collect();
+                    prop_assert_eq!(n_paths, expected.len());
+                    prop_assert_eq!(visited, expected);
                 }
             }
         }

@@ -33,15 +33,18 @@ pub const HOT_PATHS: &[&str] = &[
     "dirty_rows",
     "Scorer::rescore",
     "path_count_profile",
-    // Feature extraction per pair.
+    // Feature extraction per pair, and the k-hop path walker under it.
     "Phase1Model::features",
     "Phase1Model::predict_proba",
     "social_proximity_feature",
     "composite_feature",
+    "PathWalker::visit_khop_paths",
+    "PathWalker::visit_paths_of_length",
     // SVM scoring per pair.
     "Svm::decision_one",
     "Svm::predict_one",
     "Svm::decision",
+    "Svm::decision_rows",
     "Svm::predict",
     "Kernel::eval",
     // The parallel mapping kernels everything above fans out through.

@@ -197,28 +197,30 @@ pub struct Svm {
     coeffs: Vec<f32>,
     bias: f32,
     dim: usize,
-    /// Support vectors transposed into `[dim][n_sv]` lanes so the blocked
-    /// decision kernel streams contiguous per-dimension blocks.
-    sv_t: Vec<f32>,
+    /// The support vectors in tiles of [`SV_LANES`]: tile `t` is entries
+    /// `t·dim .. (t + 1)·dim`, entry `d` holding dimension `d` of support
+    /// vectors `t·SV_LANES ..`, one per lane. The last tile's lanes past the
+    /// final support vector are zero.
+    sv_tiles: Vec<[f32; SV_LANES]>,
 }
 
-/// Flattens support vectors into the `[dim][n_sv]` lane layout used by the
-/// blocked decision kernel.
-fn transpose_svs(support_x: &[Vec<f32>], dim: usize) -> Vec<f32> {
-    let ns = support_x.len();
-    let mut t = vec![0.0f32; dim * ns];
+/// Lays support vectors out in the zero-padded lane tiles of
+/// [`Svm::sv_tiles`].
+fn tile_svs(support_x: &[Vec<f32>], dim: usize) -> Vec<[f32; SV_LANES]> {
+    let mut tiles = vec![[0.0f32; SV_LANES]; support_x.len().div_ceil(SV_LANES) * dim];
     for (s, sv) in support_x.iter().enumerate() {
-        for (d, &v) in sv.iter().enumerate() {
-            t[d * ns + s] = v;
+        let tile = &mut tiles[s / SV_LANES * dim..][..dim];
+        for (lanes, &v) in tile.iter_mut().zip(sv.iter()) {
+            lanes[s % SV_LANES] = v;
         }
     }
-    t
+    tiles
 }
 
-/// Support vectors evaluated per lane block in the blocked decision kernel;
-/// 8 lanes of independent sequential sums keep the serial accumulation
-/// order of each support vector while letting the auto-vectorizer work
-/// across lanes.
+/// Support vectors evaluated per tile by the decision kernel. Each lane is
+/// one support vector's own sequential sum over dimensions, so a tile's
+/// fixed-width lane loop vectorizes without reordering any sum; zero
+/// padding fills the last tile, and its padded lanes are never read back.
 const SV_LANES: usize = 8;
 
 impl Svm {
@@ -342,8 +344,8 @@ impl Svm {
                 coeffs.push(alphas[i] * ys[i]);
             }
         }
-        let sv_t = transpose_svs(&support_x, dim);
-        Svm { kernel: cfg.kernel, support_x, coeffs, bias: b, dim, sv_t }
+        let sv_tiles = tile_svs(&support_x, dim);
+        Svm { kernel: cfg.kernel, support_x, coeffs, bias: b, dim, sv_tiles }
     }
 
     /// Number of support vectors retained.
@@ -356,56 +358,45 @@ impl Svm {
         self.dim
     }
 
-    /// The blocked decision kernel: evaluates all support vectors in
-    /// [`SV_LANES`]-wide blocks over the transposed `sv_t` layout, so the
-    /// per-dimension inner loop streams one contiguous block of support
-    /// vector components.
+    /// The decision kernel every decision entry point runs: evaluates the
+    /// support vectors tile by tile over [`Svm::sv_tiles`], each tile's
+    /// [`SV_LANES`] lanes at once, then folds the real lanes into the
+    /// accumulator.
     ///
     /// Bit-identical to the per-row formula `bias + Σ cᵢ K(xᵢ, x)`: each
     /// lane accumulates its own support vector's distance/dot sequentially
     /// over dimensions (the same single chain as `Kernel::eval`, with
-    /// `(x−y)² == (y−x)²` and `x·y == y·x` exact in IEEE), and lane results
-    /// fold into the accumulator in support-vector order.
+    /// `(x−y)² == (y−x)²` and `x·y == y·x` exact in IEEE), and the real
+    /// lanes fold into the accumulator in support-vector order.
     fn decision_uncounted(&self, x: &[f32]) -> f32 {
         assert_eq!(x.len(), self.dim, "query dimension mismatch");
-        let ns = self.coeffs.len();
         let mut acc = self.bias;
-        let mut s0 = 0usize;
-        while s0 < ns {
-            let w = SV_LANES.min(ns - s0);
+        for (t, coeffs) in self.coeffs.chunks(SV_LANES).enumerate() {
+            let tile = &self.sv_tiles[t * self.dim..(t + 1) * self.dim];
             let mut lane = [0.0f32; SV_LANES];
             match self.kernel {
-                Kernel::Rbf { .. } => {
-                    for (d, &xd) in x.iter().enumerate() {
-                        let col = &self.sv_t[d * ns + s0..d * ns + s0 + w];
-                        for (l, &sv) in col.iter().enumerate() {
-                            let diff = xd - sv;
-                            lane[l] += diff * diff;
-                        }
-                    }
-                }
-                Kernel::Linear => {
-                    for (d, &xd) in x.iter().enumerate() {
-                        let col = &self.sv_t[d * ns + s0..d * ns + s0 + w];
-                        for (l, &sv) in col.iter().enumerate() {
-                            lane[l] += xd * sv;
-                        }
-                    }
-                }
-            }
-            match self.kernel {
                 Kernel::Rbf { gamma } => {
-                    for (l, &c) in self.coeffs[s0..s0 + w].iter().enumerate() {
-                        acc += c * (-gamma * lane[l]).exp();
+                    for (&xd, svs) in x.iter().zip(tile) {
+                        for (acc_l, &sv) in lane.iter_mut().zip(svs) {
+                            let diff = xd - sv;
+                            *acc_l += diff * diff;
+                        }
+                    }
+                    for (&c, &d2) in coeffs.iter().zip(&lane) {
+                        acc += c * (-gamma * d2).exp();
                     }
                 }
                 Kernel::Linear => {
-                    for (l, &c) in self.coeffs[s0..s0 + w].iter().enumerate() {
-                        acc += c * lane[l];
+                    for (&xd, svs) in x.iter().zip(tile) {
+                        for (acc_l, &sv) in lane.iter_mut().zip(svs) {
+                            *acc_l += xd * sv;
+                        }
+                    }
+                    for (&c, &dot) in coeffs.iter().zip(&lane) {
+                        acc += c * dot;
                     }
                 }
             }
-            s0 += w;
         }
         acc
     }
@@ -441,6 +432,27 @@ impl Svm {
         seeker_par::par_map_cost(xs, seeker_par::Cost::Medium, |x| self.decision_uncounted(x))
     }
 
+    /// Decision values of the rows of `rows`, a row-major block of
+    /// [`Svm::dim`]-float rows, scored serially in row order on the caller
+    /// (callers fan blocks out). Each value is bit-identical to
+    /// [`Svm::decision_one`] of its row; the kernel-evaluation counter is
+    /// bumped once per call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim()` is 0 or `rows.len()` is not a multiple of it.
+    pub fn decision_rows(&self, rows: &[f32]) -> Vec<f32> {
+        assert!(
+            self.dim > 0 && rows.len().is_multiple_of(self.dim),
+            "row block of {} floats is not whole rows of {}",
+            rows.len(),
+            self.dim
+        );
+        let n_rows = rows.len() / self.dim;
+        seeker_obs::counter!("ml.svm.kernel_evals", (n_rows * self.coeffs.len()) as u64);
+        rows.chunks_exact(self.dim).map(|x| self.decision_uncounted(x)).collect()
+    }
+
     /// Decomposes the model into `(kernel, support vectors, coefficients
     /// αᵢyᵢ, bias)` for persistence.
     pub fn to_parts(&self) -> (Kernel, &[Vec<f32>], &[f32], f32) {
@@ -470,8 +482,8 @@ impl Svm {
         if support_x.iter().any(|v| v.len() != dim) {
             return Err("support vector dimension mismatch".into());
         }
-        let sv_t = transpose_svs(&support_x, dim);
-        Ok(Svm { kernel, support_x, coeffs, bias, dim, sv_t })
+        let sv_tiles = tile_svs(&support_x, dim);
+        Ok(Svm { kernel, support_x, coeffs, bias, dim, sv_tiles })
     }
 }
 
@@ -581,30 +593,52 @@ mod tests {
         assert!(svm.predict(&xs).iter().all(|&p| p));
     }
 
-    /// The blocked lane kernel must reproduce the naive per-support-vector
-    /// formula bit for bit, for both kernels and for support-vector counts
-    /// that are not multiples of the lane width.
+    /// The tiled lane kernel must reproduce the naive per-support-vector
+    /// formula bit for bit through every decision entry point, for both
+    /// kernels: on fitted models, and on models of 1..=17 support vectors
+    /// (below, at and across the lane width, so padded lanes are present
+    /// and absent).
     #[test]
     fn blocked_decision_matches_naive_reference_bitwise() {
-        let configs = [
-            SvmConfig { kernel: Kernel::Linear, ..Default::default() },
-            SvmConfig { kernel: Kernel::Rbf { gamma: 1.0 }, c: 5.0, ..Default::default() },
-        ];
-        for cfg in configs {
-            let (xs, ys) = xor_data(150, 23);
-            let svm = Svm::fit(&cfg, &xs, &ys);
-            let (kernel, svs, coeffs, bias) = svm.to_parts();
-            for x in &xs {
-                let mut naive = bias;
-                for (sv, &c) in svs.iter().zip(coeffs.iter()) {
-                    naive += c * kernel.eval(sv, x);
-                }
-                assert_eq!(
-                    naive.to_bits(),
-                    svm.decision_one(x).to_bits(),
-                    "blocked decision diverges from the naive reference ({kernel:?})"
-                );
+        let kernels = [Kernel::Linear, Kernel::Rbf { gamma: 1.0 }, Kernel::Rbf { gamma: 0.05 }];
+        let (xs, ys) = xor_data(150, 23);
+        let mut models: Vec<Svm> = Vec::new();
+        for kernel in kernels {
+            models.push(Svm::fit(&SvmConfig { kernel, c: 5.0, ..Default::default() }, &xs, &ys));
+            let (svs, _) = xor_data(17, 29);
+            // Three features, a row stride other than the fitted models' two.
+            let svs: Vec<Vec<f32>> = svs.iter().map(|v| vec![v[0], v[1], v[0] * v[1]]).collect();
+            for n_sv in 1..=svs.len() {
+                let coeffs: Vec<f32> = (0..n_sv)
+                    .map(|i| if i % 3 == 0 { -0.7 } else { 0.4 + i as f32 / 9.0 })
+                    .collect();
+                models
+                    .push(Svm::from_parts(kernel, svs[..n_sv].to_vec(), coeffs, 0.25, 3).unwrap());
             }
+        }
+        for svm in &models {
+            let (kernel, svs, coeffs, bias) = svm.to_parts();
+            let queries: Vec<Vec<f32>> = xs
+                .iter()
+                .map(|x| if svm.dim() == 2 { x.clone() } else { vec![x[0], x[1], x[1] - x[0]] })
+                .collect();
+            let naive: Vec<u32> = queries
+                .iter()
+                .map(|x| {
+                    let mut acc = bias;
+                    for (sv, &c) in svs.iter().zip(coeffs.iter()) {
+                        acc += c * kernel.eval(sv, x);
+                    }
+                    acc.to_bits()
+                })
+                .collect();
+            let bits = |v: &[f32]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+            let one: Vec<f32> = queries.iter().map(|x| svm.decision_one(x)).collect();
+            let flat: Vec<f32> = queries.concat();
+            let what = format!("{kernel:?}, {} support vectors", svs.len());
+            assert_eq!(bits(&one), naive, "decision_one diverges: {what}");
+            assert_eq!(bits(&svm.decision(&queries)), naive, "decision diverges: {what}");
+            assert_eq!(bits(&svm.decision_rows(&flat)), naive, "decision_rows diverges: {what}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! Pins the exact `ml.svm.kernel_evals` accounting of the batch decision
-//! paths: one hoisted counter add per batch (`rows × n_sv`), one add of
-//! `n_sv` per `decision_one`/`predict_one` call, and `diag + misses × n`
-//! for a fit.
+//! paths: one hoisted counter add per batch or row block (`rows × n_sv`,
+//! real support vectors, not padded lanes), one add of `n_sv` per
+//! `decision_one`/`predict_one` call, and `diag + misses × n` for a fit.
 //!
 //! Counters are global atomics, so this lives in its own integration-test
 //! binary (its own process) where no other test bumps the counter, and the
@@ -67,5 +67,19 @@ fn kernel_eval_counts_are_exact_and_hoisted() {
     // An empty batch counts zero.
     let before = counter_value("ml.svm.kernel_evals");
     let _ = svm.decision(&[]);
+    let _ = svm.decision_rows(&[]);
     assert_eq!(counter_value("ml.svm.kernel_evals") - before, 0);
+
+    // 11 support vectors fill one lane tile of 8 and 3 lanes of a second,
+    // zero-padded one: every entry point counts the 11, not 16 lanes.
+    let odd = Svm::from_parts(cfg.kernel, xs[..11].to_vec(), vec![0.5; 11], 0.1, 2).unwrap();
+    assert_eq!(odd.n_support_vectors(), 11);
+    let flat: Vec<f32> = xs[..5].concat();
+    let before = counter_value("ml.svm.kernel_evals");
+    let _ = odd.decision_rows(&flat);
+    assert_eq!(counter_value("ml.svm.kernel_evals") - before, 5 * 11);
+    let before = counter_value("ml.svm.kernel_evals");
+    let _ = odd.decision(&xs[..13]);
+    let _ = odd.decision_one(&xs[0]);
+    assert_eq!(counter_value("ml.svm.kernel_evals") - before, 14 * 11);
 }

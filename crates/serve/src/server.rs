@@ -1,7 +1,7 @@
 //! The TCP front-end: acceptor, per-connection framing loops, lifecycle.
 
 use std::io::BufWriter;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
@@ -37,6 +37,9 @@ impl Default for ServeConfig {
 /// [`Server::join`].
 pub struct Server {
     addr: SocketAddr,
+    /// Set once no more connections should be accepted; the acceptor reads
+    /// it after each wake-up.
+    shutting_down: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
     state: Option<JoinHandle<()>>,
 }
@@ -69,28 +72,8 @@ impl Server {
             .spawn(move || state::run(&calls, engine, train_pois))
             .map_err(ServeError::Io)?;
 
-        let accept_flag = Arc::clone(&shutting_down);
-        // lint:allow(thread-spawn) -- blocking accept loop; connection I/O must stay off
-        // the seeker-par pool (see crate docs) so plain threads are the correct tool.
-        let acceptor = std::thread::Builder::new()
-            .name("seeker-serve-accept".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if accept_flag.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Some(stream) = accepted(stream) else { continue };
-                    let conn_engine = engine_tx.clone();
-                    let conn_flag = Arc::clone(&accept_flag);
-                    // lint:allow(thread-spawn) -- one blocking framing loop per connection
-                    let _ = std::thread::Builder::new()
-                        .name("seeker-serve-conn".into())
-                        .spawn(move || serve_connection(stream, &conn_engine, &conn_flag));
-                }
-            })
-            .map_err(ServeError::Io)?;
-
-        Ok(Server { addr, acceptor: Some(acceptor), state: Some(state) })
+        let acceptor = spawn_acceptor(listener, engine_tx, Arc::clone(&shutting_down))?;
+        Ok(Server { addr, shutting_down, acceptor: Some(acceptor), state: Some(state) })
     }
 
     /// The bound address (resolves an ephemeral port request).
@@ -99,17 +82,64 @@ impl Server {
     }
 
     /// Waits for the state thread and the acceptor to exit. Call after a
-    /// client has sent [`Request::Shutdown`].
+    /// client has sent [`Request::Shutdown`]; returns as well once the
+    /// state thread has ended by any other path, such as a panic.
     pub fn join(mut self) {
         if let Some(h) = self.state.take() {
             let _ = h.join();
         }
-        // The shutdown path already woke the acceptor; joining it here
-        // just reaps the thread.
+        // However the state thread ended, no request can be answered any
+        // more. After a served shutdown the acceptor is already stopping;
+        // after a panic no connection saw `ShutdownOk`, so stop it here.
+        stop_accepting(&self.shutting_down, self.addr);
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
     }
+}
+
+/// Spawns the acceptor: one framing-loop thread per accepted connection,
+/// each sending its requests to the state thread over `engine`, until a
+/// wake-up finds `shutting_down` set.
+fn spawn_acceptor(
+    listener: TcpListener,
+    engine: Sender<Call>,
+    shutting_down: Arc<AtomicBool>,
+) -> Result<JoinHandle<()>> {
+    // lint:allow(thread-spawn) -- blocking accept loop; connection I/O must stay off
+    // the seeker-par pool (see crate docs) so plain threads are the correct tool.
+    std::thread::Builder::new()
+        .name("seeker-serve-accept".into())
+        .spawn(move || {
+            for stream in listener.incoming() {
+                if shutting_down.load(Ordering::SeqCst) {
+                    break;
+                }
+                let Some(stream) = accepted(stream) else { continue };
+                let conn_engine = engine.clone();
+                let conn_flag = Arc::clone(&shutting_down);
+                // lint:allow(thread-spawn) -- one blocking framing loop per connection
+                let _ = std::thread::Builder::new()
+                    .name("seeker-serve-conn".into())
+                    .spawn(move || serve_connection(stream, &conn_engine, &conn_flag));
+            }
+        })
+        .map_err(ServeError::Io)
+}
+
+/// Sets the acceptor's flag, then wakes its blocking `accept` with a
+/// connection to `addr` (the loopback address if `addr` is unspecified) so
+/// it observes the flag. A failed connect just means the listener is
+/// already gone.
+fn stop_accepting(shutting_down: &AtomicBool, mut addr: SocketAddr) {
+    shutting_down.store(true, Ordering::SeqCst);
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
 }
 
 /// The acceptor's hand-off of a new connection to its thread: turns off
@@ -131,11 +161,9 @@ fn serve_connection(stream: TcpStream, engine: &Sender<Call>, shutting_down: &Ar
         Err(_) => false, // EOF / broken pipe / malformed peer: drop quietly
     };
     if peer_shutdown {
-        shutting_down.store(true, Ordering::SeqCst);
-        // Wake the blocking accept() so the acceptor observes the flag; an
-        // error just means the listener is already gone.
-        if let Ok(local) = stream.local_addr() {
-            let _ = TcpStream::connect_timeout(&local, Duration::from_secs(1));
+        match stream.local_addr() {
+            Ok(local) => stop_accepting(shutting_down, local),
+            Err(_) => shutting_down.store(true, Ordering::SeqCst),
         }
     }
 }
@@ -168,6 +196,36 @@ fn serve_frames(stream: &TcpStream, engine: &Sender<Call>) -> Result<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
+
+    /// A server whose state thread ends without any connection seeing
+    /// `ShutdownOk` (here it drops its receiver and returns; a panic ends
+    /// it the same way) still joins: `join` stops the acceptor itself.
+    #[test]
+    fn join_returns_once_the_state_thread_is_gone() {
+        let listener = TcpListener::bind(ServeConfig::default().bind).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (engine_tx, calls) = mpsc::channel::<Call>();
+        let shutting_down = Arc::new(AtomicBool::new(false));
+        let state = std::thread::spawn(move || drop(calls));
+        let acceptor = spawn_acceptor(listener, engine_tx, Arc::clone(&shutting_down)).unwrap();
+        let server = Server { addr, shutting_down, acceptor: Some(acceptor), state: Some(state) };
+        // A request to the dead engine is answered, and does not stop the
+        // acceptor.
+        let mut client = crate::Client::connect(addr).unwrap();
+        assert!(client.ping().is_err(), "a dead engine answers no ping");
+        let (done_tx, done) = mpsc::channel();
+        let t0 = Instant::now();
+        std::thread::spawn(move || {
+            server.join();
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "join still blocked after {:?}",
+            t0.elapsed()
+        );
+    }
 
     #[test]
     fn accepted_connections_disable_nagle() {
