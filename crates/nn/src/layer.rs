@@ -151,7 +151,9 @@ impl Dense {
     /// Given the layer input `x`, the activated output `out` (from
     /// [`Dense::forward`]) and the gradient `d_out` w.r.t. that output,
     /// returns the parameter gradients and the gradient w.r.t. `x`.
-    pub fn backward(&self, x: &Matrix, out: &Matrix, d_out: &Matrix) -> (DenseGrads, Matrix) {
+    /// `d_out` is consumed: it is scaled into the pre-activation gradient
+    /// in place.
+    pub fn backward(&self, x: &Matrix, out: &Matrix, d_out: Matrix) -> (DenseGrads, Matrix) {
         let dz = self.dz(out, d_out);
         let dw = x.matmul_transpose_self(&dz);
         let db = dz.column_sums();
@@ -159,9 +161,10 @@ impl Dense {
         (DenseGrads { dw, db }, dx)
     }
 
-    /// Backward pass for a sparse input batch. No input gradient is produced
-    /// (the input layer has nothing upstream).
-    pub fn backward_sparse(&self, rows: &[SparseRow], out: &Matrix, d_out: &Matrix) -> DenseGrads {
+    /// Backward pass for a sparse input batch, consuming `d_out` as
+    /// [`Dense::backward`] does. No input gradient is produced (the input
+    /// layer has nothing upstream).
+    pub fn backward_sparse(&self, rows: &[SparseRow], out: &Matrix, d_out: Matrix) -> DenseGrads {
         let dz = self.dz(out, d_out);
         let mut dw = Matrix::zeros(self.w.rows(), self.w.cols());
         for (i, row) in rows.iter().enumerate() {
@@ -177,13 +180,13 @@ impl Dense {
         DenseGrads { dw, db }
     }
 
-    fn dz(&self, out: &Matrix, d_out: &Matrix) -> Matrix {
+    /// Scales `d_out` in place by the activation derivative at `out`.
+    fn dz(&self, out: &Matrix, mut d_out: Matrix) -> Matrix {
         assert_eq!((out.rows(), out.cols()), (d_out.rows(), d_out.cols()), "shape mismatch");
-        let mut dz = d_out.clone();
-        for (g, &o) in dz.as_mut_slice().iter_mut().zip(out.as_slice().iter()) {
+        for (g, &o) in d_out.as_mut_slice().iter_mut().zip(out.as_slice().iter()) {
             *g *= self.activation.derivative_from_output(o);
         }
-        dz
+        d_out
     }
 
     /// Applies one optimizer update with the given gradients, scaled by
@@ -268,8 +271,8 @@ mod tests {
         let dense = dense_from_sparse(&rows, 5);
         let out = layer.forward(&dense);
         let d_out = Matrix::from_vec(2, 3, vec![0.1, -0.2, 0.3, 0.4, 0.0, -0.1]);
-        let (g_dense, _) = layer.backward(&dense, &out, &d_out);
-        let g_sparse = layer.backward_sparse(&rows, &out, &d_out);
+        let (g_dense, _) = layer.backward(&dense, &out, d_out.clone());
+        let g_sparse = layer.backward_sparse(&rows, &out, d_out);
         for (x, y) in g_dense.dw.as_slice().iter().zip(g_sparse.dw.as_slice().iter()) {
             assert!((x - y).abs() < 1e-5);
         }
@@ -288,7 +291,7 @@ mod tests {
         let loss = |layer: &Dense, x: &Matrix| -> f32 { layer.forward(x).as_slice().iter().sum() };
         let out = layer.forward(&x);
         let d_out = Matrix::from_vec(2, 3, vec![1.0; 6]); // dL/dout = 1
-        let (grads, dx) = layer.backward(&x, &out, &d_out);
+        let (grads, dx) = layer.backward(&x, &out, d_out);
         let eps = 1e-3;
         // dW
         for i in 0..12 {
@@ -328,7 +331,7 @@ mod tests {
             let out = layer.forward(&x);
             let loss = crate::loss::mse_loss(&out, &target);
             let d_out = crate::loss::mse_grad(&out, &target);
-            let (grads, _) = layer.backward(&x, &out, &d_out);
+            let (grads, _) = layer.backward(&x, &out, d_out);
             layer.apply_grads(&grads, &opt, 1.0);
             last = loss;
         }

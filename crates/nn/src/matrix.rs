@@ -1,28 +1,55 @@
 //! A minimal dense `f32` matrix with the operations the network stack needs.
 //!
-//! Row-major storage. The multiply kernels are cache-blocked: fixed-size
-//! register accumulator tiles with a `k`-inner loop (the classic GEMM
-//! micro-kernel shape the auto-vectorizer handles well), parallelized over
-//! fixed-size row bands through `seeker-par` when the multiply is large
-//! enough to amortize a dispatch.
+//! Row-major storage. The products run over fixed-size row bands, in
+//! parallel through `seeker-par` when the multiply is large enough to
+//! amortize a dispatch. Two of them share one row kernel,
+//! `sweep_row`: an output row accumulates `Σ v · src[off + j]` over a list
+//! of `(off, v)` terms in fixed-width column tiles — 32 wide, then 8, then
+//! 1 — each tile's sums held in accumulators across the whole list. Its
+//! inner loop reads contiguous memory with no data-dependent branch, so the
+//! auto-vectorizer turns it into packed multiplies and adds.
+//!
+//! - [`Matrix::matmul`] (`A·B`, every forward pass) gathers each row's
+//!   nonzero `(k, a[i][k])` pairs once, branch-free, into a list the band
+//!   allocates once at `k` entries, then sweeps that list over `B`'s rows.
+//! - [`Matrix::matmul_transpose_other`] (`A·Bᵀ`, input gradients) packs
+//!   `Bᵀ` one panel at a time, at most 256 `k` × 32 columns (32 KB per
+//!   band), and sweeps each band row's dense `a[i][k0..k0 + 256]` over it.
+//! - [`Matrix::matmul_transpose_self`] (`Aᵀ·B`, weight gradients) streams
+//!   both operands top to bottom, adding one scaled `B` row per nonzero
+//!   `a[k][i]`; its branch costs one test per whole output row.
 //!
 //! ## Bit-exactness
 //!
-//! Every kernel preserves the accumulation chain of the original naive
-//! loops exactly: each output element is a single sequential sum over
-//! ascending `k`, with the same exact-zero sparsity skip. Tiling only
-//! changes *which order elements are visited across* `(i, j)`, never the
-//! order *within* one element's sum — and the row-band split is a fixed
-//! 64-row partition independent of the worker count, so serial and
-//! parallel products are bit-identical (asserted by
-//! `tests/par_determinism.rs`).
+//! Every output element is one sequential `f32` sum over ascending `k`,
+//! starting from `0.0`: the chain of the naive triple loops.
+//!
+//! - The forward and weight-gradient chains skip exact zeros of `A`
+//!   (`-0.0` too). A row's nonzero list holds exactly the terms that skip
+//!   keeps, in ascending `k`, so each element adds the same products in
+//!   the same order. The skip is part of the chain: it hides a `±∞` or
+//!   NaN of `B` behind a zero of `A`.
+//! - The input-gradient chain is a plain dot product with no skip, and its
+//!   kernel keeps none: skipping would turn `0·∞` or `0·NaN`, which is
+//!   NaN, into nothing. Between `k`-panels each partial sum is stored in
+//!   the output and reloaded, which is exact in `f32`.
+//! - The vector lanes round as the scalar chain does: each lane does one
+//!   multiply, then one add, and Rust never contracts `a * b + c` into a
+//!   fused multiply-add.
+//! - Tiling changes which elements are computed together, never the order
+//!   within one element's sum, and the row-band split is a fixed 64-row
+//!   partition independent of the worker count, so serial and parallel
+//!   products are bit-identical (asserted by `tests/par_determinism.rs`).
 
 use std::fmt;
 
-/// Row-tile height of the register micro-kernels.
-const MR: usize = 4;
-/// Column-tile width of the `matmul` micro-kernel.
-const NR: usize = 8;
+/// Width of the wide column tile of `sweep_row`.
+const WIDE: usize = 32;
+/// Width of the narrow column tile that covers what wide tiles leave.
+const NARROW: usize = 8;
+/// `k` depth of one packed `Bᵀ` panel of `matmul_transpose_other`:
+/// 256 × `WIDE` floats, 32 KB.
+const K_PANEL: usize = 256;
 /// Rows per parallel band. Fixed — never derived from the worker count —
 /// so the band partition (and therefore every float) is identical for any
 /// number of workers.
@@ -62,6 +89,47 @@ fn banded_rows(
         data.append(&mut band);
     }
     data
+}
+
+/// Adds `Σ v · src[off + j]` over `terms`, in order, onto each `out[j]`:
+/// `WIDE`-column tiles, then `NARROW`, then single columns.
+fn sweep_row<T>(out: &mut [f32], src: &[f32], terms: T)
+where
+    T: Iterator<Item = (usize, f32)> + Clone,
+{
+    let mut j = 0;
+    while j < out.len() {
+        // Copies an iterator over borrowed terms; allocates nothing.
+        // lint:allow(hot-alloc)
+        let terms = terms.clone();
+        j = match out.len() - j {
+            left if left >= WIDE => add_tile::<WIDE>(out, src, j, terms),
+            left if left >= NARROW => add_tile::<NARROW>(out, src, j, terms),
+            _ => add_tile::<1>(out, src, j, terms),
+        };
+    }
+}
+
+/// The `W`-column tile of [`sweep_row`] at column `j`; returns `j + W`.
+/// The `W` sums stay in accumulators while every term adds
+/// `v · src[off + j..off + j + W]`.
+#[inline]
+fn add_tile<const W: usize>(
+    out: &mut [f32],
+    src: &[f32],
+    j: usize,
+    terms: impl Iterator<Item = (usize, f32)>,
+) -> usize {
+    let out = &mut out[j..j + W];
+    let mut acc = [0.0f32; W];
+    acc.copy_from_slice(out);
+    for (off, v) in terms {
+        for (sum, &x) in acc.iter_mut().zip(&src[off + j..off + j + W]) {
+            *sum += v * x;
+        }
+    }
+    out.copy_from_slice(&acc);
+    j + W
 }
 
 /// A dense row-major `f32` matrix.
@@ -168,9 +236,10 @@ impl Matrix {
         &mut self.data
     }
 
-    /// `self @ other` (`rows×k` times `k×cols`): blocked MR×NR register
-    /// micro-kernel over parallel row bands, bit-identical to the naive
-    /// `i-k-j` product (module docs).
+    /// `self @ other` (`rows×k` times `k×cols`): each row's nonzero terms
+    /// swept over `other`'s rows in column tiles, over parallel row bands,
+    /// bit-identical to the naive `i-k-j` product with its exact-zero skip
+    /// (module docs).
     ///
     /// # Panics
     ///
@@ -181,53 +250,18 @@ impl Matrix {
         let a = &self.data;
         let b = &other.data;
         let data = banded_rows(m, n, m * kk * n, |lo, hi, dst| {
-            let mut i0 = lo;
-            while i0 < hi {
-                let ih = (i0 + MR).min(hi);
-                let mut j0 = 0;
-                while j0 < n {
-                    let jh = (j0 + NR).min(n);
-                    if ih - i0 == MR && jh - j0 == NR {
-                        // Full tile: k-inner with an MR×NR accumulator
-                        // block held in registers.
-                        let mut acc = [[0.0f32; NR]; MR];
-                        for k in 0..kk {
-                            let b_blk = &b[k * n + j0..k * n + j0 + NR];
-                            for (mi, acc_row) in acc.iter_mut().enumerate() {
-                                let aik = a[(i0 + mi) * kk + k];
-                                // lint:allow(float-eq) -- exact-zero sparsity skip in the GEMM inner loop
-                                if aik == 0.0 {
-                                    continue;
-                                }
-                                for (o, &bv) in acc_row.iter_mut().zip(b_blk.iter()) {
-                                    *o += aik * bv;
-                                }
-                            }
-                        }
-                        for (mi, acc_row) in acc.iter().enumerate() {
-                            let at = (i0 + mi - lo) * n + j0;
-                            dst[at..at + NR].copy_from_slice(acc_row);
-                        }
-                    } else {
-                        // Edge tile: scalar, same ascending-k chain.
-                        for i in i0..ih {
-                            for j in j0..jh {
-                                let mut acc = 0.0f32;
-                                for k in 0..kk {
-                                    let aik = a[i * kk + k];
-                                    // lint:allow(float-eq) -- exact-zero sparsity skip in the GEMM inner loop
-                                    if aik == 0.0 {
-                                        continue;
-                                    }
-                                    acc += aik * b[k * n + j];
-                                }
-                                dst[(i - lo) * n + j] = acc;
-                            }
-                        }
-                    }
-                    j0 = jh;
+            // The row's nonzero terms `(offset of b's row k, a[i][k])`; one
+            // list per band, at its final size. lint:allow(hot-alloc)
+            let mut terms = vec![(0usize, 0.0f32); kk];
+            for (i, out) in (lo..hi).zip(dst.chunks_exact_mut(n)) {
+                let mut len = 0;
+                for (k, &v) in a[i * kk..(i + 1) * kk].iter().enumerate() {
+                    terms[len] = (k * n, v);
+                    // Branch-free exact-zero skip: a zero's slot is reused.
+                    // lint:allow(float-eq) -- the naive chain skips exact zeros
+                    len += usize::from(v != 0.0);
                 }
-                i0 = ih;
+                sweep_row(out, b, terms[..len].iter().copied());
             }
         });
         Matrix { rows: m, cols: n, data }
@@ -266,8 +300,8 @@ impl Matrix {
         Matrix { rows: ca, cols: n, data }
     }
 
-    /// `self @ otherᵀ` (`rows×k` times `cols×k`ᵀ), without materializing the
-    /// transpose. Used for input gradients `dZ @ Wᵀ`.
+    /// `self @ otherᵀ` (`rows×k` times `cols×k`ᵀ), packing `otherᵀ` one
+    /// 256 × 32 panel at a time. Used for input gradients `dZ @ Wᵀ`.
     ///
     /// # Panics
     ///
@@ -277,36 +311,27 @@ impl Matrix {
         let (m, kk, n) = (self.rows, self.cols, other.rows);
         let a = &self.data;
         let b = &other.data;
-        // Dot-product form: MR rows share one streamed `b` row, giving MR
-        // independent sequential sums (k-inner, fixed accumulator tile).
         let data = banded_rows(m, n, m * kk * n, |lo, hi, dst| {
-            let mut i0 = lo;
-            while i0 < hi {
-                let ih = (i0 + MR).min(hi);
-                for j in 0..n {
-                    let b_row = &b[j * kk..(j + 1) * kk];
-                    if ih - i0 == MR {
-                        let mut acc = [0.0f32; MR];
-                        for (k, &bv) in b_row.iter().enumerate() {
-                            for (mi, o) in acc.iter_mut().enumerate() {
-                                *o += a[(i0 + mi) * kk + k] * bv;
-                            }
-                        }
-                        for (mi, &v) in acc.iter().enumerate() {
-                            dst[(i0 + mi - lo) * n + j] = v;
-                        }
-                    } else {
-                        for i in i0..ih {
-                            let a_row = &a[i * kk..(i + 1) * kk];
-                            let mut acc = 0.0f32;
-                            for (&av, &bv) in a_row.iter().zip(b_row.iter()) {
-                                acc += av * bv;
-                            }
-                            dst[(i - lo) * n + j] = acc;
+            // `otherᵀ[k0..k0 + kb][j0..j0 + w]`, row-major; one panel per
+            // band, at its final size. lint:allow(hot-alloc)
+            let mut panel = vec![0.0f32; K_PANEL.min(kk) * WIDE.min(n)];
+            for j0 in (0..n).step_by(WIDE) {
+                let w = WIDE.min(n - j0);
+                for k0 in (0..kk).step_by(K_PANEL) {
+                    let kb = K_PANEL.min(kk - k0);
+                    for (jj, b_row) in b[j0 * kk..(j0 + w) * kk].chunks_exact(kk).enumerate() {
+                        for (kl, &x) in b_row[k0..k0 + kb].iter().enumerate() {
+                            panel[kl * w + jj] = x;
                         }
                     }
+                    // Each row resumes its sums from `dst` (zero before the
+                    // first panel): an f32 store and reload is exact.
+                    for (i, out) in (lo..hi).zip(dst.chunks_exact_mut(n)) {
+                        let a_panel = &a[i * kk + k0..i * kk + k0 + kb];
+                        let terms = a_panel.iter().enumerate().map(|(kl, &v)| (kl * w, v));
+                        sweep_row(&mut out[j0..j0 + w], &panel[..kb * w], terms);
+                    }
                 }
-                i0 = ih;
             }
         });
         Matrix { rows: m, cols: n, data }
@@ -449,17 +474,75 @@ mod tests {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let data: Vec<f32> = (0..rows * cols)
             .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                if state % 7 == 0 {
+                let s = xorshift(&mut state);
+                if s % 7 == 0 {
                     0.0
                 } else {
-                    ((state >> 16) as i32 % 1000) as f32 / 250.0 - 2.0
+                    uniform(s)
                 }
             })
             .collect();
         Matrix::from_vec(rows, cols, data)
+    }
+
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// A finite value in `(-6, 2)` from the high bits of `s`.
+    fn uniform(s: u64) -> f32 {
+        ((s >> 16) as i32 % 1000) as f32 / 250.0 - 2.0
+    }
+
+    /// An `a` operand whose entries are exact zeros with probability
+    /// `zero_pct`%, `+0.0` and `-0.0` alike. Between the extremes, row
+    /// `rows / 2` and column `cols / 2` are zero throughout.
+    fn zero_heavy(rows: usize, cols: usize, zero_pct: u64, seed: u64) -> Matrix {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut a = Matrix::zeros(rows, cols);
+        for r in 0..rows {
+            for c in 0..cols {
+                let s = xorshift(&mut state);
+                let blank = 0 < zero_pct && zero_pct < 100 && (r == rows / 2 || c == cols / 2);
+                let v = if blank || s % 100 < zero_pct { 0.0 } else { uniform(s) };
+                a.set(r, c, if s & (1 << 40) == 0 { v } else { -v });
+            }
+        }
+        a
+    }
+
+    /// A finite `b` operand with `+∞`, NaN and `-∞` in row `rows / 2` —
+    /// behind `zero_heavy`'s zero column — and NaN in its last row.
+    fn with_specials(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut b = synth(rows, cols, seed);
+        b.set(rows / 2, 0, f32::INFINITY);
+        b.set(rows / 2, cols / 2, f32::NAN);
+        b.set(rows / 2, cols - 1, f32::NEG_INFINITY);
+        b.set(rows - 1, cols / 3, f32::NAN);
+        b
+    }
+
+    fn transpose(x: &Matrix) -> Matrix {
+        let mut t = Matrix::zeros(x.cols(), x.rows());
+        for r in 0..x.rows() {
+            for c in 0..x.cols() {
+                t.set(c, r, x.get(r, c));
+            }
+        }
+        t
+    }
+
+    /// Bit equality, with every NaN equal to every other: Rust leaves a
+    /// NaN result's sign and payload unspecified, so only NaN-ness is part
+    /// of the chain.
+    fn same_bits(x: &[f32], y: &[f32]) -> bool {
+        x.len() == y.len()
+            && x.iter()
+                .zip(y)
+                .all(|(p, q)| p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan()))
     }
 
     /// The naive reference products with the documented accumulation chain
@@ -485,64 +568,84 @@ mod tests {
         out
     }
 
-    /// Blocked kernels must be bitwise identical to the naive chains for
-    /// shapes that hit full tiles, edge tiles, and multiple bands.
+    /// Checks all three products of `a` (`m×k`) and `b` (`k×n`) against
+    /// their naive chains, bit for bit. Returns how many outputs meet a
+    /// non-finite `b` entry only behind zeros of `a`: those must stay
+    /// finite where the chain skips zeros and be NaN where it does not.
+    fn check_against_naive(a: &Matrix, b: &Matrix) -> usize {
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        let naive = naive_matmul(a, b);
+        let blocked = a.matmul(b);
+        assert!(same_bits(&naive, blocked.as_slice()), "matmul {m}x{k}x{n} diverges");
+
+        // AᵀB of the explicit transpose: (Aᵀ)ᵀ B = A @ B, same skip.
+        let tself = transpose(a).matmul_transpose_self(b);
+        assert!(same_bits(&naive, tself.as_slice()), "matmul_transpose_self {m}x{k}x{n} diverges");
+
+        // ABᵀ of the explicit transpose against its own dot-product chain,
+        // which has no zero skip.
+        let bt = transpose(b);
+        let tother = a.matmul_transpose_other(&bt);
+        let mut naive_dot = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for kx in 0..k {
+                    acc += a.get(i, kx) * bt.get(j, kx);
+                }
+                naive_dot[i * n + j] = acc;
+            }
+        }
+        assert!(
+            same_bits(&naive_dot, tother.as_slice()),
+            "matmul_transpose_other {m}x{k}x{n} diverges"
+        );
+
+        let mut hidden = 0;
+        for i in 0..m {
+            for j in 0..n {
+                let meets = |zero: bool| {
+                    (0..k).any(|kx| (a.get(i, kx) == 0.0) == zero && !b.get(kx, j).is_finite())
+                };
+                if meets(true) && !meets(false) {
+                    assert!(
+                        blocked.get(i, j).is_finite(),
+                        "matmul exposed a non-finite behind a zero"
+                    );
+                    assert!(tother.get(i, j).is_nan(), "matmul_transpose_other hid 0·∞ or 0·NaN");
+                    hidden += 1;
+                }
+            }
+        }
+        hidden
+    }
+
+    /// The kernels must be bitwise identical to the naive chains on shapes
+    /// that cross every tile and block edge: `n` around the 8- and 32-wide
+    /// column tiles, `k` past one 256-deep panel, `m` past 8 rows and past
+    /// one 64-row band. `a` runs from no zeros to all zeros (`±0.0`, whole
+    /// zero rows and columns); `b` carries `±∞` and NaN.
     #[test]
     fn blocked_kernels_match_naive_reference_bitwise() {
         for &(m, k, n) in
             &[(1usize, 1usize, 1usize), (4, 8, 8), (5, 7, 9), (67, 33, 13), (130, 17, 70)]
         {
-            let a = synth(m, k, 1 + (m * 31 + n) as u64);
-            let b = synth(k, n, 2 + (k * 17 + n) as u64);
-            let naive = naive_matmul(&a, &b);
-            let blocked = a.matmul(&b);
-            assert!(
-                naive.iter().zip(blocked.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits()),
-                "matmul {m}x{k}x{n} diverges from the naive chain"
-            );
-
-            // AᵀB via the explicit transpose through the (verified) matmul.
-            let at = {
-                let mut t = Matrix::zeros(k, m);
-                for r in 0..m {
-                    for c in 0..k {
-                        t.set(c, r, a.get(r, c));
-                    }
-                }
-                t
-            };
-            let tself = at.matmul_transpose_self(&b); // (Aᵀ)ᵀ B = A @ B
-            assert!(
-                naive.iter().zip(tself.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits()),
-                "matmul_transpose_self {m}x{k}x{n} diverges"
-            );
-
-            // ABᵀ against its own naive dot-product chain.
-            let bt = {
-                let mut t = Matrix::zeros(n, k);
-                for r in 0..k {
-                    for c in 0..n {
-                        t.set(c, r, b.get(r, c));
-                    }
-                }
-                t
-            };
-            let tother = a.matmul_transpose_other(&bt); // A @ (Bᵀ)ᵀ = A @ B
-            let mut naive_dot = vec![0.0f32; m * n];
-            for i in 0..m {
-                for j in 0..n {
-                    let mut acc = 0.0f32;
-                    for kx in 0..k {
-                        acc += a.get(i, kx) * bt.get(j, kx);
-                    }
-                    naive_dot[i * n + j] = acc;
-                }
-            }
-            assert!(
-                naive_dot.iter().zip(tother.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits()),
-                "matmul_transpose_other {m}x{k}x{n} diverges"
+            check_against_naive(
+                &synth(m, k, 1 + (m * 31 + n) as u64),
+                &synth(k, n, 2 + (k * 17 + n) as u64),
             );
         }
+        let mut hidden = 0;
+        for (m, k) in [(1usize, 1usize), (9, 13), (70, 300), (130, 257)] {
+            for n in [1usize, 7, 8, 9, 31, 32, 33, 65] {
+                for zero_pct in [0u64, 50, 100] {
+                    let seed = (m * 1_000_003 + k * 1_009 + n) as u64 + zero_pct;
+                    let a = zero_heavy(m, k, zero_pct, seed);
+                    hidden += check_against_naive(&a, &with_specials(k, n, seed + 1));
+                }
+            }
+        }
+        assert!(hidden > 0, "no non-finite entry of b was hidden behind a zero of a");
     }
 
     /// The parallel band path must produce the serial bits — driven above

@@ -171,23 +171,25 @@ impl Mlp {
     ) -> (Vec<DenseGrads>, Option<Matrix>) {
         assert_eq!(cache.outputs.len(), self.layers.len(), "cache/layer count mismatch");
         let mut grads: Vec<Option<DenseGrads>> = (0..self.layers.len()).map(|_| None).collect();
+        // The pass copies the gradient once: each layer scales what it is
+        // handed in place and returns the next layer's gradient.
         let mut d = d_out.clone();
         for i in (1..self.layers.len()).rev() {
             let x = &cache.outputs[i - 1];
             let out = &cache.outputs[i];
-            let (g, dx) = self.layers[i].backward(x, out, &d);
+            let (g, dx) = self.layers[i].backward(x, out, d);
             grads[i] = Some(g);
             d = dx;
         }
         let out0 = &cache.outputs[0];
         let d_input = match input {
             Input::Dense(x) => {
-                let (g, dx) = self.layers[0].backward(x, out0, &d);
+                let (g, dx) = self.layers[0].backward(x, out0, d);
                 grads[0] = Some(g);
                 Some(dx)
             }
             Input::Sparse(rows) => {
-                let g = self.layers[0].backward_sparse(rows, out0, &d);
+                let g = self.layers[0].backward_sparse(rows, out0, d);
                 grads[0] = Some(g);
                 None
             }
