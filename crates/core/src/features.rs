@@ -7,7 +7,7 @@
 //! `d`-block, and the blocks of lengths `2..=k` are concatenated. The
 //! composite feature `v = h_(a,b) ⊕ s_(a,b)` is what classifier `C'` sees.
 
-use seeker_graph::{KHopSubgraph, PairIndex, PathWalker, SocialGraph};
+use seeker_graph::{EdgeRows, KHopSubgraph, PairIndex, PathWalker, SocialGraph};
 use seeker_nn::Matrix;
 use seeker_trace::{Dataset, UserId, UserPair};
 
@@ -24,8 +24,9 @@ use crate::phase1::{Phase1Model, ENCODE_BLOCK};
 pub struct FeatureStore {
     // Pair → feature row. A lookup searches the run of the pair's `lo`
     // user, not the whole universe. A hash index would iterate in a
-    // nondeterministic order (no-hash-iter). Lookup is on the phase-2 hot
-    // path, once per edge of every collected path.
+    // nondeterministic order (no-hash-iter). The frozen scorer resolves
+    // each graph edge's row through it once per scored graph
+    // (`EdgeRows`), not once per path edge.
     index: PairIndex,
     // Row `r` is row `r % ENCODE_BLOCK` of block `r / ENCODE_BLOCK`; every
     // block but the last is full.
@@ -195,8 +196,25 @@ fn add_path_rows(block: &mut [f32], path: &[UserId], store: &FeatureStore) {
     }
 }
 
-/// The composite feature `v = h ⊕ s` for one pair given the current graph:
-/// the one-row case of the frozen scorer's block writer, `composite_rows`.
+/// Adds the store row of every entry of `rows`, in order, into `block`; an
+/// [`EdgeRows::MISSING`] slot adds nothing.
+fn add_edge_rows(block: &mut [f32], rows: &[u32], store: &FeatureStore) {
+    for &r in rows {
+        if r == EdgeRows::MISSING {
+            continue;
+        }
+        if let Ok(r) = usize::try_from(r) {
+            for (o, &x) in block.iter_mut().zip(store.row(r)) {
+                *o += x;
+            }
+        }
+    }
+}
+
+/// The composite feature `v = h ⊕ s` for one pair given the current graph,
+/// equal bit for bit to its row of the frozen scorer's block writer,
+/// `composite_rows`; each path edge's presence row is looked up in the
+/// store.
 ///
 /// # Panics
 ///
@@ -209,28 +227,36 @@ pub fn composite_feature(
     k: usize,
     store: &FeatureStore,
 ) -> Vec<f32> {
-    let mut v = vec![0.0f32; k * store.dim()];
-    composite_rows(graph, [pair].into_iter(), k, store, &mut v);
+    let d = store.dim();
+    let mut v = vec![0.0f32; k * d];
+    let (h, s) = v.split_at_mut(d);
+    // lint:allow(no-panic) -- documented contract, see above
+    h.copy_from_slice(store.get(pair).expect("pair must belong to the feature store universe"));
+    PathWalker::new().visit_khop_paths(graph, pair, k, |l, path| {
+        add_path_rows(&mut s[(l - 2) * d..(l - 1) * d], path, store);
+    });
     v
 }
 
 /// Writes the composite feature of the `r`-th pair of `pairs` into row `r`
 /// of `block`, a row-major block of `k · d`-float rows, walking every
-/// pair's k-hop paths with one [`PathWalker`]. Each path's presence rows
-/// are added straight into its length's `d`-block of the row, so no path
-/// or row is allocated.
+/// pair's k-hop paths over the graph of `rows` with one [`PathWalker`]. `rows`
+/// holds the store row of every edge of that graph (`EdgeRows::new` over
+/// [`FeatureStore`]'s pair index), so each path's presence rows are added
+/// straight into its length's `d`-block of the row with no lookup, and no
+/// path or row is allocated.
 ///
 /// Row `r` is bit-identical to `h ⊕` [`social_proximity_feature`] of
 /// [`KHopSubgraph::extract`]: every element sums its paths in the
-/// walker's depth-first order, which is the order `extract` stores them
-/// in, and each path's edges in path order, starting from `0.0`.
+/// walker's order, which is the order `extract` stores them in, and each
+/// path's edges in path order, starting from `0.0`.
 ///
 /// # Panics
 ///
 /// Panics if `block` does not hold exactly one row per pair, or if a pair
 /// is outside the store's universe (see [`composite_feature`]).
 pub(crate) fn composite_rows(
-    graph: &SocialGraph,
+    rows: &EdgeRows<'_>,
     pairs: impl ExactSizeIterator<Item = UserPair>,
     k: usize,
     store: &FeatureStore,
@@ -244,8 +270,8 @@ pub(crate) fn composite_rows(
         // lint:allow(no-panic) -- documented contract, see `composite_feature`
         h.copy_from_slice(store.get(pair).expect("pair must belong to the feature store universe"));
         s.fill(0.0);
-        walker.visit_khop_paths(graph, pair, k, |l, path| {
-            add_path_rows(&mut s[(l - 2) * d..(l - 1) * d], path, store);
+        walker.visit_khop_rows(rows, pair, k, |l, path_rows| {
+            add_edge_rows(&mut s[(l - 2) * d..(l - 1) * d], path_rows, store);
         });
     }
 }

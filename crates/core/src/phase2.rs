@@ -22,7 +22,7 @@
 //! re-scored. `TrainedAttack::infer_pairs_full` rescores every row every
 //! iteration; the candidate contract test pins both to identical output.
 
-use seeker_graph::{PairIndex, SocialGraph, REACH_WORK_PER_PAIR};
+use seeker_graph::{EdgeRows, PairIndex, SocialGraph, REACH_WORK_PER_PAIR};
 use seeker_ml::{Kernel, StandardScaler, Svm};
 use seeker_trace::{Dataset, UserId, UserPair};
 
@@ -294,8 +294,16 @@ impl<'a> Scorer<'a> {
                 *fitted = Some((scaler, svm));
             }
             Scorer::Frozen { model, store, n_chunks } => {
+                if dirty.is_empty() {
+                    return;
+                }
                 let n_chunks = (*n_chunks).max(dirty.len().div_ceil(SCORE_BLOCK));
                 let width = k * store.dim();
+                // Every edge's store row, resolved once for this graph.
+                let edge_rows = {
+                    let _span = seeker_obs::span!("phase2.refine.features");
+                    EdgeRows::new(graph, store.index())
+                };
                 for range in seeker_spatial::shard_ranges(dirty.len(), n_chunks) {
                     let rows = &dirty[range];
                     if rows.is_empty() {
@@ -308,7 +316,7 @@ impl<'a> Scorer<'a> {
                             let tile_rows = &rows[t * ROW_TILE..rows.len().min((t + 1) * ROW_TILE)];
                             let mut tile = vec![0.0f32; tile_rows.len() * width];
                             let tile_pairs = tile_rows.iter().map(|&i| pairs[i]);
-                            composite_rows(graph, tile_pairs, k, store, &mut tile);
+                            composite_rows(&edge_rows, tile_pairs, k, store, &mut tile);
                             for row in tile.chunks_exact_mut(width) {
                                 model.scaler.transform_row(row);
                             }

@@ -8,7 +8,7 @@
 use std::collections::VecDeque;
 
 use proptest::prelude::*;
-use seeker_graph::{KHopSubgraph, PairIndex, SocialGraph};
+use seeker_graph::{EdgeRows, KHopSubgraph, PairIndex, SocialGraph};
 use seeker_nn::Matrix;
 use seeker_trace::{UserId, UserPair};
 
@@ -245,7 +245,8 @@ proptest! {
             .collect();
         let store = FeatureStore::from_rows(&universe, Matrix::from_vec(universe.len(), d, values));
         let mut block = vec![f32::NAN; universe.len() * k * d];
-        composite_rows(&graph, universe.iter().copied(), k, &store, &mut block);
+        let rows = EdgeRows::new(&graph, store.index());
+        composite_rows(&rows, universe.iter().copied(), k, &store, &mut block);
         for (&pair, row) in universe.iter().zip(block.chunks_exact(k * d)) {
             let sub = KHopSubgraph::extract(&graph, pair, k);
             let mut expected = store.get(pair).unwrap_or_default().to_vec();

@@ -32,7 +32,7 @@ pub use delta::{changed_edges, reachable_rows, ReachableRows, REACH_WORK_PER_PAI
 /// Undirected friendship graph with O(1) edge tests.
 pub use graph::SocialGraph;
 /// k-hop reachable subgraphs (Definition 6, Theorem 1).
-pub use khop::{all_paths_of_length, count_paths_of_length, KHopSubgraph, PathWalker};
+pub use khop::{all_paths_of_length, count_paths_of_length, EdgeRows, KHopSubgraph, PathWalker};
 /// Pair → row lookup with one run per `lo` user.
 pub use pair_index::PairIndex;
 

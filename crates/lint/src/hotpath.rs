@@ -39,6 +39,7 @@ pub const HOT_PATHS: &[&str] = &[
     "social_proximity_feature",
     "composite_feature",
     "PathWalker::visit_khop_paths",
+    "PathWalker::visit_khop_rows",
     "PathWalker::visit_paths_of_length",
     // SVM scoring per pair.
     "Svm::decision_one",

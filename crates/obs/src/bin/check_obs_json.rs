@@ -6,7 +6,8 @@
 //! contains the per-stage span names and counters the instrumented attack
 //! pipeline is contractually required to emit (quadtree build, JOC
 //! batching, the `G⁰` head pass, encoder fit, SVM fit, each refinement
-//! iteration and its four steps).
+//! iteration and its four steps, and the k-hop walks with their paths and
+//! the walks taken from the pair's `b` endpoint).
 //!
 //! Usage: `check_obs_json [path]` (default `results/OBS_run.json`).
 //! Exits 0 when valid, 1 with a diagnostic on stderr otherwise.
@@ -37,8 +38,14 @@ const REQUIRED_SPANS: &[&str] = &[
 const REQUIRED_GAUGES: &[&str] = &["phase2.infer.iter.edges", "phase2.infer.iter.change_ratio"];
 
 /// Counters the pipeline must have advanced past zero.
-const REQUIRED_COUNTERS: &[&str] =
-    &["core.pairs_evaluated", "spatial.joc.cells", "ml.svm.kernel_evals"];
+const REQUIRED_COUNTERS: &[&str] = &[
+    "core.pairs_evaluated",
+    "spatial.joc.cells",
+    "ml.svm.kernel_evals",
+    "graph.khop.extractions",
+    "graph.khop.paths",
+    "graph.khop.mirrored",
+];
 
 fn check(doc: &JsonValue) -> Result<(), String> {
     let obj = doc.as_object().ok_or("top level is not an object")?;

@@ -15,8 +15,9 @@
 //! Threading model: connection I/O runs on plain `std::thread`s (one
 //! acceptor, one per connection); the inference engine lives on a single
 //! state thread and is never shared or locked. Every request, `Ping`
-//! included, reaches that thread over one `std::sync::mpsc` channel, and
-//! once the thread is gone (shut down, or panicked) every request is
+//! included, reaches that thread over one bounded `std::sync::mpsc`
+//! channel; a request that finds it full is answered `ERR_BUSY` at once,
+//! and once the thread is gone (shut down, or panicked) every request is
 //! answered `ERR_INTERNAL` rather than left waiting. The engine's own
 //! refinement fans out over the `seeker-par` persistent pool — keeping the
 //! I/O plane off that pool is what makes this deadlock-free (a connection

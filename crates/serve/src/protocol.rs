@@ -32,6 +32,9 @@ pub const ERR_BAD_REQUEST: u8 = 3;
 /// Error code: an internal engine failure, or a request the engine thread
 /// can no longer answer because it shut down or panicked.
 pub const ERR_INTERNAL: u8 = 4;
+/// Error code: the engine's request queue was full; nothing was done, and
+/// the request may be sent again.
+pub const ERR_BUSY: u8 = 5;
 
 /// A client request.
 #[derive(Debug, Clone, PartialEq)]

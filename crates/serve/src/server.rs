@@ -3,7 +3,7 @@
 use std::io::BufWriter;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc::{self, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -62,7 +62,7 @@ impl Server {
     ) -> Result<Server> {
         let listener = TcpListener::bind(cfg.bind)?;
         let addr = listener.local_addr()?;
-        let (engine_tx, calls) = mpsc::channel();
+        let (engine_tx, calls) = mpsc::sync_channel(state::QUEUE_DEPTH);
         let shutting_down = Arc::new(AtomicBool::new(false));
 
         // lint:allow(thread-spawn) -- the engine's single-owner thread; hosting it on the
@@ -103,7 +103,7 @@ impl Server {
 /// wake-up finds `shutting_down` set.
 fn spawn_acceptor(
     listener: TcpListener,
-    engine: Sender<Call>,
+    engine: SyncSender<Call>,
     shutting_down: Arc<AtomicBool>,
 ) -> Result<JoinHandle<()>> {
     // lint:allow(thread-spawn) -- blocking accept loop; connection I/O must stay off
@@ -155,7 +155,7 @@ fn accepted(stream: std::io::Result<TcpStream>) -> Option<TcpStream> {
 /// One connection's framing loop: read a request frame, send it to the
 /// state thread, relay the answer. Exits on EOF, protocol violation,
 /// shutdown, or a state thread that is gone.
-fn serve_connection(stream: TcpStream, engine: &Sender<Call>, shutting_down: &Arc<AtomicBool>) {
+fn serve_connection(stream: TcpStream, engine: &SyncSender<Call>, shutting_down: &Arc<AtomicBool>) {
     let peer_shutdown = match serve_frames(&stream, engine) {
         Ok(peer_shutdown) => peer_shutdown,
         Err(_) => false, // EOF / broken pipe / malformed peer: drop quietly
@@ -170,14 +170,14 @@ fn serve_connection(stream: TcpStream, engine: &Sender<Call>, shutting_down: &Ar
 
 /// Returns `Ok(true)` iff the peer requested (and was acknowledged) a
 /// server shutdown.
-fn serve_frames(stream: &TcpStream, engine: &Sender<Call>) -> Result<bool> {
+fn serve_frames(stream: &TcpStream, engine: &SyncSender<Call>) -> Result<bool> {
     let mut reader = stream.try_clone()?;
     let mut writer = BufWriter::new(stream.try_clone()?);
     loop {
         let payload = protocol::read_frame(&mut reader)?;
         // A malformed frame poisons the stream position, and a state thread
         // that is gone answers nothing more: either way, answer once, then
-        // close.
+        // close. A busy answer (`ERR_BUSY`) keeps the connection.
         let (response, close) = match Request::decode(&payload) {
             Ok(request) => match state::call(engine, request) {
                 Ok(response) => (response, false),
@@ -205,7 +205,7 @@ mod tests {
     fn join_returns_once_the_state_thread_is_gone() {
         let listener = TcpListener::bind(ServeConfig::default().bind).unwrap();
         let addr = listener.local_addr().unwrap();
-        let (engine_tx, calls) = mpsc::channel::<Call>();
+        let (engine_tx, calls) = mpsc::sync_channel::<Call>(state::QUEUE_DEPTH);
         let shutting_down = Arc::new(AtomicBool::new(false));
         let state = std::thread::spawn(move || drop(calls));
         let acceptor = spawn_acceptor(listener, engine_tx, Arc::clone(&shutting_down)).unwrap();

@@ -1,14 +1,16 @@
 //! The engine state thread: the one owner of an [`IncrementalAttack`], fed
-//! over one `std::sync::mpsc` channel.
+//! over one bounded `std::sync::mpsc` channel.
 //!
 //! Connection threads never touch the engine. Each sends its decoded
 //! [`Request`] down the channel with a reply [`Sender`] and waits for the
 //! answer ([`call`]); the state thread receives the requests in arrival
 //! order and answers each through one match, `State::handle`. The channel
-//! is the only state the threads share, so the crate takes no lock. When
-//! the state thread is gone, returned after a `Shutdown` or unwound by a
-//! panic, every request still waiting and every later one is answered
-//! `ERR_INTERNAL` instead of blocking.
+//! is the only state the threads share, so the crate takes no lock. It
+//! holds at most [`QUEUE_DEPTH`] requests: one more is answered `ERR_BUSY`
+//! at once, and its connection stays open. When the state thread is gone,
+//! returned after a `Shutdown` or unwound by a panic, every request still
+//! waiting and every later one is answered `ERR_INTERNAL` instead of
+//! blocking.
 //!
 //! Ingest batches are validated on arrival (and acknowledged or rejected
 //! immediately — validation is against the fixed user/POI tables and
@@ -20,14 +22,14 @@
 //! preceding writes, while bursty writers amortize the delta pipeline
 //! across many frames.
 
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
 use std::time::{Duration, Instant};
 
 use friendseeker::{AttackError, IncrementalAttack};
 use seeker_trace::{CheckIn, Poi, UserId};
 
 use crate::protocol::{
-    Request, Response, ServeStats, ERR_BAD_REQUEST, ERR_INGEST, ERR_INTERNAL, ERR_PERSIST,
+    Request, Response, ServeStats, ERR_BAD_REQUEST, ERR_BUSY, ERR_INGEST, ERR_INTERNAL, ERR_PERSIST,
 };
 use crate::snapshot;
 use crate::ServeError;
@@ -39,21 +41,34 @@ const FLUSH_DEADLINE: Duration = Duration::from_millis(5);
 /// Flush at once when this many check-ins are staged.
 const MAX_STAGED_CHECKINS: usize = 10_000;
 
+/// How many requests may wait for the state thread at once. A connection
+/// has at most one request in flight, so the queue fills only when this
+/// many connections are waiting together.
+pub(crate) const QUEUE_DEPTH: usize = 64;
+
 /// One request on its way to the state thread, with the sender its answer
 /// goes back through.
 pub(crate) type Call = (Request, Sender<Response>);
 
 /// Sends `request` to the state thread and waits for the answer.
 ///
-/// `Err` is the `ERR_INTERNAL` answer for a state thread that is gone,
-/// after a `Shutdown` or a panic: it answers nothing more, so the
+/// A full queue answers `ERR_BUSY` at once, counted on
+/// `serve.reject.busy`; the request is dropped and the connection may send
+/// it again. `Err` is the `ERR_INTERNAL` answer for a state thread that is
+/// gone, after a `Shutdown` or a panic: it answers nothing more, so the
 /// connection writes this itself and closes. One `recv` notices every way
 /// the thread goes, because each drops the reply sender: a failed send
 /// drops it with the request, a dropped receiver drops every queued call,
 /// and an unwinding thread drops the call it was answering.
-pub(crate) fn call(engine: &Sender<Call>, request: Request) -> Result<Response, Response> {
+pub(crate) fn call(engine: &SyncSender<Call>, request: Request) -> Result<Response, Response> {
     let (reply, answer) = mpsc::channel();
-    let _ = engine.send((request, reply));
+    if let Err(TrySendError::Full(_)) = engine.try_send((request, reply)) {
+        seeker_obs::counter!("serve.reject.busy", 1);
+        return Ok(Response::Error {
+            code: ERR_BUSY,
+            message: format!("the engine's request queue is full ({QUEUE_DEPTH} waiting)"),
+        });
+    }
     answer.recv().map_err(|_| Response::Error {
         code: ERR_INTERNAL,
         message: "the engine thread is gone".into(),
@@ -323,7 +338,7 @@ mod tests {
         let gone = |answer: Result<Response, Response>| {
             matches!(answer, Err(Response::Error { code: ERR_INTERNAL, .. }))
         };
-        let (engine, calls) = mpsc::channel();
+        let (engine, calls) = mpsc::sync_channel(QUEUE_DEPTH);
         std::thread::scope(|s| {
             let queued = s.spawn(|| call(&engine, Request::Stats));
             // Receiving the call proves it was sent; queue it again, then
@@ -335,6 +350,23 @@ mod tests {
             assert!(gone(queued.join().unwrap()));
         });
         assert!(gone(call(&engine, Request::Stats)));
+    }
+
+    /// A full queue turns the next call away at once with `ERR_BUSY`, an
+    /// answer that keeps the connection open, while the queued call waits.
+    #[test]
+    fn full_queue_answers_busy_at_once() {
+        let (engine, calls) = mpsc::sync_channel::<Call>(1);
+        let (reply, _answer) = mpsc::channel();
+        engine.try_send((Request::Ping, reply)).unwrap();
+        // lint:allow(no-system-time) -- the answer must not wait on the engine
+        let t0 = Instant::now();
+        let busy = call(&engine, Request::Stats);
+        assert!(matches!(busy, Ok(Response::Error { code: ERR_BUSY, .. })), "{busy:?}");
+        assert!(t0.elapsed() < Duration::from_secs(1), "busy answer took {:?}", t0.elapsed());
+        // The queued call is still the only one waiting.
+        assert!(matches!(calls.try_recv(), Ok((Request::Ping, _))));
+        assert!(calls.try_recv().is_err());
     }
 
     #[test]
