@@ -13,20 +13,27 @@ use seeker_trace::{Dataset, UserId, UserPair};
 
 use crate::phase1::{Phase1Model, ENCODE_BLOCK};
 
-/// Precomputed presence-proximity features for a fixed pair universe.
+/// Precomputed presence-proximity features for a pair universe.
 ///
 /// Phase 2 needs `h` for every edge that can appear on a path, and every
 /// such edge is a member of the pair universe the graph was predicted from,
 /// so one encoding pass per inference serves `G⁰` and every iteration.
 /// The rows are kept as the [`Phase1Model`]'s encoding blocks of at most
 /// 16,384 rows each, not as one universe-sized matrix.
+///
+/// Rows are addressed by *slot*: a built store's slot `i` is the `i`-th
+/// pair it was built over, and a pair an incremental session adds later
+/// (`FeatureStore::update`) takes the next free slot, so no row ever
+/// moves. Refinement numbers its rows by slot. The store keeps no slot →
+/// pair list: its caller already holds one (the pairs it was built over,
+/// or a session's slot list).
 #[derive(Debug, Clone)]
 pub struct FeatureStore {
-    // Pair → feature row. A lookup searches the run of the pair's `lo`
-    // user, not the whole universe. A hash index would iterate in a
-    // nondeterministic order (no-hash-iter). The frozen scorer resolves
-    // each graph edge's row through it once per scored graph
-    // (`EdgeRows`), not once per path edge.
+    // Pair → slot. A lookup searches the run of the pair's `lo` user, not
+    // the whole universe. A hash index would iterate in a nondeterministic
+    // order (no-hash-iter). The frozen scorer resolves each graph edge's
+    // row through it once per scored graph (`EdgeRows`), not once per path
+    // edge.
     index: PairIndex,
     // Row `r` is row `r % ENCODE_BLOCK` of block `r / ENCODE_BLOCK`; every
     // block but the last is full.
@@ -34,7 +41,7 @@ pub struct FeatureStore {
 }
 
 impl FeatureStore {
-    /// Encodes all `pairs` on `ds` through the phase-1 encoder; row `i`
+    /// Encodes all `pairs` on `ds` through the phase-1 encoder; slot `i`
     /// is `pairs[i]`.
     ///
     /// # Panics
@@ -42,8 +49,7 @@ impl FeatureStore {
     /// Panics if `pairs` is empty or contains duplicates.
     pub fn build(model: &Phase1Model, ds: &Dataset, pairs: &[UserPair]) -> Self {
         let _span = seeker_obs::span!("core.features.build");
-        let index = PairIndex::new(pairs);
-        FeatureStore { index, blocks: model.feature_blocks(ds, pairs) }
+        FeatureStore { index: PairIndex::new(pairs), blocks: model.feature_blocks(ds, pairs) }
     }
 
     /// A store over at most [`ENCODE_BLOCK`] distinct `pairs` whose row `i`
@@ -75,23 +81,16 @@ impl FeatureStore {
     }
 
     /// Row `r` of the store.
-    fn row(&self, r: usize) -> &[f32] {
+    pub(crate) fn row(&self, r: usize) -> &[f32] {
         self.blocks[r / ENCODE_BLOCK].row(r % ENCODE_BLOCK)
     }
 
-    /// The pair → row index of the store.
+    /// The pair → slot index of the store.
     pub(crate) fn index(&self) -> &PairIndex {
         &self.index
     }
 
-    /// Whether row `i` of the store is `pairs[i]` for every `i`, and the
-    /// store holds nothing else.
-    pub(crate) fn covers(&self, pairs: &[UserPair]) -> bool {
-        self.len() == pairs.len()
-            && pairs.iter().enumerate().all(|(i, &p)| self.index.get(p) == Some(i))
-    }
-
-    /// Classifier `C`'s friend probability of every row, in row order,
+    /// Classifier `C`'s friend probability of every row, in slot order,
     /// classified block by block from the stored rows: for a built store,
     /// the [`Phase1Model::predict_proba`] of its pairs, with no pair
     /// encoded twice.
@@ -104,63 +103,57 @@ impl FeatureStore {
         out
     }
 
-    /// Merges two stores built from the same model and dataset into one
-    /// lookup universe, with its rows in pair order: an incremental session
-    /// merges the rows it re-encoded over the store it keeps.
+    /// Brings the store up to date with a grown dataset `ds`, in place.
+    /// `slots` is the slot → pair list of the grown store: the stored
+    /// pairs, then the pairs to add (sorted, none stored yet), which take
+    /// the next free slots. The `dirty` rows (sorted slots, every added one
+    /// among them) are re-encoded and overwritten. Returns classifier `C`'s
+    /// friend probability of each `dirty` row, classified from its fresh
+    /// encoding.
     ///
-    /// A pair present in both keeps `self`'s row — the rows are identical by
-    /// construction, because `h` is a pure per-pair function of the model
-    /// and dataset and encoding a row does not depend on its batch.
+    /// A row the update does not touch keeps its bits; a touched one gets
+    /// exactly what [`FeatureStore::build`] would encode, because `h` is a
+    /// pure per-pair function of the model and dataset and encoding a row
+    /// does not depend on its batch.
     ///
     /// # Panics
     ///
-    /// Panics if the two stores disagree on the feature dimension.
-    pub fn merged(&self, other: &FeatureStore) -> FeatureStore {
-        assert_eq!(self.dim(), other.dim(), "feature stores must share one dimension");
-        let d = self.dim();
-        // At most this many rows, fewer by the pairs the stores share.
-        let bound = self.len() + other.len();
-        let mut index: Vec<(UserPair, usize)> = Vec::with_capacity(bound);
-        let mut blocks: Vec<Matrix> = Vec::new();
-        let mut data: Vec<f32> = Vec::new();
-        let mut push = |pair: UserPair, row: &[f32]| {
-            if data.is_empty() {
-                data.reserve_exact(ENCODE_BLOCK.min(bound - index.len()) * d);
-            }
-            index.push((pair, index.len()));
-            data.extend_from_slice(row);
-            if data.len() == ENCODE_BLOCK * d {
-                blocks.push(Matrix::from_vec(ENCODE_BLOCK, d, std::mem::take(&mut data)));
-            }
+    /// Panics if `slots` is shorter than the store, if its added pairs are
+    /// unsorted or hold a stored pair, or if `dirty` is empty or names a
+    /// slot past `slots`.
+    pub(crate) fn update(
+        &mut self,
+        model: &Phase1Model,
+        ds: &Dataset,
+        slots: &[UserPair],
+        dirty: &[usize],
+    ) -> Vec<f64> {
+        let first = self.len();
+        let added: Vec<(UserPair, usize)> = slots[first..].iter().copied().zip(first..).collect();
+        self.index.insert(&added);
+        let dirty_pairs: Vec<UserPair> = dirty.iter().map(|&r| slots[r]).collect();
+        let fresh = {
+            let _span = seeker_obs::span!("core.features.build");
+            model.feature_blocks(ds, &dirty_pairs)
         };
-        let (ours, theirs) = (self.index.entries(), other.index.entries());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < ours.len() || j < theirs.len() {
-            match (ours.get(i), theirs.get(j)) {
-                (Some(&(pa, ra)), Some(&(pb, _))) if pa < pb => {
-                    push(pa, self.row(ra));
-                    i += 1;
+        let fresh_rows = fresh.iter().flat_map(|block| (0..block.rows()).map(|i| block.row(i)));
+        for (&r, row) in dirty.iter().zip(fresh_rows) {
+            if r < first {
+                self.blocks[r / ENCODE_BLOCK].row_mut(r % ENCODE_BLOCK).copy_from_slice(row);
+            } else {
+                debug_assert_eq!(r, self.blocks.iter().map(Matrix::rows).sum::<usize>());
+                match self.blocks.last_mut() {
+                    Some(block) if block.rows() < ENCODE_BLOCK => block.append_rows(row),
+                    _ => self.blocks.push(Matrix::from_vec(1, row.len(), row.to_vec())),
                 }
-                (Some(&(pa, ra)), Some(&(pb, _))) if pa == pb => {
-                    push(pa, self.row(ra));
-                    i += 1;
-                    j += 1;
-                }
-                (_, Some(&(pb, rb))) => {
-                    push(pb, other.row(rb));
-                    j += 1;
-                }
-                (Some(&(pa, ra)), None) => {
-                    push(pa, self.row(ra));
-                    i += 1;
-                }
-                (None, None) => unreachable!("loop condition"),
             }
         }
-        if !data.is_empty() {
-            blocks.push(Matrix::from_vec(data.len() / d, d, data));
+        let _span = seeker_obs::span!("phase1.classify");
+        let mut proba = Vec::with_capacity(dirty.len());
+        for block in &fresh {
+            proba.extend(model.predict_proba_encoded(block));
         }
-        FeatureStore { index: PairIndex::from_entries(index), blocks }
+        proba
     }
 }
 
@@ -354,29 +347,48 @@ mod tests {
         assert_eq!(&v[..d], store.get(pairs[0]).unwrap());
     }
 
+    /// `base` updated in place: the `added` pairs (sorted) take the next
+    /// slots, and `stale` old slots plus every added one are re-encoded.
+    fn updated(
+        model: &Phase1Model,
+        ds: &Dataset,
+        base: &[UserPair],
+        added: &[UserPair],
+        stale: &[usize],
+    ) -> (FeatureStore, Vec<usize>, Vec<f64>) {
+        let mut store = FeatureStore::build(model, ds, base);
+        let slots: Vec<UserPair> = base.iter().chain(added).copied().collect();
+        let dirty: Vec<usize> = stale.iter().copied().chain(base.len()..slots.len()).collect();
+        let proba = store.update(model, ds, &slots, &dirty);
+        (store, dirty, proba)
+    }
+
     #[test]
-    fn merged_store_is_a_sorted_union() {
+    fn updated_store_equals_a_build_over_its_slots() {
         let (ds, model, pairs) = setup();
         let sub = &pairs[..200];
-        let full = FeatureStore::build(model, ds, sub);
-        // Overlapping halves: the union must dedup and keep bit-identical rows.
-        let a = FeatureStore::build(model, ds, &sub[..120]);
-        let b = FeatureStore::build(model, ds, &sub[80..]);
-        let merged = a.merged(&b);
-        assert_eq!(merged.len(), sub.len());
-        assert_eq!(merged.dim(), full.dim());
-        for &p in sub {
-            assert_eq!(merged.get(p).unwrap(), full.get(p).unwrap());
+        // Old pairs before, between and after the added ones.
+        let base: Vec<UserPair> = sub.iter().copied().step_by(3).collect();
+        let added: Vec<UserPair> = sub.iter().copied().filter(|p| !base.contains(p)).collect();
+        let (store, dirty, proba) = updated(model, ds, &base, &added, &[0, 7, 30]);
+        let slots: Vec<UserPair> = base.iter().chain(&added).copied().collect();
+        let full = FeatureStore::build(model, ds, &slots);
+        assert_eq!(store.len(), slots.len());
+        assert_eq!(store.index(), full.index());
+        assert_eq!(store.dim(), full.dim());
+        for (r, &p) in slots.iter().enumerate() {
+            assert_eq!(store.row(r), full.row(r), "{p}");
+            assert_eq!(store.get(p), full.get(p), "{p}");
         }
-        // Disjoint merge commutes on lookups.
-        let c = FeatureStore::build(model, ds, &sub[..100]);
-        let d = FeatureStore::build(model, ds, &sub[100..]);
-        let cd = c.merged(&d);
-        let dc = d.merged(&c);
-        assert_eq!(cd.len(), sub.len());
-        for &p in sub {
-            assert_eq!(cd.get(p).unwrap(), dc.get(p).unwrap());
-        }
+        let dirty_pairs: Vec<UserPair> = dirty.iter().map(|&r| slots[r]).collect();
+        let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&proba), bits(&model.predict_proba(ds, &dirty_pairs)));
+        // An update that adds nothing only overwrites.
+        let mut again = store.clone();
+        let proba = again.update(model, ds, &slots, &[1, 2]);
+        assert_eq!(proba.len(), 2);
+        assert_eq!(again.index(), store.index());
+        assert_eq!(again.row(2), store.row(2));
     }
 
     /// Checks `store.get` against a linear search of `pairs`, whose
@@ -401,7 +413,7 @@ mod tests {
     }
 
     #[test]
-    fn get_matches_a_linear_search_on_built_and_merged_stores() {
+    fn get_matches_a_linear_search_on_built_and_updated_stores() {
         let (ds, model, pairs) = setup();
         // Users 3..12, every other pair, in reverse: runs start after user
         // 0, leave holes inside, and end before the last user looked up.
@@ -416,32 +428,13 @@ mod tests {
         let rows = model.features(ds, &sub);
         let built = FeatureStore::build(model, ds, &sub);
         assert_get_matches_linear_search(&built, &sub, &rows, 24);
-        // Overlapping and disjoint merges hold the same rows.
-        let (head, tail) = (&sub[..sub.len() / 2 + 5], &sub[sub.len() / 2 - 5..]);
-        let a = FeatureStore::build(model, ds, head);
-        let b = FeatureStore::build(model, ds, tail);
-        assert_get_matches_linear_search(&a.merged(&b), &sub, &rows, 24);
-        assert_get_matches_linear_search(&b.merged(&a), &sub, &rows, 24);
-        let (c, d) = sub.split_at(sub.len() / 3);
-        let merged = FeatureStore::build(model, ds, d).merged(&FeatureStore::build(model, ds, c));
-        assert_get_matches_linear_search(&merged, &sub, &rows, 24);
-    }
-
-    #[test]
-    fn built_and_merged_stores_index_their_pairs_in_row_order() {
-        let (ds, model, pairs) = setup();
-        // A built store over an unsorted list maps `pairs[i]` to row `i`.
-        let mut sub: Vec<UserPair> = pairs[..300].to_vec();
-        sub.reverse();
-        let built = FeatureStore::build(model, ds, &sub);
-        assert_eq!(built.index(), &PairIndex::new(&sub));
-        assert!(built.covers(&sub));
-        assert!(!built.covers(&sub[1..]));
-        // A merged store holds the sorted union, row `i` its `i`-th pair.
-        let merged = FeatureStore::build(model, ds, &sub[..120]).merged(&built);
-        sub.sort_unstable();
-        assert_eq!(merged.index(), &PairIndex::new(&sub));
-        assert!(merged.covers(&sub));
+        // Added pairs land before, inside and past the old runs.
+        let (head, tail) = sub.split_at(sub.len() / 2);
+        let mut added = head.to_vec();
+        added.sort_unstable();
+        let slots: Vec<UserPair> = tail.iter().chain(&added).copied().collect();
+        let (store, _, _) = updated(model, ds, tail, &added, &[1]);
+        assert_get_matches_linear_search(&store, &slots, &model.features(ds, &slots), 24);
     }
 
     #[test]
@@ -454,11 +447,11 @@ mod tests {
         let sub = &all_pairs(ds).unwrap()[..n];
         let rows = model.features(ds, sub);
         let built = FeatureStore::build(model, ds, sub);
-        let head = FeatureStore::build(model, ds, &sub[..n / 2]);
-        let merged = head.merged(&FeatureStore::build(model, ds, &sub[n / 3..]));
-        for store in [&built, &merged] {
+        // Appends fill the head's last block and open a second one.
+        let (updated, _, _) = updated(model, ds, &sub[..n / 2], &sub[n / 2..], &[3]);
+        for store in [&built, &updated] {
             assert_eq!(store.blocks.len(), 2);
-            assert!(store.covers(sub));
+            assert_eq!(store.index(), &PairIndex::new(sub));
             for (i, &p) in sub.iter().enumerate() {
                 assert_eq!(store.get(p), Some(rows.row(i)), "{p}");
             }
@@ -466,6 +459,7 @@ mod tests {
         let proba = model.predict_proba(ds, sub);
         let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&built.predict_proba(model)), bits(&proba));
+        assert_eq!(bits(&updated.predict_proba(model)), bits(&proba));
     }
 
     #[test]

@@ -4,41 +4,49 @@
 //! [`IncrementalAttack`] owns a trained attack and a growing target
 //! dataset. Each [`IncrementalAttack::ingest`] call appends a check-in
 //! batch and brings the inference result up to date by recomputing only
-//! what the batch could have changed:
+//! what the batch could have changed, in place, at a cost that follows the
+//! batch rather than the session:
 //!
 //! 1. the batch's STD footprint ([`seeker_spatial::DataDelta`]) names the
-//!    dirtied cells and users;
+//!    dirtied cells and users, and the dataset merges the batch in place
+//!    ([`seeker_trace::Dataset::append`]);
 //! 2. the inverted cell index absorbs the batch in place
 //!    ([`seeker_spatial::CellIndex::apply`]) and surfaces the pairs that
 //!    newly co-locate — the only way the candidate universe can grow
-//!    (check-ins are only ever added, so co-location is monotone);
+//!    (check-ins are only ever added, so co-location is monotone); they
+//!    are spliced into the result's sorted pair lists, and the dirty rows
+//!    are read off each touched user's universe partners;
 //! 3. presence features are re-encoded, once, for exactly the pairs with
-//!    a dirtied endpoint, and classifier `C` re-scores those rows from
-//!    their encoded features — per-pair purity of the encoder and of `C`
-//!    makes the partial batch bitwise equal to a full re-encode — and `G⁰`
-//!    is re-thresholded from the cached probabilities;
+//!    a dirtied endpoint, overwriting their rows in the presence store (a
+//!    new pair takes the next free slot, so no row moves), and classifier
+//!    `C` re-scores those rows from their encoded features — per-pair
+//!    purity of the encoder and of `C` makes the partial batch bitwise
+//!    equal to a full re-encode — and `G⁰` is patched with the decisions
+//!    those rows flipped;
 //! 4. phase-2 refinement resumes the previous run iteration by iteration
 //!    (the [`crate::phase2`] warm-resume path): the session's last result
-//!    is the resume state, and iteration `t` starts from that run's
-//!    predictions on its own `Gᵗ`. Every resumed iteration rescores the
-//!    rows its graph diff reaches, the rows near a dirty user, and the
-//!    rows step 3 re-encoded; past the previous run's last iteration the
-//!    run goes on from its own previous one.
+//!    is the resume state, and iteration `t` patches the rows it rescores
+//!    into the graph that run's iteration `t` scored. Every resumed
+//!    iteration rescores the rows its graph diff reaches, the rows near a
+//!    dirty user, and the rows step 3 re-encoded; past the previous run's
+//!    last iteration the run goes on from its own previous one.
 //!
 //! The contract — pinned by the `serve_contract` append==rebuild proptest —
 //! is that after any sequence of ingests the session's result is
 //! **bit-identical** to rerunning [`TrainedAttack::infer`] on the
-//! equivalent rebuilt dataset.
+//! equivalent rebuilt dataset, and the session's state (dataset, universe,
+//! cached rows and probabilities, `G⁰`) equals a session opened on it.
 
+use seeker_graph::SocialGraph;
 use seeker_spatial::{CellIndex, DataDelta};
-use seeker_trace::{CheckIn, Dataset, UserId, UserPair};
+use seeker_trace::{merge_sorted_by_key, CheckIn, Dataset, UserId, UserPair};
 
 use crate::attack::{InferenceResult, TrainedAttack};
 use crate::candidates::CandidateUniverse;
 use crate::error::{AttackError, Result};
 use crate::features::FeatureStore;
 use crate::pairs::{all_pairs, pair_universe_size};
-use crate::phase2::graph_from_predictions;
+use crate::phase2::{graph_from_predictions, IterationTrace};
 
 /// Construction options for an [`IncrementalAttack`] session.
 #[derive(Debug, Clone, Default)]
@@ -73,22 +81,28 @@ pub struct IncrementalAttack {
     /// Inverted STD cell index of `dataset` (kept in sync by
     /// `CellIndex::apply`).
     index: CellIndex,
-    /// Co-location candidate pairs, canonical order — the universe record.
-    candidates: Vec<UserPair>,
-    /// The pair list actually classified (`candidates`, or the quadratic
-    /// universe under the zero-JOC fallback, `residue_predicted_friend`).
-    pairs: Vec<UserPair>,
-    /// Classifier `C`'s cached friend probability per pair, aligned with
-    /// `pairs` — thresholding reproduces `Phase1Model::predict_graph`
-    /// bit-for-bit.
-    p1_proba: Vec<f64>,
-    /// Presence features for `pairs` (None while the universe is empty).
+    /// Presence rows of the classified pairs, by slot (None while there
+    /// are none).
     store: Option<FeatureStore>,
-    n_total: u64,
+    /// Slot → pair of the store: the classified pairs in the order they
+    /// joined the session. A cold inference's slots are its sorted pairs;
+    /// a session appends each flush's new pairs, so only here does slot
+    /// order differ from sorted order.
+    slots: Vec<UserPair>,
+    /// Classifier `C`'s cached friend probability per store slot —
+    /// thresholding reproduces `Phase1Model::predict_graph` bit-for-bit.
+    p1_proba: Vec<f64>,
+    /// Per user `u`, the slots of the classified pairs whose `hi` is `u`;
+    /// with the store index's run of `u` (the pairs whose `lo` is `u`),
+    /// `u`'s universe partners.
+    hi_slots: Vec<Vec<usize>>,
+    /// Classifier `C`'s probability of the zero JOC, which the
+    /// never-co-located residue is scored as.
     residue_probability: f64,
-    residue_predicted_friend: bool,
-    /// The current result, which reads answer from; its trace is what the
-    /// next refinement resumes.
+    /// The current result, which reads answer from. It holds the session's
+    /// one copy of the universe: the classified pairs (`pairs`) and the
+    /// co-location candidates (`candidates`), both sorted and spliced in
+    /// place. Its trace is what the next refinement resumes.
     last: InferenceResult,
 }
 
@@ -117,23 +131,33 @@ impl IncrementalAttack {
         };
         let pairs =
             if residue_predicted_friend { all_pairs(&initial)? } else { candidates.clone() };
-        let mut session = IncrementalAttack {
-            attack,
-            opts,
-            dataset: initial,
-            index,
-            candidates,
-            pairs,
-            p1_proba: Vec::new(),
-            store: None,
+        let universe = CandidateUniverse {
+            n_residue: n_total - candidates.len() as u64,
+            pairs: candidates,
             n_total,
             residue_probability,
             residue_predicted_friend,
-            last: InferenceResult::empty(0),
         };
-        let every: Vec<usize> = (0..session.pairs.len()).collect();
-        session.refresh_phase1(&every);
-        session.run_refinement(&[], &[]);
+        let last = InferenceResult {
+            candidates: Some(universe),
+            ..InferenceResult::empty(initial.n_users())
+        };
+        let mut session = IncrementalAttack {
+            attack,
+            opts,
+            hi_slots: vec![Vec::new(); initial.n_users()],
+            residue_probability,
+            dataset: initial,
+            index,
+            store: None,
+            slots: Vec::new(),
+            p1_proba: Vec::new(),
+            last,
+        };
+        let every: Vec<usize> = (0..pairs.len()).collect();
+        let g0 = session.refresh_phase1(&pairs, &every);
+        session.last.pairs = pairs;
+        session.run_refinement(g0, &[], &[]);
         Ok(session)
     }
 
@@ -157,37 +181,22 @@ impl IncrementalAttack {
         seeker_obs::counter!("incremental.ingest.batches", 1);
         seeker_obs::counter!("incremental.ingest.checkins", batch.len() as u64);
         let delta = DataDelta::compute(self.attack.phase1().division(), batch);
-        self.dataset = self.dataset.append_batch(batch)?;
+        {
+            let _span = seeker_obs::span!("incremental.append");
+            self.dataset.append(batch)?;
+        }
         // Superset of the genuinely new co-location pairs; the splice
         // filters against the existing sorted universe.
         let fresh = self.index.apply(self.attack.phase1().division(), batch);
-        let cand_inserted = splice_sorted(&mut self.candidates, &fresh);
-        let inserted = if self.residue_predicted_friend {
-            Vec::new() // the quadratic universe is fixed
-        } else {
-            debug_assert_eq!(self.candidates.len(), self.pairs.len() + cand_inserted.len());
-            let _ = std::mem::replace(&mut self.pairs, self.candidates.clone());
-            cand_inserted
+        let (added, dirty) = {
+            let _span = seeker_obs::span!("incremental.universe");
+            let added = self.splice_universe(&fresh);
+            let dirty = self.dirty_slots(delta.users(), added.len());
+            (added, dirty)
         };
-        for &pos in &inserted {
-            self.p1_proba.insert(pos, 0.0);
-        }
-        // Pairs whose presence feature the batch dirtied: every pair when
-        // the universe was empty before this batch, else a freshly inserted
-        // pair or one with an endpoint among the delta's users.
-        let was_empty = self.store.is_none();
-        let dirty_rows: Vec<usize> = (0..self.pairs.len())
-            .filter(|&i| {
-                let p = self.pairs[i];
-                was_empty
-                    || inserted.binary_search(&i).is_ok()
-                    || delta.touches_user(p.lo())
-                    || delta.touches_user(p.hi())
-            })
-            .collect();
-        seeker_obs::counter!("incremental.ingest.dirty_pairs", dirty_rows.len() as u64);
-        self.refresh_phase1(&dirty_rows);
-        self.run_refinement(delta.users(), &dirty_rows);
+        seeker_obs::counter!("incremental.ingest.dirty_pairs", dirty.len() as u64);
+        let g0 = self.refresh_phase1(&added, &dirty);
+        self.run_refinement(g0, delta.users(), &dirty);
         Ok(&self.last)
     }
 
@@ -249,9 +258,9 @@ impl IncrementalAttack {
     /// never-co-located residue, the zero-JOC stand-in, exactly what
     /// candidate pruning scored it as.
     fn probability(&self, pair: UserPair) -> f64 {
-        match self.pairs.binary_search(&pair) {
-            Ok(i) => self.p1_proba[i],
-            Err(_) => self.residue_probability,
+        match self.store.as_ref().and_then(|s| s.index().get(pair)) {
+            Some(slot) => self.p1_proba[slot],
+            None => self.residue_probability,
         }
     }
 
@@ -292,115 +301,116 @@ impl IncrementalAttack {
         Ok(())
     }
 
-    /// Re-encodes presence features for the given rows (indices into
-    /// `pairs`), re-scores classifier `C` from the encoded rows, and merges
-    /// both over the retained state. Per-pair purity of both makes the
-    /// result bitwise equal to a full rebuild over the current dataset.
-    fn refresh_phase1(&mut self, dirty_rows: &[usize]) {
-        if self.pairs.is_empty() {
-            self.store = None;
-            self.p1_proba.clear();
-            return;
+    /// Splices the `fresh` co-located pairs that are new to the universe
+    /// into the result's sorted lists, in place, and returns the ones new
+    /// to the classified pairs (sorted): all of them, or none under the
+    /// zero-JOC fallback, whose quadratic universe is fixed.
+    // lint:allow(panic-reach) -- `new` records the universe and no step clears it
+    fn splice_universe(&mut self, fresh: &[UserPair]) -> Vec<UserPair> {
+        let last = &mut self.last;
+        // Structural invariant: `new` records the universe in the result.
+        let universe = last.candidates.as_mut().expect("a session result records its universe"); // lint:allow(no-panic)
+        let new: Vec<UserPair> =
+            fresh.iter().copied().filter(|p| universe.pairs.binary_search(p).is_err()).collect();
+        merge_sorted_by_key(&mut universe.pairs, &new, |&p| p);
+        universe.n_residue = universe.n_total - universe.pairs.len() as u64;
+        if universe.residue_predicted_friend {
+            return Vec::new();
         }
-        if dirty_rows.is_empty() {
-            return;
-        }
-        let dirty_pairs: Vec<UserPair> = dirty_rows.iter().map(|&i| self.pairs[i]).collect();
-        let fresh_store = FeatureStore::build(self.attack.phase1(), &self.dataset, &dirty_pairs);
-        let fresh_proba = fresh_store.predict_proba(self.attack.phase1());
-        self.store = Some(match self.store.take() {
-            Some(old) => fresh_store.merged(&old),
-            None => fresh_store,
-        });
-        if self.p1_proba.len() != self.pairs.len() {
-            self.p1_proba = vec![0.0; self.pairs.len()];
-        }
-        for (&i, p) in dirty_rows.iter().zip(fresh_proba) {
-            self.p1_proba[i] = p;
-        }
+        merge_sorted_by_key(&mut last.pairs, &new, |&p| p);
+        new
     }
 
-    /// Runs phase-2 refinement resumed from the last result's trace and
-    /// stores the new reference-equivalent [`InferenceResult`].
-    /// `dirty_users` and `force_rows` are the users and rows whose presence
-    /// features the batch changed.
-    fn run_refinement(&mut self, dirty_users: &[UserId], force_rows: &[usize]) {
-        if self.pairs.is_empty() {
+    /// The sorted store slots whose presence row the batch dirtied: every
+    /// universe partner of a touched user, and the `n_added` slots the
+    /// classified pairs are about to grow by. Reads the slots of the pairs
+    /// classified before the batch; before any, every slot is new.
+    fn dirty_slots(&self, touched: &[UserId], n_added: usize) -> Vec<usize> {
+        let Some(store) = &self.store else { return (0..n_added).collect() };
+        let n_old = store.len();
+        let mut dirty: Vec<usize> = (n_old..n_old + n_added).collect();
+        for &u in touched {
+            dirty.extend(store.index().run(u).iter().map(|&(_, slot)| slot));
+            dirty.extend_from_slice(&self.hi_slots[u.index()]);
+        }
+        dirty.sort_unstable();
+        dirty.dedup();
+        dirty
+    }
+
+    /// Adds the `added` pairs (sorted, new to the classified pairs) as the
+    /// next store slots, re-encodes the `dirty` slots (every added one
+    /// among them) and re-scores classifier `C` from their rows, in place,
+    /// and returns the new `G⁰`. Per-pair purity of both makes the store
+    /// and the probabilities bitwise equal to a full rebuild over the
+    /// current dataset.
+    fn refresh_phase1(&mut self, added: &[UserPair], dirty: &[usize]) -> SocialGraph {
+        let _span = seeker_obs::span!("incremental.phase1");
+        let n_users = self.dataset.n_users();
+        let model = self.attack.phase1();
+        if dirty.is_empty() {
+            return self.last.trace.graphs[0].clone();
+        }
+        let first = self.slots.len();
+        self.slots.extend_from_slice(added);
+        let proba = match &mut self.store {
+            Some(store) => store.update(model, &self.dataset, &self.slots, dirty),
+            None => {
+                let store = self.store.insert(FeatureStore::build(model, &self.dataset, added));
+                store.predict_proba(model)
+            }
+        };
+        for (pair, slot) in added.iter().zip(first..) {
+            self.hi_slots[pair.hi().index()].push(slot);
+        }
+        self.p1_proba.resize(self.slots.len(), 0.0);
+        for (&slot, p) in dirty.iter().zip(proba) {
+            self.p1_proba[slot] = p;
+        }
+        // G⁰ thresholds the cached probabilities, as a cold inference
+        // thresholds its store's: in bulk when every row changed, else by
+        // flipping the changed rows' edges in the previous G⁰.
+        let threshold = model.threshold();
+        let pairs = &self.slots;
+        if dirty.len() == pairs.len() {
+            let friends: Vec<bool> = self.p1_proba.iter().map(|&p| p >= threshold).collect();
+            return graph_from_predictions(n_users, pairs, &friends);
+        }
+        let mut g0 = self.last.trace.graphs[0].clone();
+        for &slot in dirty {
+            if self.p1_proba[slot] >= threshold {
+                g0.add_edge(pairs[slot]);
+            } else {
+                g0.remove_edge(pairs[slot]);
+            }
+        }
+        g0
+    }
+
+    /// Runs phase-2 refinement from `g0`, resumed from the last result's
+    /// trace, which it consumes, and stores the new reference-equivalent
+    /// trace. `dirty_users` and `force_rows` are the users and slots whose
+    /// presence features the batch changed.
+    fn run_refinement(&mut self, g0: SocialGraph, dirty_users: &[UserId], force_rows: &[usize]) {
+        let Some(store) = &self.store else {
             // Reference behavior for an empty candidate universe: the
             // answer is the empty graph, no classifier run needed.
-            self.last = InferenceResult {
-                candidates: Some(self.universe_record()),
-                ..InferenceResult::empty(self.dataset.n_users())
-            };
             return;
-        }
+        };
         let _span = seeker_obs::span!("attack.infer");
-        // G⁰ from the cached probabilities, thresholded as a cold
-        // inference thresholds its store's probabilities.
-        let threshold = self.attack.phase1().threshold();
-        let friends: Vec<bool> = self.p1_proba.iter().map(|&p| p >= threshold).collect();
-        let g0 = graph_from_predictions(self.dataset.n_users(), &self.pairs, &friends);
-        // Structural invariant: `refresh_phase1` built the store for any
-        // non-empty pair list before this runs.
-        let store = self.store.as_ref().expect("store exists for a non-empty universe"); // lint:allow(no-panic)
-        let trace = self.attack.phase2().infer_warm(
+        let consumed =
+            IterationTrace { graphs: Vec::new(), change_ratios: Vec::new(), converged: false };
+        let prev = std::mem::replace(&mut self.last.trace, consumed);
+        self.last.trace = self.attack.phase2().infer_warm(
             self.attack.config(),
             store,
-            &self.pairs,
+            &self.slots,
             g0,
-            &self.last.trace,
+            prev,
             dirty_users,
             force_rows,
         );
-        self.last = InferenceResult {
-            pairs: self.pairs.clone(),
-            trace,
-            candidates: Some(self.universe_record()),
-        };
     }
-
-    /// The current universe split, mirroring what a reference
-    /// [`TrainedAttack::infer`] run would record.
-    fn universe_record(&self) -> CandidateUniverse {
-        CandidateUniverse {
-            pairs: self.candidates.clone(),
-            n_total: self.n_total,
-            n_residue: self.n_total - self.candidates.len() as u64,
-            residue_probability: self.residue_probability,
-            residue_predicted_friend: self.residue_predicted_friend,
-        }
-    }
-}
-
-/// Merges the sorted unique `fresh` list into the sorted unique `base`,
-/// skipping members already present, and returns the positions of the
-/// inserted elements in the merged list (ascending).
-fn splice_sorted(base: &mut Vec<UserPair>, fresh: &[UserPair]) -> Vec<usize> {
-    let new_items: Vec<UserPair> =
-        fresh.iter().copied().filter(|p| base.binary_search(p).is_err()).collect();
-    if new_items.is_empty() {
-        return Vec::new();
-    }
-    let mut merged = Vec::with_capacity(base.len() + new_items.len());
-    let mut positions = Vec::with_capacity(new_items.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < base.len() || j < new_items.len() {
-        let take_new = match (base.get(i), new_items.get(j)) {
-            (Some(b), Some(n)) => n < b,
-            (None, Some(_)) => true,
-            _ => false,
-        };
-        if take_new {
-            positions.push(merged.len());
-            merged.push(new_items[j]);
-            j += 1;
-        } else {
-            merged.push(base[i]);
-            i += 1;
-        }
-    }
-    *base = merged;
-    positions
 }
 
 #[cfg(test)]
@@ -508,6 +518,100 @@ mod tests {
         );
     }
 
+    impl IncrementalAttack {
+        /// The universe split the session's result records.
+        fn universe(&self) -> &CandidateUniverse {
+            self.last.candidates.as_ref().expect("a session result records its universe")
+        }
+    }
+
+    /// Bit patterns of a row, so `-0.0`/`0.0` and NaN payloads count.
+    fn bits32(row: Option<&[f32]>) -> Option<Vec<u32>> {
+        row.map(|r| r.iter().map(|x| x.to_bits()).collect())
+    }
+
+    /// The session's state equals a session opened on its dataset: the
+    /// result, the universe record, `G⁰`, and, per pair, the cached
+    /// presence row and probability by bits, with its slot indexed and its
+    /// `hi` user listing it.
+    fn assert_same_state(session: &IncrementalAttack, attack: &TrainedAttack) {
+        let fresh = IncrementalAttack::new(
+            attack.clone(),
+            session.dataset().clone(),
+            IncrementalOptions::default(),
+        )
+        .unwrap();
+        assert_same_result(session.result(), fresh.result());
+        assert_eq!(session.last.trace.graphs[0], fresh.last.trace.graphs[0], "G⁰");
+        let (u, v) = (session.universe(), fresh.universe());
+        assert_eq!(u.pairs, v.pairs, "candidates");
+        assert_eq!((u.n_total, u.n_residue), (v.n_total, v.n_residue));
+        assert_eq!(u.residue_probability.to_bits(), v.residue_probability.to_bits());
+        assert_eq!(u.residue_predicted_friend, v.residue_predicted_friend);
+        let (Some(a), Some(b)) = (&session.store, &fresh.store) else {
+            assert!(session.store.is_none() && fresh.store.is_none(), "one store is missing");
+            return;
+        };
+        assert_eq!(
+            (a.len(), session.slots.len(), session.p1_proba.len()),
+            (b.len(), fresh.slots.len(), fresh.p1_proba.len())
+        );
+        for &p in &session.last.pairs {
+            assert_eq!(bits32(a.get(p)), bits32(b.get(p)), "presence row of {p}");
+            assert_eq!(session.probability(p).to_bits(), fresh.probability(p).to_bits(), "{p}");
+        }
+        for (slot, &p) in session.slots.iter().enumerate() {
+            assert_eq!(a.index().get(p), Some(slot), "slot of {p}");
+            assert!(session.hi_slots[p.hi().index()].contains(&slot), "{p} listed by its hi");
+        }
+        let listed: usize = session.hi_slots.iter().map(Vec::len).sum();
+        assert_eq!(listed, a.len(), "every slot listed once");
+    }
+
+    /// Streams the fixture's tail in uneven batches — one touching user 0
+    /// and the last user, one of duplicated check-ins, one empty, and
+    /// several that insert universe pairs — and after every flush compares
+    /// the session's whole state with a session opened on the grown
+    /// dataset, which must equal the rebuilt one as a value. A stale row
+    /// that flips no decision passes the result contract but not this.
+    #[test]
+    fn session_state_equals_a_fresh_session_after_every_flush() {
+        let (trained, _, initial, tail) = setup();
+        let mut session =
+            IncrementalAttack::new(trained.clone(), initial.clone(), IncrementalOptions::default())
+                .unwrap();
+        let last_user = UserId::new(initial.n_users() as u32 - 1);
+        let edges: Vec<CheckIn> = tail[..6]
+            .iter()
+            .enumerate()
+            .map(|(i, c)| CheckIn {
+                user: if i % 2 == 0 { UserId::new(0) } else { last_user },
+                ..*c
+            })
+            .collect();
+        let dup: Vec<CheckIn> =
+            initial.checkins()[..5].iter().chain(&tail[6..9]).chain(&tail[6..9]).copied().collect();
+        let mut batches: Vec<Vec<CheckIn>> = vec![edges, dup, Vec::new()];
+        let mut at = 9;
+        for len in [1, 13, 40, 97, 5, 160] {
+            batches.push(tail[at..at + len].to_vec());
+            at += len;
+        }
+        batches.push(tail[at..].to_vec());
+        let mut inserting = 0;
+        for batch in &batches {
+            let before = session.dataset().clone();
+            let n_pairs = session.universe().pairs.len();
+            session.ingest(batch).unwrap();
+            let mut all = before.checkins().to_vec();
+            all.extend_from_slice(batch);
+            assert_eq!(session.dataset(), &before.with_checkins(all).unwrap());
+            inserting += usize::from(session.universe().pairs.len() > n_pairs);
+            assert_same_state(&session, trained);
+        }
+        assert!(inserting >= 3, "only {inserting} batches grew the universe");
+    }
+
     #[test]
     fn out_of_span_boundary_is_exact() {
         let (trained, _, initial, _) = setup();
@@ -578,7 +682,7 @@ mod tests {
         // Pick a non-friend candidate pair and hammer it with co-visits at
         // one POI across many slots — maximal joint-occurrence mass.
         let g = session.result().final_graph().clone();
-        let Some(&pair) = session.pairs.iter().find(|p| !g.has_edge(**p)) else {
+        let Some(&pair) = session.last.pairs.iter().find(|p| !g.has_edge(**p)) else {
             return; // degenerate world: everything already predicted friend
         };
         let slots = trained.phase1().division().slots();

@@ -117,20 +117,6 @@ pub(crate) fn dirty_rows(
     dirty
 }
 
-/// Sets `preds[i]` to whether `pairs[i]` is an edge of `graph`: the
-/// predictions `graph` was built from, for every pair of the run that
-/// built it and `false` for any pair that joined since. One merge of the
-/// sorted pair list with the sorted edge list.
-fn edge_membership(graph: &SocialGraph, pairs: &[UserPair], preds: &mut [bool]) {
-    debug_assert!(pairs.is_sorted(), "a resumed run's pair list is sorted");
-    let mut edges = graph.edges().peekable();
-    for (pair, pred) in pairs.iter().zip(preds.iter_mut()) {
-        while edges.next_if(|e| e < pair).is_some() {}
-        *pred = edges.next_if_eq(pair).is_some();
-    }
-    debug_assert_eq!(preds.iter().filter(|&&p| p).count(), graph.n_edges(), "edge outside pairs");
-}
-
 /// Composite features of a fixed pair list, the training scorer's state.
 /// Rows are recomputed only when dirty; clean rows are reused bit for bit
 /// (the [`dirty_rows`] soundness argument).
@@ -197,7 +183,6 @@ impl FeatureCache {
 }
 
 /// The rows a refinement iteration rescores.
-#[derive(Clone, Copy)]
 pub(crate) enum Rows<'a> {
     /// Every row, every iteration: the reference recompute.
     All,
@@ -207,11 +192,12 @@ pub(crate) enum Rows<'a> {
     /// [`Rows::Delta`] resumed from an earlier run's trace `prev`, which
     /// was scored before the data changed at `seed_users` (users) and
     /// `force_rows` (rows). Iteration `t` resumes `prev`'s iteration `t`:
-    /// its predictions start as the edges of `prev.graphs[t + 1]`, and it
-    /// rescores the [`dirty_rows`] of the diff from `prev.graphs[t]` plus
-    /// that data dirt. Once `prev` has no iteration `t`, the run goes on as
-    /// [`Rows::Delta`] from its own previous iteration.
-    Warm { prev: &'a IterationTrace, seed_users: &'a [UserId], force_rows: &'a [usize] },
+    /// it rescores the [`dirty_rows`] of the diff from `prev.graphs[t]`
+    /// plus that data dirt, and patches their decisions into
+    /// `prev.graphs[t + 1]`, the graph `prev`'s iteration `t` scored. Once
+    /// `prev` has no iteration `t`, the run goes on as [`Rows::Delta`] from
+    /// its own previous iteration.
+    Warm { prev: IterationTrace, seed_users: &'a [UserId], force_rows: &'a [usize] },
 }
 
 /// The most rows the frozen scorer extracts and scores in one batch. A
@@ -229,9 +215,9 @@ const SCORE_BLOCK: usize = 16_384;
 /// allocates.
 const ROW_TILE: usize = 64;
 
-/// Turns a graph and its dirty rows into per-pair predictions. Both
-/// scorers read presence rows from one store over the run's pairs, row `i`
-/// being `pairs[i]`.
+/// Turns a graph and its dirty rows into per-pair decisions. Both scorers
+/// read presence rows from one store over the run's pairs and number rows
+/// by the store's slots: row `i` is `pairs[i]`.
 #[allow(clippy::large_enum_variant)] // one value per refinement run
 enum Scorer<'a> {
     /// Training: recompute the dirty cache rows, refit the scaler and SVM
@@ -247,7 +233,7 @@ enum Scorer<'a> {
     },
     /// Inference: `C'` is frozen, so only the dirty rows are re-extracted
     /// and re-scored, in at least `n_chunks` batches of at most
-    /// [`SCORE_BLOCK`] rows; every clean row keeps its prediction.
+    /// [`SCORE_BLOCK`] rows; every clean row keeps its decision.
     Frozen { model: &'a Phase2Model, store: &'a FeatureStore, n_chunks: usize },
 }
 
@@ -259,17 +245,17 @@ impl<'a> Scorer<'a> {
         }
     }
 
-    /// Scores `graph`: afterwards `preds[i]` is `C'`'s decision for
-    /// `pairs[i]` on `graph`, provided every row outside `dirty` already
-    /// was before.
+    /// Scores `graph` and returns `C'`'s decision for each row of `dirty`,
+    /// in order; a scorer that refits returns the decision for every row,
+    /// in slot order, since its refit `C'` can move any of them. `pairs`
+    /// is the store's slot → pair list.
     fn rescore(
         &mut self,
         k: usize,
         graph: &SocialGraph,
         pairs: &[UserPair],
         dirty: &[usize],
-        preds: &mut Vec<bool>,
-    ) {
+    ) -> Vec<bool> {
         match self {
             Scorer::Refit { svm_cfg, store, cal_idx, cal_labels, cache, fitted } => {
                 let compute = |g: &SocialGraph, p: UserPair| composite_feature(g, p, k, store);
@@ -288,14 +274,13 @@ impl<'a> Scorer<'a> {
                     cal_idx.iter().map(|&i| features[i].clone()).collect();
                 let (scaler, cal_scaled) = StandardScaler::fit_transform(&cal_features);
                 let svm = Svm::fit(svm_cfg, &cal_scaled, cal_labels);
-                // The SVM is refit above, so predictions must cover every
-                // pair even when only a few features changed.
-                *preds = svm.predict(&scaler.transform(features));
+                let decisions = svm.predict(&scaler.transform(features));
                 *fitted = Some((scaler, svm));
+                decisions
             }
             Scorer::Frozen { model, store, n_chunks } => {
                 if dirty.is_empty() {
-                    return;
+                    return Vec::new();
                 }
                 let n_chunks = (*n_chunks).max(dirty.len().div_ceil(SCORE_BLOCK));
                 let width = k * store.dim();
@@ -304,6 +289,7 @@ impl<'a> Scorer<'a> {
                     let _span = seeker_obs::span!("phase2.refine.features");
                     EdgeRows::new(graph, store.index())
                 };
+                let mut out = Vec::with_capacity(dirty.len());
                 for range in seeker_spatial::shard_ranges(dirty.len(), n_chunks) {
                     let rows = &dirty[range];
                     if rows.is_empty() {
@@ -323,29 +309,36 @@ impl<'a> Scorer<'a> {
                             tile
                         })
                     };
-                    let decisions = {
-                        let _span = seeker_obs::span!("phase2.refine.svm");
+                    let _span = seeker_obs::span!("phase2.refine.svm");
+                    let decisions =
                         seeker_par::par_map_cost(&tiles, seeker_par::Cost::Heavy, |tile| {
                             model.svm.decision_rows(tile)
-                        })
-                    };
-                    for (&i, d) in rows.iter().zip(decisions.iter().flatten()) {
-                        preds[i] = *d >= 0.0;
-                    }
+                        });
+                    out.extend(decisions.iter().flatten().map(|&d| d >= 0.0));
                 }
+                out
             }
         }
     }
 }
 
 /// The phase-2 refinement loop: from `g0`, rescore the iteration's rows,
-/// rebuild the graph from the predictions, and stop once fewer than the
+/// turn their decisions into the next graph, and stop once fewer than the
 /// convergence threshold of edges change or the iteration budget is spent.
+///
+/// Rows are the slots of the scorer's store, and `pairs` its slot → pair
+/// list. An iteration that scored
+/// every row builds its graph in bulk from the decisions. Any other one
+/// patches the graph its clean rows were last scored into — `Gᵗ`, or the
+/// resumed run's `prev.graphs[t + 1]` — flipping each dirty row whose
+/// decision differs from its edge bit: the edges of that graph are exactly
+/// the rows a full decision vector would mark, so the patch is the graph a
+/// bulk build would give.
 fn refine(
     cfg: &FriendSeekerConfig,
     pairs: &[UserPair],
     g0: SocialGraph,
-    rows: Rows<'_>,
+    mut rows: Rows<'_>,
     scorer: &mut Scorer<'_>,
 ) -> IterationTrace {
     let (budget, idle, [iter_span, edges_gauge, ratio_gauge]) = match scorer {
@@ -364,22 +357,21 @@ fn refine(
         }
     };
     // The pair → row index of `dirty_rows` is the store's own.
-    let store = scorer.store();
-    debug_assert!(store.covers(pairs), "the scorer's store holds exactly the run's pairs");
-    let index = store.index();
-    let mut preds = vec![false; pairs.len()];
+    let index = scorer.store().index();
+    debug_assert_eq!(index.len(), pairs.len(), "the scorer's store holds the run's pairs");
     let mut trace = IterationTrace { graphs: vec![g0], change_ratios: Vec::new(), converged: idle };
     for t in 0..budget {
         let _iter_span = seeker_obs::span!(iter_span);
         let graph = &trace.graphs[t];
+        // Whether this iteration resumes `prev`'s iteration `t`.
+        let resumed = matches!(&rows, Rows::Warm { prev, .. } if t < prev.n_iterations());
         let dirty = {
             let _span = seeker_obs::span!("phase2.refine.dirty_rows");
             // The graph this iteration diffs against, with the data dirt.
-            let since = match rows {
+            let since = match &rows {
                 Rows::All => None,
-                Rows::Warm { prev, seed_users, force_rows } if t < prev.n_iterations() => {
-                    edge_membership(&prev.graphs[t + 1], pairs, &mut preds);
-                    Some((&prev.graphs[t], seed_users, force_rows))
+                Rows::Warm { prev, seed_users, force_rows } if resumed => {
+                    Some((&prev.graphs[t], *seed_users, *force_rows))
                 }
                 _ if t > 0 => Some((&trace.graphs[t - 1], &[][..], &[][..])),
                 _ => None,
@@ -392,10 +384,30 @@ fn refine(
             }
         };
         seeker_obs::counter!("phase2.refine.dirty_pairs", dirty.len() as u64);
-        scorer.rescore(cfg.k_hop, graph, pairs, &dirty, &mut preds);
+        let decisions = scorer.rescore(cfg.k_hop, graph, pairs, &dirty);
         let (next, change) = {
             let _span = seeker_obs::span!("phase2.refine.graph");
-            let next = graph_from_predictions(graph.n_vertices(), pairs, &preds);
+            let next = if decisions.len() == pairs.len() {
+                graph_from_predictions(graph.n_vertices(), pairs, &decisions)
+            } else {
+                // `prev`'s graph is moved out once no later iteration
+                // diffs against it.
+                let mut next = match &mut rows {
+                    Rows::Warm { prev, .. } if resumed && t + 1 == prev.n_iterations() => {
+                        std::mem::replace(&mut prev.graphs[t + 1], SocialGraph::new(0))
+                    }
+                    Rows::Warm { prev, .. } if resumed => prev.graphs[t + 1].clone(),
+                    _ => graph.clone(),
+                };
+                let mut flips = 0u64;
+                for (&i, &friend) in dirty.iter().zip(&decisions) {
+                    let flipped =
+                        if friend { next.add_edge(pairs[i]) } else { next.remove_edge(pairs[i]) };
+                    flips += u64::from(flipped);
+                }
+                seeker_obs::counter!("phase2.refine.flips", flips);
+                next
+            };
             // `change_ratio` to the bit, from one walk of the two edge sets:
             // |A ∪ B| = (|A| + |B| + |A Δ B|) / 2.
             let diff = graph.edge_difference(&next);
@@ -585,32 +597,33 @@ impl Phase2Model {
     /// trace of the previous run over the same session, instead of
     /// recomputing every row.
     ///
-    /// The caller supplies the post-ingest presence store, the sorted pair
-    /// universe (a superset of `prev`'s) and phase-1 graph `g0`, the sorted
-    /// users whose trajectories changed since `prev` (`dirty_users`), and
-    /// the sorted rows whose own presence feature changed (`force_rows`: an
-    /// endpoint in `dirty_users`, or a pair new to the universe).
+    /// The caller supplies the post-ingest presence store (its pairs are
+    /// the universe, a superset of `prev`'s, rows numbered by slot), its
+    /// slot → pair list `pairs`, phase-1 graph `g0`, the sorted users whose trajectories changed
+    /// since `prev` (`dirty_users`), and the sorted slots whose own
+    /// presence feature changed (`force_rows`: an endpoint in
+    /// `dirty_users`, or a pair new to the universe). The run consumes
+    /// `prev`: the last graph it resumes is moved, not copied.
     ///
     /// While `prev` has an iteration `t`, iteration `t` scores the current
-    /// `Gᵗ` starting from `prev`'s predictions on `prev.graphs[t]` (the
+    /// `Gᵗ` starting from `prev`'s decisions on `prev.graphs[t]` (the
     /// edges of `prev.graphs[t + 1]`), and rescores the `force_rows` plus
     /// every row whose k-hop trace could differ between the two graphs:
     /// through an edge of `prev.graphs[t] Δ Gᵗ`, or through a dirty user on
     /// one of its ≤k-length paths, which the path-length budgets of
     /// [`dirty_rows`] catch. Every other row reads unchanged presence
     /// rows over an unchanged subgraph, and `C'` is frozen, so `prev`'s
-    /// prediction is exact for it. Past `prev`'s last iteration the run
+    /// decision is exact for it. Past `prev`'s last iteration the run
     /// diffs against its own previous iteration, as [`Phase2Model::infer`]
     /// does. By induction over iterations the trace is bit-identical to a
     /// cold [`Phase2Model::infer`] on the rebuilt dataset.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn infer_warm(
         &self,
         cfg: &FriendSeekerConfig,
         store: &FeatureStore,
         pairs: &[UserPair],
         g0: SocialGraph,
-        prev: &IterationTrace,
+        prev: IterationTrace,
         dirty_users: &[UserId],
         force_rows: &[usize],
     ) -> IterationTrace {

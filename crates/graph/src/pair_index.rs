@@ -1,6 +1,6 @@
 //! A pair → row index with one run of entries per `lo` user.
 
-use seeker_trace::UserPair;
+use seeker_trace::{merge_sorted_by_key, UserId, UserPair};
 
 /// Maps the pairs of a pair list to rows.
 ///
@@ -59,13 +59,51 @@ impl PairIndex {
         PairIndex { entries, offsets }
     }
 
+    /// Adds `(pair, row)` entries in place. `new` must be sorted by pair
+    /// and hold no pair the index holds. The entries merge in from the back,
+    /// so only the entries after the first new pair move, and only the run
+    /// offsets after its `lo` user change.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `new` is not sorted by pair or shares a pair with the
+    /// index.
+    pub fn insert(&mut self, new: &[(UserPair, usize)]) {
+        let Some(&(first, _)) = new.first() else { return };
+        assert!(new.is_sorted_by(|a, b| a.0 < b.0), "inserted pairs must be sorted");
+        for &(pair, _) in new {
+            assert!(self.get(pair).is_none(), "duplicate pair {pair} in pair index");
+        }
+        let old_len = self.entries.len();
+        merge_sorted_by_key(&mut self.entries, new, |&(pair, _)| pair);
+        // Runs past the old last one start at the old end; every offset
+        // after `first`'s run moves by the new entries before it.
+        let runs = self.entries.last().map_or(0, |(p, _)| p.lo().index() + 1);
+        self.offsets.resize(runs + 1, old_len);
+        let mut before = new.iter().peekable();
+        let mut moved = 0usize;
+        for u in first.lo().index() + 1..=runs {
+            while before.next_if(|(p, _)| p.lo().index() < u).is_some() {
+                moved += 1;
+            }
+            self.offsets[u] += moved;
+        }
+    }
+
     /// The row of `pair`, if it is indexed.
     #[inline]
     pub fn get(&self, pair: UserPair) -> Option<usize> {
-        let lo = pair.lo().index();
-        let (&start, &end) = (self.offsets.get(lo)?, self.offsets.get(lo + 1)?);
-        let run = &self.entries[start..end];
+        let run = self.run(pair.lo());
         run.binary_search_by_key(&pair.hi(), |(p, _)| p.hi()).ok().map(|i| run[i].1)
+    }
+
+    /// The entries whose pair has `lo` user `u`, sorted by pair.
+    #[inline]
+    pub fn run(&self, u: UserId) -> &[(UserPair, usize)] {
+        match (self.offsets.get(u.index()), self.offsets.get(u.index() + 1)) {
+            (Some(&start), Some(&end)) => &self.entries[start..end],
+            _ => &[],
+        }
     }
 
     /// Every `(pair, row)` entry, sorted by pair.
@@ -87,7 +125,7 @@ impl PairIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seeker_trace::UserId;
+    use proptest::prelude::*;
 
     fn pair(a: u32, b: u32) -> UserPair {
         UserPair::new(UserId::new(a), UserId::new(b))
@@ -130,6 +168,51 @@ mod tests {
         let index = PairIndex::new(&[]);
         assert!(index.is_empty());
         assert_eq!(index.get(pair(0, 1)), None);
+    }
+
+    #[test]
+    fn runs_hold_each_lo_users_entries() {
+        let index = PairIndex::new(&[pair(3, 9), pair(1, 2), pair(3, 4)]);
+        assert_eq!(index.run(UserId::new(3)), &[(pair(3, 4), 2), (pair(3, 9), 0)]);
+        for u in [0, 2, 4, 100] {
+            assert!(index.run(UserId::new(u)).is_empty(), "u{u}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Inserting in place equals indexing the union, lookups and runs
+        /// included, whether the new pairs land before, inside or past the
+        /// old runs.
+        #[test]
+        fn insert_equals_rebuild(
+            raw in proptest::collection::vec((0u32..12, 0u32..12), 0..40),
+            split in proptest::collection::vec(any::<bool>(), 40),
+        ) {
+            let pairs: Vec<UserPair> = raw
+                .into_iter()
+                .filter(|(a, b)| a != b)
+                .map(|(a, b)| pair(a, b))
+                .collect::<std::collections::BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            let (mut old, mut new) = (Vec::new(), Vec::new());
+            for (row, (&p, &late)) in pairs.iter().zip(&split).enumerate() {
+                if late { new.push((p, row)) } else { old.push((p, row)) }
+            }
+            let mut index = PairIndex::from_entries(old.clone());
+            index.insert(&new);
+            old.extend_from_slice(&new);
+            prop_assert_eq!(&index, &PairIndex::from_entries(old));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate pair")]
+    fn insert_rejects_an_indexed_pair() {
+        let mut index = PairIndex::new(&[pair(0, 1), pair(2, 3)]);
+        index.insert(&[(pair(1, 2), 2), (pair(2, 3), 3)]);
     }
 
     #[test]

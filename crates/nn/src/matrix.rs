@@ -226,6 +226,18 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// Appends `rows`, whole row-major rows of [`Matrix::cols`] floats,
+    /// below the last row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.len()` is not a multiple of `cols()`.
+    pub fn append_rows(&mut self, rows: &[f32]) {
+        assert!(rows.len().is_multiple_of(self.cols), "appended data must be whole rows");
+        self.data.extend_from_slice(rows);
+        self.rows += rows.len() / self.cols;
+    }
+
     /// The raw row-major buffer.
     pub fn as_slice(&self) -> &[f32] {
         &self.data
@@ -403,6 +415,22 @@ mod tests {
         let b = m(3, 2, &[7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
         let c = a.matmul(&b);
         assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
+    }
+
+    #[test]
+    fn appended_rows_follow_the_last_row() {
+        let mut a = m(1, 2, &[1.0, 2.0]);
+        a.append_rows(&[3.0, 4.0, 5.0, 6.0]);
+        assert_eq!(a.rows(), 3);
+        assert_eq!(a.row(2), &[5.0, 6.0]);
+        a.append_rows(&[]);
+        assert_eq!(a.as_slice(), m(3, 2, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).as_slice());
+    }
+
+    #[test]
+    #[should_panic(expected = "whole rows")]
+    fn appending_a_partial_row_panics() {
+        m(1, 2, &[1.0, 2.0]).append_rows(&[3.0]);
     }
 
     #[test]

@@ -35,11 +35,6 @@ impl DataDelta {
     pub fn users(&self) -> &[UserId] {
         &self.users
     }
-
-    /// Whether `user`'s in-division trajectory changed.
-    pub fn touches_user(&self, user: UserId) -> bool {
-        self.users.binary_search(&user).is_ok()
-    }
 }
 
 #[cfg(test)]
@@ -62,7 +57,7 @@ mod tests {
         assert!(delta.users().windows(2).all(|w| w[0] < w[1]), "users sorted distinct");
         for c in &batch {
             if std.cell_of(c).is_some() {
-                assert!(delta.touches_user(c.user));
+                assert!(delta.users().contains(&c.user));
             }
         }
         for &u in delta.users() {
@@ -79,7 +74,7 @@ mod tests {
         let poi = ds.checkins()[0].poi;
         let delta = DataDelta::compute(&std, &[CheckIn::new(user, poi, late)]);
         assert!(delta.users().is_empty());
-        assert!(!delta.touches_user(user));
+        assert!(!delta.users().contains(&user));
     }
 
     #[test]

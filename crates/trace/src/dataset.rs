@@ -1,7 +1,8 @@
 //! The [`Dataset`] container: users, POIs, check-ins and the ground-truth
 //! social graph, with dense renumbered identifiers.
 //!
-//! A dataset is immutable after construction. Builders take raw (external)
+//! A dataset only grows after construction, by check-ins appended in place
+//! ([`Dataset::append`]). Builders take raw (external)
 //! user/POI identifiers, renumber them densely and validate structural
 //! invariants, so every downstream crate can index arrays with
 //! [`UserId::index`] / [`PoiId::index`] without hashing.
@@ -9,6 +10,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::error::{Result, TraceError};
+use crate::sorted::merge_sorted_by_key;
 use crate::types::{CheckIn, GeoPoint, Poi, PoiId, Timestamp, UserId, UserPair};
 
 /// Geographic bounding box of a dataset.
@@ -49,7 +51,7 @@ impl BoundingBox {
 ///
 /// Check-ins are stored sorted by `(user, time)`; per-user trajectories
 /// (Definition 3) are contiguous slices.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     name: String,
     pois: Vec<Poi>,
@@ -229,21 +231,21 @@ impl Dataset {
         })
     }
 
-    /// Returns a copy of this dataset with `batch` appended to the check-in
-    /// collection.
+    /// Appends `batch` to the check-in collection, in place.
     ///
-    /// The result is *defined* to equal `with_checkins(existing ++ batch)` —
-    /// appending is a pure dataset-growth operation; users, POIs and
-    /// friendships are untouched. The merge is a linear sorted merge (the
-    /// existing check-ins are already sorted by `(user, time, poi)`), so
-    /// repeated small appends avoid a full re-sort.
+    /// The result is *defined* to equal `with_checkins(existing ++ batch)`
+    /// as a value: appending is a pure dataset-growth operation, and users,
+    /// POIs and friendships are untouched. The sorted batch is merged into
+    /// the check-ins from the back, so only the check-ins after the first
+    /// user the batch touches move, and only the spans from that user on are
+    /// rewritten. Nothing else is copied.
     ///
     /// # Errors
     ///
     /// Returns [`TraceError::Invalid`] if any check-in in `batch` references
-    /// an unknown user or POI. On error the dataset is unchanged (the method
-    /// takes `&self`).
-    pub fn append_batch(&self, batch: &[CheckIn]) -> Result<Dataset> {
+    /// an unknown user or POI. The whole batch is validated before anything
+    /// changes, so on error the dataset is unchanged.
+    pub fn append(&mut self, batch: &[CheckIn]) -> Result<()> {
         if let Some(c) = batch.iter().find(|c| c.user.index() >= self.n_users()) {
             return Err(TraceError::Invalid(format!(
                 "check-in references unknown user {}",
@@ -253,46 +255,27 @@ impl Dataset {
         if let Some(c) = batch.iter().find(|c| c.poi.index() >= self.n_pois()) {
             return Err(TraceError::Invalid(format!("check-in references unknown poi {}", c.poi)));
         }
-        let mut incoming = batch.to_vec();
-        incoming.sort_by_key(|c| (c.user, c.time, c.poi));
-        // Stable linear merge of two runs sorted by the same key. Ties break
-        // toward the existing side, which matches what a stable re-sort of
-        // `existing ++ batch` would produce.
+        let Some(first) = batch.iter().map(|c| c.user).min() else { return Ok(()) };
         let key = |c: &CheckIn| (c.user, c.time, c.poi);
-        let mut merged = Vec::with_capacity(self.checkins.len() + incoming.len());
-        let mut ia = self.checkins.iter().peekable();
-        let mut ib = incoming.iter().peekable();
-        loop {
-            match (ia.peek(), ib.peek()) {
-                (Some(&a), Some(&b)) => {
-                    if key(a) <= key(b) {
-                        merged.push(*a);
-                        ia.next();
-                    } else {
-                        merged.push(*b);
-                        ib.next();
-                    }
-                }
-                (Some(&a), None) => {
-                    merged.push(*a);
-                    ia.next();
-                }
-                (None, Some(&b)) => {
-                    merged.push(*b);
-                    ib.next();
-                }
-                (None, None) => break,
+        let mut incoming = batch.to_vec();
+        incoming.sort_by_key(key);
+        // Equal keys are equal check-ins, so the merge's tie order changes
+        // no value.
+        merge_sorted_by_key(&mut self.checkins, &incoming, key);
+        // Re-span from the first touched user on; an empty trajectory keeps
+        // the `(0, 0)` span `sort_and_span` gives it.
+        let mut at = self.checkins.partition_point(|c| c.user < first);
+        let mut added = incoming.iter().peekable();
+        for u in first.index()..self.n_users() {
+            let (start, end) = self.user_spans[u];
+            let mut len = (end - start) as usize;
+            while added.next_if(|c| c.user.index() == u).is_some() {
+                len += 1;
             }
+            self.user_spans[u] = if len == 0 { (0, 0) } else { (at as u32, (at + len) as u32) };
+            at += len;
         }
-        let (checkins, user_spans) = sort_and_span(merged, self.n_users());
-        Ok(Dataset {
-            name: self.name.clone(),
-            pois: self.pois.clone(),
-            checkins,
-            user_spans,
-            friendships: self.friendships.clone(),
-            adjacency: self.adjacency.clone(),
-        })
+        Ok(())
     }
 
     /// Reassembles a dataset from exact parts, bypassing the builder's
@@ -661,30 +644,28 @@ mod tests {
     }
 
     #[test]
-    fn append_batch_equals_with_checkins_rebuild() {
+    fn append_equals_with_checkins_rebuild() {
         let ds = small();
         let batch = vec![
             CheckIn::new(UserId::new(2), PoiId::new(0), Timestamp::from_secs(7)),
             CheckIn::new(UserId::new(0), PoiId::new(1), Timestamp::from_secs(1)), // tie on key
             CheckIn::new(UserId::new(1), PoiId::new(1), Timestamp::from_secs(100)),
         ];
-        let appended = ds.append_batch(&batch).unwrap();
+        let mut appended = ds.clone();
+        appended.append(&batch).unwrap();
         let mut all = ds.checkins().to_vec();
         all.extend_from_slice(&batch);
-        let rebuilt = ds.with_checkins(all).unwrap();
-        assert_eq!(appended.checkins(), rebuilt.checkins());
-        for u in appended.users() {
-            assert_eq!(appended.trajectory(u), rebuilt.trajectory(u));
-        }
+        assert_eq!(appended, ds.with_checkins(all).unwrap());
         // Unknown ids rejected, dataset untouched.
-        assert!(ds
-            .append_batch(&[CheckIn::new(UserId::new(99), PoiId::new(0), Timestamp::from_secs(0))])
-            .is_err());
-        assert!(ds
-            .append_batch(&[CheckIn::new(UserId::new(0), PoiId::new(99), Timestamp::from_secs(0))])
-            .is_err());
+        let before = appended.clone();
+        let ghost = CheckIn::new(UserId::new(99), PoiId::new(0), Timestamp::from_secs(0));
+        assert!(appended.append(&[batch[0], ghost]).is_err());
+        let ghost = CheckIn::new(UserId::new(0), PoiId::new(99), Timestamp::from_secs(0));
+        assert!(appended.append(&[batch[0], ghost]).is_err());
+        assert_eq!(appended, before);
         // Empty append is the identity.
-        assert_eq!(ds.append_batch(&[]).unwrap().checkins(), ds.checkins());
+        appended.append(&[]).unwrap();
+        assert_eq!(appended, before);
     }
 
     #[test]
@@ -764,5 +745,71 @@ mod tests {
         let ds = b.build().unwrap();
         assert_eq!(ds.n_users(), 1);
         assert_eq!(ds.n_checkins(), 1);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A dataset over `n_users` users and three POIs whose users `0..n`
+    /// hold the given `(user, poi, time)` check-ins, some with none.
+    fn dataset(n_users: usize, raw: &[(u32, u32, i64)]) -> Dataset {
+        let pois = (0..3).map(|i| Poi::new(PoiId::new(i), GeoPoint::new(0.0, 0.0), 10.0)).collect();
+        Dataset::from_parts("p", n_users, pois, checkins(raw), []).unwrap()
+    }
+
+    fn checkins(raw: &[(u32, u32, i64)]) -> Vec<CheckIn> {
+        raw.iter()
+            .map(|&(u, p, t)| CheckIn::new(UserId::new(u), PoiId::new(p), Timestamp::from_secs(t)))
+            .collect()
+    }
+
+    fn arb_checkins(n_users: u32, max: usize) -> impl Strategy<Value = Vec<(u32, u32, i64)>> {
+        proptest::collection::vec((0..n_users, 0..3u32, 0..6i64), 0..max)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Appending equals rebuilding from the concatenation, as a value:
+        /// check-ins, spans (empty ones too), POIs and friendships.
+        #[test]
+        fn append_equals_rebuild(
+            existing in arb_checkins(8, 24),
+            batches in proptest::collection::vec(arb_checkins(8, 8), 1..4),
+        ) {
+            let mut ds = dataset(8, &existing);
+            let mut all = checkins(&existing);
+            for batch in &batches {
+                let batch = checkins(batch);
+                ds.append(&batch).unwrap();
+                all.extend_from_slice(&batch);
+                prop_assert_eq!(&ds, &ds.with_checkins(all.clone()).unwrap());
+            }
+        }
+
+        /// A batch naming an unknown user or POI anywhere leaves the dataset
+        /// as it was.
+        #[test]
+        fn rejected_append_changes_nothing(
+            existing in arb_checkins(8, 24),
+            batch in arb_checkins(8, 8),
+            at in 0usize..8,
+            unknown_user in any::<bool>(),
+        ) {
+            let mut ds = dataset(8, &existing);
+            let before = ds.clone();
+            let mut batch = checkins(&batch);
+            let bad = if unknown_user {
+                CheckIn::new(UserId::new(8), PoiId::new(0), Timestamp::from_secs(0))
+            } else {
+                CheckIn::new(UserId::new(0), PoiId::new(3), Timestamp::from_secs(0))
+            };
+            batch.insert(at.min(batch.len()), bad);
+            prop_assert!(ds.append(&batch).is_err());
+            prop_assert_eq!(&ds, &before);
+        }
     }
 }

@@ -29,6 +29,7 @@ pub mod geojson;
 pub mod mobility;
 /// Loader for SNAP-format check-in/edge dumps.
 pub mod snap;
+mod sorted;
 /// Dataset statistics of §II-C.
 pub mod stats;
 /// Streaming synthetic-world generation (O(users)-memory emission).
@@ -41,5 +42,7 @@ mod types;
 pub use dataset::{BoundingBox, Dataset, DatasetBuilder};
 /// Typed trace errors.
 pub use error::{Result, TraceError};
+/// In-place merge of a sorted batch into a sorted vector.
+pub use sorted::merge_sorted_by_key;
 /// Core identifiers and record types (Definitions 1–3).
 pub use types::{CheckIn, GeoPoint, Poi, PoiId, Timestamp, UserId, UserPair};
